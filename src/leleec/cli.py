@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .decomposer import build_graphs, decompose_graphs, validate_result
@@ -98,14 +99,9 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_decompose(args) -> int:
     features, cfg = parse_layout(args.layout)
     alpha = parse_frac(args.alpha, "--alpha") if args.alpha is not None else cfg.alpha
-    cfg = Config(
-        w_min=cfg.w_min,
-        s_min=cfg.s_min,
-        dis_m=cfg.dis_m,
-        dis_c=cfg.dis_c,
-        w_th=cfg.w_th,
+    cfg = replace(
+        cfg,
         alpha=alpha,
-        merge_gap=cfg.merge_gap,
         enable_stitch=not args.no_stitch,
         enable_preselect=args.preselect and not args.no_preselect,
         enable_bridges=not args.no_bridges,
@@ -153,18 +149,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_baseline(args) -> int:
     features, cfg = parse_layout(args.layout)
-    cfg = Config(
-        w_min=cfg.w_min,
-        s_min=cfg.s_min,
-        dis_m=cfg.dis_m,
-        dis_c=cfg.dis_c,
-        w_th=cfg.w_th,
-        alpha=cfg.alpha,
-        merge_gap=cfg.merge_gap,
-        enable_stitch=False,
-        enable_preselect=False,
-        enable_bridges=False,
-    )
+    cfg = replace(cfg, enable_stitch=False, enable_preselect=False, enable_bridges=False)
     lg, _eg = build_graphs(features, cfg)
     model = build_lelele_baseline(lg)
     try:

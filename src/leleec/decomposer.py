@@ -12,6 +12,14 @@ Pre-selection contracts color variables only; every original conflict edge
 keeps its own conflict/cut variables, so charged costs always refer to real
 edges. Contraction can still cost optimality by flipping conflict-cycle
 parity, which is why it defaults off.
+
+The work per layout stays linear in its edges: conflict and stitch edges
+are bucketed by component, and by piece after a bridge split, in one pass
+each. Every component gets its own slice of the end-cut graph
+(`component_endcut_graphs`): the same nodes, but only its own solid and
+dash edges, which is exact because coupling edges joined the components.
+Pre-selection, the bridge search and the piece models read the slice;
+the trim-rect merge and `validate_result` read the full graph.
 """
 
 from __future__ import annotations
@@ -105,27 +113,50 @@ def split_components(lg: LayoutGraph, eg: EndCutGraph) -> list[SubProblem]:
     members: dict[int, list[int]] = {}
     for s in lg.vertices:
         members.setdefault(uf.find(s.id), []).append(s.id)
+    edges_of: dict[int, dict[EdgeKey, tuple[int, ...]]] = {root: {} for root in members}
+    for e in sorted(lg.conflict_edges):
+        cand = lg.conflict_edges[e]
+        edges_of[uf.find(e[0])][e] = () if cand is None else (cand,)
+    stitches_of: dict[int, set[EdgeKey]] = {root: set() for root in members}
+    for e in lg.stitch_edges:
+        stitches_of[uf.find(e[0])].add(e)
 
-    subs = []
-    for root in sorted(members):
-        vids = sorted(members[root])
-        vset = set(vids)
-        edges = {
-            e: (() if lg.conflict_edges[e] is None else (lg.conflict_edges[e],))
-            for e in sorted(lg.conflict_edges)
-            if e[0] in vset
-        }
-        stitches = {e for e in lg.stitch_edges if e[0] in vset}
-        subs.append(
-            SubProblem(
-                vertex_ids=vids,
-                rep={v: v for v in vids},
-                conflict_edges=edges,
-                stitch_edges=stitches,
-                preselected=(),
-            )
+    return [
+        SubProblem(
+            vertex_ids=members[root],
+            rep={v: v for v in members[root]},
+            conflict_edges=edges_of[root],
+            stitch_edges=stitches_of[root],
+            preselected=(),
         )
-    return subs
+        for root in sorted(members)
+    ]
+
+
+def component_endcut_graphs(
+    lg: LayoutGraph, eg: EndCutGraph, subs: list[SubProblem]
+) -> list[EndCutGraph]:
+    """Each component's slice of the end-cut graph, aligned with `subs`.
+
+    A slice shares `nodes` with eg and holds the solid and dash edges whose
+    candidates are annotated in that component. Coupling edges joined the
+    components, so an edge between two annotated candidates never spans two
+    of them; an edge with one unannotated candidate goes with the other one.
+    Every model, bridge search and pre-selection over a piece of a
+    component reads the same edges from its slice as from eg.
+    """
+    comp_of = {v: k for k, sub in enumerate(subs) for v in sub.vertex_ids}
+    anchors = _candidate_anchor(lg)
+    slices = [EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set()) for _ in subs]
+    for p, q in eg.solid_edges:
+        anchor = anchors.get(p) or anchors.get(q)
+        if anchor is not None:
+            slices[comp_of[anchor[0]]].solid_edges.add((p, q))
+    for p, q in eg.dash_edges:
+        anchor = anchors.get(p) or anchors.get(q)
+        if anchor is not None:
+            slices[comp_of[anchor[0]]].dash_edges.add((p, q))
+    return slices
 
 
 def preselect_endcuts(sub: SubProblem, eg: EndCutGraph) -> SubProblem:
@@ -251,30 +282,31 @@ def split_bridges(sub: SubProblem, eg: EndCutGraph) -> tuple[list[SubProblem], l
     for idx, (u, v) in enumerate(edge_list):
         if idx not in cut_idx:
             uf.union(u, v)
+    group_of = {v: uf.find(sub.rep[v]) for v in sub.vertex_ids}
     groups: dict[int, list[int]] = {}
-    for v in sub.vertex_ids:
-        groups.setdefault(uf.find(sub.rep[v]), []).append(v)
-
+    for v in sorted(sub.vertex_ids):
+        groups.setdefault(group_of[v], []).append(v)
+    # a conflict edge that is not a cut bridge, and every stitch edge, joins
+    # vertices of one group
     bridge_keys = {orig for _, orig in clean}
-    pieces = []
-    for root in sorted(groups):
-        vids = sorted(groups[root])
-        vset = set(vids)
-        edges = {
-            e: cands
-            for e, cands in sub.conflict_edges.items()
-            if e[0] in vset and e[1] in vset and e not in bridge_keys
-        }
-        stitches = {e for e in sub.stitch_edges if e[0] in vset}
-        pieces.append(
-            SubProblem(
-                vertex_ids=vids,
-                rep={v: sub.rep[v] for v in vids},
-                conflict_edges=dict(sorted(edges.items())),
-                stitch_edges=stitches,
-                preselected=sub.preselected,
-            )
+    edges_of: dict[int, dict[EdgeKey, tuple[int, ...]]] = {root: {} for root in groups}
+    for e in sorted(sub.conflict_edges):
+        if e not in bridge_keys:
+            edges_of[group_of[e[0]]][e] = sub.conflict_edges[e]
+    stitches_of: dict[int, set[EdgeKey]] = {root: set() for root in groups}
+    for e in sub.stitch_edges:
+        stitches_of[group_of[e[0]]].add(e)
+
+    pieces = [
+        SubProblem(
+            vertex_ids=groups[root],
+            rep={v: sub.rep[v] for v in groups[root]},
+            conflict_edges=edges_of[root],
+            stitch_edges=stitches_of[root],
+            preselected=sub.preselected,
         )
+        for root in sorted(groups)
+    ]
     return pieces, sorted(orig for _, orig in clean)
 
 
@@ -383,11 +415,12 @@ def decompose_graphs(
     start = time.monotonic()
     outcomes: list[PieceOutcome] = []
     sub_count = 0
-    for comp in split_components(g, eg):
+    comps = split_components(g, eg)
+    for comp, comp_eg in zip(comps, component_endcut_graphs(g, eg, comps)):
         if cfg.enable_preselect:
-            comp = preselect_endcuts(comp, eg)
+            comp = preselect_endcuts(comp, comp_eg)
         if cfg.enable_bridges:
-            pieces, bridges = split_bridges(comp, eg)
+            pieces, bridges = split_bridges(comp, comp_eg)
         else:
             pieces, bridges = [comp], []
         solved = []
@@ -395,7 +428,7 @@ def decompose_graphs(
             remaining = None
             if time_limit is not None:
                 remaining = max(0.0, time_limit - (time.monotonic() - start))
-            solved.append(_solve_piece(piece, eg, cfg, remaining))
+            solved.append(_solve_piece(piece, comp_eg, cfg, remaining))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
         sub_count += len(pieces)

@@ -6,6 +6,14 @@ candidates bridge diagonally adjacent corners with one of four axis-thickened
 shapes. Candidates closer than dis_c exclude each other (solid edges) unless
 they share a feature and sit close enough to merge into one larger cut
 (dash edges).
+
+Both stages look things up in the uniform bucket index of
+`geometry.GridIndex` instead of scanning everything. Every cut of a pair
+lies within max(dis_m, w_th) of the bbox of the pair's first feature, so
+only the features filed near that feature are tested as obstacles. Cuts are bucketed at
+max(dis_c, merge_gap), so only cuts in neighbouring cells are classified,
+and the merged bbox of a dash pair is tested against the features filed
+near it. The tests keep the all-pairs, all-obstacle forms as references.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from typing import Iterable, Sequence
 from .geometry import (
     HORIZONTAL,
     VERTICAL,
+    GridIndex,
     Point,
     Rect,
     projection_interval,
@@ -23,7 +32,7 @@ from .geometry import (
     rect_overlaps_polygon,
     rect_union_bbox,
 )
-from .layout_graph import Config, EdgeKey, Feature
+from .layout_graph import Config, EdgeKey, Feature, feature_index
 
 EDGE_EDGE = "edge_edge"
 CORNER_CORNER = "corner_corner"
@@ -155,13 +164,20 @@ def generate_candidates(
     features: list[Feature], pairs: Iterable[EdgeKey], cfg: Config
 ) -> list[EndCutCandidate]:
     """One candidate per conflicting feature pair (edge-edge first), ids dense."""
+    index = feature_index(features, cfg)
+    # along each axis, every cut of a pair (fa, *) either spans less than
+    # dis_m from fa's bbox or is w_th long around a corner of fa
+    margin = max(cfg.dis_m, cfg.w_th)
     out: list[EndCutCandidate] = []
+    near_of, near = None, []
     for fa, fb in sorted(pairs):
         a, b = features[fa], features[fb]
-        rect = gen_edge_edge(a, b, cfg, features)
+        if fa != near_of:
+            near_of, near = fa, [features[k] for k in index.query(a.shape.bbox, margin)]
+        rect = gen_edge_edge(a, b, cfg, near)
         kind = EDGE_EDGE
         if rect is None:
-            rect = gen_corner_corner(a, b, cfg, features)
+            rect = gen_corner_corner(a, b, cfg, near)
             kind = CORNER_CORNER
         if rect is None:
             continue
@@ -174,22 +190,29 @@ def generate_candidates(
 def build_endcut_graph(
     candidates: list[EndCutCandidate], features: list[Feature], cfg: Config
 ) -> EndCutGraph:
-    """Classify every candidate pair as dash (mergeable), solid (exclusive), or unrelated."""
+    """Classify candidate pairs as dash (mergeable), solid (exclusive), or unrelated.
+
+    Pairs are keyed (p.id, q.id) with p listed before q. Only pairs in
+    neighbouring cells of a cut index at max(dis_c, merge_gap) can be within
+    either distance, so no other pair is examined.
+    """
     solid: set[EdgeKey] = set()
     dash: set[EdgeKey] = set()
     merge_sq = cfg.merge_gap * cfg.merge_gap
     disc_sq = cfg.dis_c * cfg.dis_c
-    for i, p in enumerate(candidates):
-        for q in candidates[i + 1 :]:
-            d = rect_distance(p.cut_rect, q.cut_rect)
-            participants = {p.feature_a, p.feature_b, q.feature_a, q.feature_b}
-            shares = len(participants) < 4
-            if shares and d <= merge_sq:
-                bbox = rect_union_bbox(p.cut_rect, q.cut_rect)
-                others = (f for f in features if f.id not in participants)
-                if not _overlaps_any(bbox, others):
-                    dash.add((p.id, q.id))
-                    continue
-            if d < disc_sq:
-                solid.add((p.id, q.id))
+    cuts = GridIndex([c.cut_rect for c in candidates], max(cfg.dis_c, cfg.merge_gap))
+    obstacles = feature_index(features, cfg)
+    for i, j in cuts.near_pairs():
+        p, q = candidates[i], candidates[j]
+        d = rect_distance(p.cut_rect, q.cut_rect)
+        participants = {p.feature_a, p.feature_b, q.feature_a, q.feature_b}
+        shares = len(participants) < 4
+        if shares and d <= merge_sq:
+            bbox = rect_union_bbox(p.cut_rect, q.cut_rect)
+            others = (features[k] for k in obstacles.query(bbox) if k not in participants)
+            if not _overlaps_any(bbox, others):
+                dash.add((p.id, q.id))
+                continue
+        if d < disc_sq:
+            solid.add((p.id, q.id))
     return EndCutGraph(nodes=list(candidates), solid_edges=solid, dash_edges=dash)

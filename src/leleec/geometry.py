@@ -7,6 +7,8 @@ threshold comparisons stay bit-exact.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 Interval = tuple[int, int]
@@ -95,11 +97,6 @@ def rect_distance(a: Rect, b: Rect) -> int:
     dx = max(b.lo.x - a.hi.x, a.lo.x - b.hi.x, 0)
     dy = max(b.lo.y - a.hi.y, a.lo.y - b.hi.y, 0)
     return dx * dx + dy * dy
-
-
-def rects_touch(a: Rect, b: Rect) -> bool:
-    """True iff boundaries meet without interior overlap (point contact counts)."""
-    return rect_distance(a, b) == 0 and not rects_overlap(a, b)
 
 
 def _edge_contact_length(a: Rect, b: Rect) -> int:
@@ -239,3 +236,58 @@ def subtract_intervals(extent: Interval, covered: list[Interval]) -> list[Interv
     if cur < hi:
         out.append((cur, hi))
     return out
+
+
+class GridIndex:
+    """Uniform bucket index over rectangles, with square cells of side `cell`.
+
+    Every rectangle is filed under each cell its closed extent meets. Two
+    rectangles whose gap is at most `cell` along each axis therefore sit in
+    the same or in neighbouring cells, and a rectangle whose interior meets a
+    region shares a cell with that region. Items are the positions of the
+    rectangles in the input sequence.
+    """
+
+    def __init__(self, rects: Sequence[Rect], cell: int) -> None:
+        self.cell = cell
+        self.buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for i, r in enumerate(rects):
+            for key in self._cells(r.lo.x, r.lo.y, r.hi.x, r.hi.y):
+                self.buckets[key].append(i)
+
+    def _cells(self, x_lo: int, y_lo: int, x_hi: int, y_hi: int) -> list[tuple[int, int]]:
+        c = self.cell
+        ys = range(y_lo // c, y_hi // c + 1)
+        return [(cx, cy) for cx in range(x_lo // c, x_hi // c + 1) for cy in ys]
+
+    def near_pairs(self) -> list[tuple[int, int]]:
+        """Sorted item pairs (i, j), i < j, filed in the same or neighbouring cells.
+
+        This is a superset of the pairs whose gap is at most `cell` along
+        each axis, so of every pair within squared distance cell**2.
+        """
+        buckets = self.buckets
+        pairs: set[tuple[int, int]] = set()
+        for (cx, cy), ids in buckets.items():
+            for i in ids:
+                for j in ids:
+                    if i < j:
+                        pairs.add((i, j))
+            # each unordered pair of neighbouring cells is visited once
+            for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+                for i in ids:
+                    for j in buckets.get(key, ()):
+                        if i != j:
+                            pairs.add((i, j) if i < j else (j, i))
+        return sorted(pairs)
+
+    def query(self, r: Rect, margin: int = 0) -> list[int]:
+        """Sorted items filed in a cell that r, grown by margin on every side, meets.
+
+        A superset of the items whose rectangle's interior meets that grown
+        region.
+        """
+        found: set[int] = set()
+        for key in self._cells(r.lo.x - margin, r.lo.y - margin, r.hi.x + margin, r.hi.y + margin):
+            found.update(self.buckets.get(key, ()))
+        return sorted(found)

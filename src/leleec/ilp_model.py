@@ -110,7 +110,7 @@ class IlpModel:
             coeff = self.objective[vid]
             if coeff == 0:
                 continue
-            terms.append(f"{_coeff_str(coeff)} {self.variables[vid].name}")
+            terms.append(f"{frac_str(coeff)} {self.variables[vid].name}")
         lines.append(" obj: " + (" + ".join(terms) if terms else "0"))
         lines.append("Subject To")
         for con in self.constraints:
@@ -131,8 +131,8 @@ class IlpModel:
         return "\n".join(lines) + "\n"
 
 
-def _coeff_str(x: Fraction) -> str:
-    """Exact decimal when the denominator is 10-smooth, else num/den."""
+def frac_str(x: Fraction) -> str:
+    """Exact decimal string when the denominator is 10-smooth, else 'num/den'."""
     if x.denominator == 1:
         return str(x.numerator)
     d, e2, e5 = x.denominator, 0, 0

@@ -16,8 +16,10 @@ from .geometry import (
     HORIZONTAL,
     VERTICAL,
     GeometryError,
+    GridIndex,
     Polygon,
     polygon_distance,
+    rect_distance,
     split_polygon,
     subtract_intervals,
 )
@@ -117,12 +119,6 @@ class LayoutGraph:
     conflict_edges: dict[EdgeKey, int | None]
     stitch_edges: set[EdgeKey]
 
-    def edge_key(self, u: int, v: int) -> EdgeKey:
-        return (u, v) if u < v else (v, u)
-
-    def feature_of(self, vertex: int) -> int:
-        return self.vertices[vertex].feature
-
     def feature_pairs(self) -> set[EdgeKey]:
         """Feature-level conflict pairs implied by the segment-level edges."""
         pairs = set()
@@ -138,25 +134,23 @@ def _check_features(features: list[Feature]) -> None:
         raise LayoutError(f"feature ids must be dense from 0, got {ids}")
 
 
-def _grid_pairs(features: list[Feature], cell: int) -> set[EdgeKey]:
-    """Candidate feature pairs from a uniform bucket index (cell size = dis_m)."""
-    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for f in features:
-        bb = f.shape.bbox
-        for cx in range(bb.lo.x // cell, bb.hi.x // cell + 1):
-            for cy in range(bb.lo.y // cell, bb.hi.y // cell + 1):
-                buckets[(cx, cy)].append(f.id)
-    pairs: set[EdgeKey] = set()
-    for (cx, cy), ids in buckets.items():
-        near: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                near.extend(buckets.get((cx + dx, cy + dy), ()))
-        for i in ids:
-            for j in near:
-                if i < j:
-                    pairs.add((i, j))
-    return pairs
+def feature_index(features: list[Feature], cfg: Config) -> GridIndex:
+    """Feature bounding boxes bucketed at dis_m: near_pairs covers every conflict."""
+    return GridIndex([f.shape.bbox for f in features], cfg.dis_m)
+
+
+def reject_overlaps(features: list[Feature], cfg: Config) -> None:
+    """Raise OverlappingInput for the first id-ordered pair of features that touch or overlap.
+
+    Only pairs whose bounding boxes touch get an exact polygon test.
+    """
+    _check_features(features)
+    boxes = [f.shape.bbox for f in features]
+    for i, j in feature_index(features, cfg).near_pairs():
+        if rect_distance(boxes[i], boxes[j]) > 0:
+            continue
+        if polygon_distance(features[i].shape, features[j].shape) == 0:
+            raise OverlappingInput(f"features {i} and {j} overlap or touch")
 
 
 def build_conflict_edges(features: list[Feature], cfg: Config) -> LayoutGraph:
@@ -167,7 +161,7 @@ def build_conflict_edges(features: list[Feature], cfg: Config) -> LayoutGraph:
     _check_features(features)
     limit = cfg.dis_m * cfg.dis_m
     edges: dict[EdgeKey, int | None] = {}
-    for i, j in sorted(_grid_pairs(features, cfg.dis_m)):
+    for i, j in feature_index(features, cfg).near_pairs():
         d = polygon_distance(features[i].shape, features[j].shape)
         if d == 0:
             raise OverlappingInput(f"features {i} and {j} overlap or touch")

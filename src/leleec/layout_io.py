@@ -16,13 +16,14 @@ from typing import Any
 from .decomposer import build_graphs, _candidate_anchor
 from .endcut import EndCutGraph
 from .geometry import GeometryError, Polygon
-from .ilp_model import DecompResult
+from .ilp_model import DecompResult, frac_str
 from .layout_graph import (
     Config,
     Feature,
     LayoutGraph,
     OverlappingInput,
-    build_conflict_edges,
+    build_conflict_edges,  # noqa: F401 - a layer entry point that perfbench/spans.py traces by this name
+    reject_overlaps,
     stitch_coordinate,
 )
 
@@ -37,26 +38,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Schema-valid file with semantically invalid content."""
-
-
-def frac_str(x: Fraction) -> str:
-    """Exact decimal string when possible, else 'num/den'."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    d = x.denominator
-    e2 = e5 = 0
-    while d % 2 == 0:
-        d //= 2
-        e2 += 1
-    while d % 5 == 0:
-        d //= 5
-        e5 += 1
-    if d != 1:
-        return f"{x.numerator}/{x.denominator}"
-    digits = max(e2, e5)
-    scaled = x.numerator * 10**digits // x.denominator
-    s = str(abs(scaled)).rjust(digits + 1, "0")
-    return ("-" if x < 0 else "") + f"{s[:-digits]}.{s[-digits:]}"
 
 
 def parse_frac(value: Any, where: str) -> Fraction:
@@ -150,7 +131,7 @@ def layout_from_obj(data: Any, where: str = "layout") -> tuple[list[Feature], Co
     if [f.id for f in features] != list(range(len(features))):
         raise ValidationError(f"{where}: feature ids must be dense from 0")
     try:
-        build_conflict_edges(features, cfg)
+        reject_overlaps(features, cfg)
     except OverlappingInput as exc:
         raise ValidationError(f"{where}: {exc}") from exc
     return features, cfg

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .ilp_model import IlpModel
 
 
@@ -218,17 +216,23 @@ def brute_force(model: IlpModel) -> tuple[list[int], Fraction]:
 
     Ties break to the smallest assignment read as a binary integer in the
     model's search order (first variable = most significant bit).
+
+    Rows and costs are enumerated in float64, which is exact: every
+    coefficient, bound and partial sum is a small integer, far below 2**53.
+    The winning assignment is checked again in integer arithmetic.
     """
+    import numpy as np  # only the oracle needs numpy; the CLI path never loads it
+
     n = model.num_vars
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"{n} variables exceeds brute-force cap {BRUTE_FORCE_CAP}")
     order = model.search_order()
     costs, denom = _scaled_objective(model)
-    cost_vec = np.array([costs[vid] for vid in order], dtype=np.int64)
+    cost_vec = np.array([costs[vid] for vid in order], dtype=np.float64)
 
     n_rows = len(model.constraints)
-    a_mat = np.zeros((n_rows, n), dtype=np.int64)
-    rhs = np.zeros(n_rows, dtype=np.int64)
+    a_mat = np.zeros((n_rows, n), dtype=np.float64)
+    rhs = np.zeros(n_rows, dtype=np.float64)
     pos_of = {vid: pos for pos, vid in enumerate(order)}
     for ridx, con in enumerate(model.constraints):
         rhs[ridx] = con.rhs
@@ -242,14 +246,14 @@ def brute_force(model: IlpModel) -> tuple[list[int], Fraction]:
     chunk = min(total, 1 << 16)
     for base in range(0, total, chunk):
         codes = np.arange(base, min(base + chunk, total), dtype=np.uint64)
-        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int64)
+        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.float64)
         if n_rows:
             feasible = np.all(bits @ a_mat.T <= rhs[None, :], axis=1)
         else:
             feasible = np.ones(len(codes), dtype=bool)
         if not feasible.any():
             continue
-        chunk_costs = np.where(feasible, bits @ cost_vec, np.iinfo(np.int64).max)
+        chunk_costs = np.where(feasible, bits @ cost_vec, np.inf)
         idx = int(np.argmin(chunk_costs))
         c = int(chunk_costs[idx])
         if best_cost is None or c < best_cost:
@@ -260,4 +264,9 @@ def brute_force(model: IlpModel) -> tuple[list[int], Fraction]:
     assignment = [0] * n
     for pos, vid in enumerate(order):
         assignment[vid] = (best_code >> (n - 1 - pos)) & 1
+    for con in model.constraints:
+        if sum(coeff * assignment[vid] for vid, coeff in con.terms) > con.rhs:
+            raise SolverError(f"brute force: winning assignment violates {con.label}")
+    if sum(costs[vid] for vid in range(n) if assignment[vid]) != best_cost:
+        raise SolverError("brute force: winning cost differs in integer arithmetic")
     return assignment, Fraction(best_cost, denom)

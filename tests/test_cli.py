@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import leleec.cli
 from leleec.cli import run_cli
 from leleec.layout_io import dump_json, emit_layout
 from leleec.layout_graph import Config
@@ -120,3 +124,11 @@ def test_alpha_override(tmp_path):
     res = json.loads(out.read_text())
     assert Fraction(res["cost"]) == Fraction(1, 4)
     assert run_cli(["verify", str(layout), str(out)]) == 0
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy serves only the brute-force oracle; every CLI call pays for its import
+    src = str(Path(leleec.cli.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import leleec.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from leleec.decomposer import (
     build_graphs,
+    component_endcut_graphs,
     decompose,
     preselect_endcuts,
     solve_monolithic,
@@ -12,7 +13,9 @@ from leleec.decomposer import (
     split_components,
     validate_result,
 )
+from leleec.ilp_model import ProblemGraph, build_model_from_problem
 from leleec.layout_graph import Config
+from leleec.synth import gen_synthetic
 
 from conftest import (
     clique4_motif,
@@ -102,6 +105,43 @@ def test_bridge_handling_never_silently_ignores_conflicts():
         res = decompose(feats, cfg)  # validate_result inside raises on a miss
         lg, eg = build_graphs(feats, cfg)
         validate_result(res, lg, eg)
+
+
+def test_sliced_endcut_graph_builds_the_full_graph_models():
+    layouts = [gen_synthetic("clique4_array", 6, 3, Config.from_rules(10, 10))]
+    for seed in range(40):
+        rng = random.Random(4000 + seed)
+        feats = random_layout(rng, rng.randrange(4, 24), box=300)
+        cfg = Config.from_rules(
+            10, 10, w_th=rng.choice([10, 12]), dis_c=rng.choice([50, 120]),
+            merge_gap=rng.choice([10, 40]), enable_stitch=rng.random() < 0.5,
+        )
+        layouts.append((feats, cfg))
+    sliced_away = 0
+    for feats, cfg in layouts:
+        lg, eg = build_graphs(feats, cfg)
+        comps = split_components(lg, eg)
+        slices = component_endcut_graphs(lg, eg, comps)
+        assert len(slices) == len(comps)
+        assert set().union(*(s.solid_edges for s in slices)) == eg.solid_edges
+        assert set().union(*(s.dash_edges for s in slices)) == eg.dash_edges
+        for comp, comp_eg in zip(comps, slices):
+            assert comp_eg.nodes is eg.nodes
+            sliced_away += len(eg.solid_edges) - len(comp_eg.solid_edges)
+            pre = preselect_endcuts(comp, comp_eg)
+            assert pre == preselect_endcuts(comp, eg)
+            for sub in (comp, pre):
+                pieces, bridges = split_bridges(sub, comp_eg)
+                assert (pieces, bridges) == split_bridges(sub, eg)
+                for piece in pieces:
+                    pg = ProblemGraph(dict(sorted(piece.rep.items())), piece.conflict_edges, piece.stitch_edges)
+                    kw = dict(with_stitch=cfg.enable_stitch, alpha=cfg.alpha)
+                    m_slice = build_model_from_problem(pg, comp_eg, **kw)
+                    m_full = build_model_from_problem(pg, eg, **kw)
+                    assert m_slice.variables == m_full.variables
+                    assert m_slice.constraints == m_full.constraints
+                    assert m_slice.objective == m_full.objective
+    assert sliced_away > 0
 
 
 # ---- pre-selection

@@ -2,15 +2,27 @@ from __future__ import annotations
 
 import random
 
+import leleec.endcut
 from leleec.endcut import (
+    CORNER_CORNER,
     EDGE_EDGE,
+    EndCutCandidate,
+    EndCutGraph,
     build_endcut_graph,
     gen_corner_corner,
     gen_edge_edge,
     generate_candidates,
 )
-from leleec.geometry import Polygon, Rect, rect_distance, rect_overlaps_polygon
+from leleec.geometry import (
+    Polygon,
+    Rect,
+    polygon_distance,
+    rect_distance,
+    rect_overlaps_polygon,
+    rect_union_bbox,
+)
 from leleec.layout_graph import Config, Feature, build_conflict_edges
+from leleec.synth import gen_synthetic
 
 from conftest import make_features, random_layout
 
@@ -210,3 +222,106 @@ def test_classification_is_a_partition():
                 if not in_dash:
                     # exactly the distance rule decides solid vs no edge
                     assert in_solid == (d < disc_sq)
+
+
+# ---- the indexed front end against its all-pairs, all-obstacle references
+
+
+def all_obstacle_candidates(features, pairs, cfg):
+    """generate_candidates with every feature tested as an obstacle."""
+    out = []
+    for fa, fb in sorted(pairs):
+        a, b = features[fa], features[fb]
+        rect, kind = gen_edge_edge(a, b, cfg, features), EDGE_EDGE
+        if rect is None:
+            rect, kind = gen_corner_corner(a, b, cfg, features), CORNER_CORNER
+        if rect is not None:
+            out.append(EndCutCandidate(len(out), fa, fb, rect, kind))
+    return out
+
+
+def all_pairs_endcut_graph(candidates, features, cfg):
+    """build_endcut_graph over every candidate pair, every feature an obstacle."""
+    solid, dash = set(), set()
+    for i, p in enumerate(candidates):
+        for q in candidates[i + 1 :]:
+            d = rect_distance(p.cut_rect, q.cut_rect)
+            participants = {p.feature_a, p.feature_b, q.feature_a, q.feature_b}
+            if len(participants) < 4 and d <= cfg.merge_gap**2:
+                bbox = rect_union_bbox(p.cut_rect, q.cut_rect)
+                if not any(
+                    rect_overlaps_polygon(bbox, f.shape) for f in features if f.id not in participants
+                ):
+                    dash.add((p.id, q.id))
+                    continue
+            if d < cfg.dis_c**2:
+                solid.add((p.id, q.id))
+    return EndCutGraph(nodes=list(candidates), solid_edges=solid, dash_edges=dash)
+
+
+def _random_polygons(rng, n, box):
+    """Up to n non-touching wires and L-shapes."""
+    shapes = []
+    for _ in range(20 * n):
+        if len(shapes) == n:
+            break
+        w, length = rng.choice([8, 10, 12]), rng.randrange(10, 90)
+        x, y = rng.randrange(0, box), rng.randrange(0, box)
+        rects = [(x, y, x + w, y + length) if rng.random() < 0.5 else (x, y, x + length, y + w)]
+        if rng.random() < 0.3:
+            lo_x, lo_y, hi_x, hi_y = rects[0]
+            rects.append((hi_x, lo_y, hi_x + rng.randrange(10, 60), lo_y + w))
+        p = Polygon.of(*rects)
+        if all(polygon_distance(p, s) > 0 for s in shapes):
+            shapes.append(p)
+    return [Feature(i, p) for i, p in enumerate(shapes)]
+
+
+def test_indexed_front_end_matches_all_pairs_reference():
+    totals = {"corner": 0, "solid": 0, "dash": 0, "wide_merge": 0, "wide_cut": 0}
+    for seed in range(40):
+        rng = random.Random(800 + seed)
+        feats = _random_polygons(rng, rng.randrange(4, 40), box=rng.choice([150, 300, 600]))
+        cfg = Config.from_rules(
+            10,
+            10,
+            dis_m=rng.choice([30, 50]),
+            w_th=rng.choice([4, 10, 12, 50, 80]),
+            dis_c=rng.choice([20, 50, 90]),
+            merge_gap=rng.choice([5, 10, 40, 120]),
+        )
+        pairs = sorted(build_conflict_edges(feats, cfg).conflict_edges)
+        cands = generate_candidates(feats, pairs, cfg)
+        assert cands == all_obstacle_candidates(feats, pairs, cfg), f"seed {seed}"
+        # keys follow list order, not ids, so a shuffled list must agree too
+        for order in (cands, rng.sample(cands, len(cands))):
+            eg = build_endcut_graph(order, feats, cfg)
+            ref = all_pairs_endcut_graph(order, feats, cfg)
+            assert (eg.solid_edges, eg.dash_edges) == (ref.solid_edges, ref.dash_edges), f"seed {seed}"
+        totals["corner"] += sum(c.kind == CORNER_CORNER for c in cands)
+        totals["solid"] += len(eg.solid_edges)
+        totals["dash"] += len(eg.dash_edges)
+        totals["wide_merge"] += len(eg.dash_edges) * (cfg.merge_gap > cfg.dis_c)
+        totals["wide_cut"] += len(cands) * (cfg.w_th > cfg.dis_m)
+    assert all(totals.values()), totals
+
+
+def test_cut_pairs_examined_grow_linearly_with_motifs(monkeypatch):
+    """A count of the pairs build_endcut_graph classifies, not a timing."""
+    examined = [0]
+    distance = leleec.endcut.rect_distance
+
+    def counted(a, b):
+        examined[0] += 1
+        return distance(a, b)
+
+    monkeypatch.setattr(leleec.endcut, "rect_distance", counted)
+    counts = []
+    for motifs in (64, 128):
+        feats, cfg = gen_synthetic("clique4_array", motifs, 0, Config.from_rules(10, 10))
+        cands = generate_candidates(feats, sorted(build_conflict_edges(feats, cfg).conflict_edges), cfg)
+        examined[0] = 0
+        build_endcut_graph(cands, feats, cfg)
+        counts.append(examined[0])
+        assert examined[0] < len(cands) * (len(cands) - 1) // 20
+    assert 0 < counts[1] <= 2.1 * counts[0], counts

@@ -5,14 +5,16 @@ import random
 import pytest
 
 from leleec.endcut import generate_candidates
-from leleec.geometry import polygon_distance
+from leleec.geometry import Polygon, polygon_distance
 from leleec.layout_graph import (
     Config,
+    Feature,
     DuplicateCandidate,
     OverlappingInput,
     annotate_end_cuts,
     build_conflict_edges,
     generate_stitch_candidates,
+    reject_overlaps,
     stitch_coordinate,
 )
 
@@ -85,6 +87,25 @@ def test_grid_index_matches_brute_force():
                     expected.add((i, j))
         assert got == expected
     assert len(feats) > 0
+
+
+def test_reject_overlaps_names_the_pair_the_conflict_build_rejects():
+    raised = 0
+    for seed in range(60):
+        rng = random.Random(600 + seed)
+        feats = []
+        for i in range(rng.randrange(2, 30)):
+            x, y = rng.randrange(0, 300), rng.randrange(0, 300)
+            feats.append(Feature(i, Polygon.of((x, y, x + rng.randrange(5, 60), y + rng.randrange(5, 60)))))
+        try:
+            build_conflict_edges(feats, CFG)
+        except OverlappingInput as exc:
+            raised += 1
+            with pytest.raises(OverlappingInput, match=f"^{exc}$"):
+                reject_overlaps(feats, CFG)
+        else:
+            reject_overlaps(feats, CFG)
+    assert 0 < raised < 60
 
 
 def test_vertex_count_equals_feature_count_without_stitching():
