@@ -20,6 +20,11 @@ each. Every component gets its own slice of the end-cut graph
 dash edges, which is exact because coupling edges joined the components.
 Pre-selection, the bridge search and the piece models read the slice;
 the trim-rect merge and `validate_result` read the full graph.
+
+Under a time limit a piece keeps the solver's incumbent. A piece whose
+search ends before its first leaf takes the one-mask assignment instead
+(no cut, merge or stitch, every conflict charged), which every model
+admits, so a time-limited result is still valid, with proven_optimal false.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .ilp_model import (
     IlpModel,
     ProblemGraph,
     build_model_from_problem,
+    decode_assignment,
     extract_result,
     merged_trim_rects,
 )
@@ -46,7 +52,7 @@ from .layout_graph import (
     build_conflict_edges,
     generate_stitch_candidates,
 )
-from .solver import SolveStats, solve
+from .solver import SolveStats, TimeLimit, solve
 
 
 class DecompositionError(ValueError):
@@ -339,28 +345,27 @@ def _solve_piece(
         with_stitch=cfg.enable_stitch,
         alpha=cfg.alpha,
     )
-    assignment, stats = solve(model, time_limit)
-    rep_color: dict[int, int] = {}
-    selected: set[int] = set()
-    conflicts: list[EdgeKey] = []
-    stitches: list[EdgeKey] = []
-    for vid, var in enumerate(model.variables):
-        val = assignment[vid]
-        if var.kind == "color":
-            rep_color[var.key[0]] = val
-        elif var.kind == "endcut" and val:
-            selected.add(var.key[0])
-        elif var.kind == "conflict" and val:
-            conflicts.append(var.key)
-        elif var.kind == "stitch" and val:
-            stitches.append(var.key)
-    colors = {v: rep_color[sub.rep[v]] for v in sub.vertex_ids}
+    start = time.monotonic()
+    try:
+        assignment, stats = solve(model, time_limit)
+    except TimeLimit as exc:
+        # no incumbent in time: fall back to the always-feasible one-mask
+        # assignment, so a time-limited run still writes a valid result
+        assignment = model.one_mask_assignment()
+        model.check_assignment(assignment)
+        stats = SolveStats(
+            nodes_explored=exc.nodes_explored,
+            best_cost=model.objective_value(assignment),
+            proven_optimal=False,
+            elapsed=time.monotonic() - start,
+        )
+    d = decode_assignment(model, assignment)
     return PieceOutcome(
         sub=sub,
-        colors=colors,
-        selected=selected,
-        conflicts=sorted(conflicts),
-        stitches=sorted(stitches),
+        colors={v: d.rep_colors[sub.rep[v]] for v in sub.vertex_ids},
+        selected=d.selected,
+        conflicts=d.conflicts,
+        stitches=d.stitches,
         cost=stats.best_cost,
         stats=stats,
     )

@@ -62,6 +62,9 @@ class IlpModel:
     constraints: list[Constraint] = field(default_factory=list)
     alpha: Fraction = Fraction(0)
     problem: "ProblemGraph | None" = None
+    # complementing every colour bit maps feasible assignments to feasible
+    # ones of equal cost; the solver then searches one half (see solver)
+    flip_symmetric: bool = False
     _index: dict[tuple[str, tuple], int] = field(default_factory=dict)
 
     def add_var(self, name: str, kind: str, key: tuple) -> int:
@@ -87,6 +90,14 @@ class IlpModel:
     def search_order(self) -> list[int]:
         """Branching order: colors, then end-cuts, merges, conflicts, stitches."""
         return sorted(range(self.num_vars), key=lambda v: (KIND_RANK[self.variables[v].kind], v))
+
+    def one_mask_assignment(self) -> list[int]:
+        """Everything on one mask, no cut, merge or stitch, every conflict charged.
+
+        Feasible in every leleec model: each same/diff row is met by its
+        conflict bit, and every other row holds with all its bits at 0.
+        """
+        return [1 if v.kind == "conflict" else 0 for v in self.variables]
 
     def objective_value(self, assignment: list[int]) -> Fraction:
         return sum(
@@ -190,7 +201,7 @@ def build_model_from_problem(
     with_stitch: bool = False,
     alpha: Fraction = Fraction(1, 10),
 ) -> IlpModel:
-    m = IlpModel(alpha=alpha if with_stitch else Fraction(0))
+    m = IlpModel(alpha=alpha if with_stitch else Fraction(0), flip_symmetric=True)
     m.problem = pg
     dash = eg.dash_edges
     rep = pg.vertex_reps
@@ -386,6 +397,34 @@ def merged_trim_rects(selected: set[int], eg: EndCutGraph) -> list[Rect]:
     return sorted(groups.values(), key=lambda r: r.as_tuple())
 
 
+@dataclass
+class Decoded:
+    """The layout meaning of a leleec model assignment."""
+
+    rep_colors: dict[int, int]  # color-variable representative -> 0/1
+    selected: set[int]  # selected end-cut candidate ids
+    conflicts: list[EdgeKey]  # charged conflict edges, sorted
+    stitches: list[EdgeKey]  # active stitch edges, sorted
+
+
+def decode_assignment(model: IlpModel, assignment: list[int]) -> Decoded:
+    """Read colors, selected cuts, charged conflicts and stitches off an assignment."""
+    d = Decoded(rep_colors={}, selected=set(), conflicts=[], stitches=[])
+    for vid, var in enumerate(model.variables):
+        val = assignment[vid]
+        if var.kind == "color":
+            d.rep_colors[var.key[0]] = val
+        elif var.kind == "endcut" and val:
+            d.selected.add(var.key[0])
+        elif var.kind == "conflict" and val:
+            d.conflicts.append(var.key)
+        elif var.kind == "stitch" and val:
+            d.stitches.append(var.key)
+    d.conflicts.sort()
+    d.stitches.sort()
+    return d
+
+
 def extract_result(
     model: IlpModel, assignment: list[int], lg: LayoutGraph, eg: EndCutGraph
 ) -> DecompResult:
@@ -395,30 +434,17 @@ def extract_result(
     recomputed conflict/stitch cost disagrees with the objective value.
     """
     model.check_assignment(assignment)
-    rep_colors: dict[int, int] = {}
-    selected: set[int] = set()
-    conflicts: list[EdgeKey] = []
-    stitches: list[EdgeKey] = []
-    for vid, var in enumerate(model.variables):
-        val = assignment[vid]
-        if var.kind == "color":
-            rep_colors[var.key[0]] = val
-        elif var.kind == "endcut" and val:
-            selected.add(var.key[0])
-        elif var.kind == "conflict" and val:
-            conflicts.append(var.key)
-        elif var.kind == "stitch" and val:
-            stitches.append(var.key)
+    d = decode_assignment(model, assignment)
     if model.problem is not None:
-        colors = {v: rep_colors[r] for v, r in sorted(model.problem.vertex_reps.items())}
+        colors = {v: d.rep_colors[r] for v, r in sorted(model.problem.vertex_reps.items())}
     else:
-        colors = rep_colors
+        colors = d.rep_colors
     result = DecompResult(
         colors=colors,
-        selected_cuts=selected,
-        trim_rects=merged_trim_rects(selected, eg),
-        conflicts=sorted(conflicts),
-        stitches=sorted(stitches),
+        selected_cuts=d.selected,
+        trim_rects=merged_trim_rects(d.selected, eg),
+        conflicts=d.conflicts,
+        stitches=d.stitches,
         cost=model.objective_value(assignment),
         alpha=model.alpha,
     )

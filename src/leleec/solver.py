@@ -7,6 +7,24 @@ to 1 (valid because all objective coefficients are non-negative); unit
 propagation over the <=-rows forces implied assignments, e.g. a conflict bit
 whose row is otherwise violated. Identical models yield byte-identical
 assignments and node counts.
+
+Two exact shortcuts keep the work down without changing any returned
+assignment:
+
+- Colour-flip symmetry. In a model with `flip_symmetric` set, complementing
+  every colour bit maps a feasible assignment to a feasible one of the same
+  cost (colour bits appear only as xu+xv, -xu-xv or +-(xu-xv), and those
+  rows come in pairs that swap). When the root branching variable is a
+  colour bit, only its 0-half is searched: the 1-half mirrors it, and since
+  the 0-half is searched first and a later incumbent must be strictly
+  better, the 1-half could never replace the incumbent.
+- Slack-gated propagation. A row can force an unfixed variable only when
+  its slack is below that variable's |coefficient|. Each row's largest
+  |coefficient| is computed once, and propagation skips every row whose
+  slack is at least that. It also skips the rows whose slack the new
+  assignment left unchanged, which had nothing to force before it. So only
+  rows that can force are scanned, and the forced assignments, node
+  counts and results are those of a scan over every touched row.
 """
 
 from __future__ import annotations
@@ -30,6 +48,10 @@ class Infeasible(SolverError):
 
 class TimeLimit(SolverError):
     """Time budget exhausted before any feasible assignment was found."""
+
+    def __init__(self, message: str, nodes_explored: int = 0):
+        super().__init__(message)
+        self.nodes_explored = nodes_explored
 
 
 class TooLarge(SolverError):
@@ -73,14 +95,21 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     rows = model.constraints
     # slack[r] = rhs - sum over terms of the minimum contribution; violated iff < 0
     slack: list[int] = []
-    touching: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # a row whose slack is at least its largest |coefficient| forces nothing
+    max_coeff: list[int] = []
+    # drops[val][vid]: (row, slack drop) for each row whose slack falls when
+    # vid := val, i.e. whose contribution moves up from min(0, coeff)
+    drops: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in (0, 1)]
     for ridx, con in enumerate(rows):
         s = con.rhs
         for vid, coeff in con.terms:
             if coeff < 0:
                 s -= coeff
-            touching[vid].append((ridx, coeff))
+                drops[0][vid].append((ridx, -coeff))
+            else:
+                drops[1][vid].append((ridx, coeff))
         slack.append(s)
+        max_coeff.append(max((abs(coeff) for _, coeff in con.terms), default=0))
 
     value = [-1] * n
     trail: list[int] = []
@@ -90,9 +119,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         value[vid] = val
         trail.append(vid)
         ok = True
-        for ridx, coeff in touching[vid]:
-            # contribution moves from min(0, coeff) to coeff * val
-            delta = coeff * val - (coeff if coeff < 0 else 0)
+        for ridx, delta in drops[val][vid]:
             slack[ridx] -= delta
             if slack[ridx] < 0:
                 ok = False
@@ -101,14 +128,16 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     def undo(mark: int) -> None:
         while len(trail) > mark:
             vid = trail.pop()
-            val = value[vid]
-            value[vid] = -1
-            for ridx, coeff in touching[vid]:
-                delta = coeff * val - (coeff if coeff < 0 else 0)
+            for ridx, delta in drops[value[vid]][vid]:
                 slack[ridx] += delta
+            value[vid] = -1
 
     def force_in_row(ridx: int, pending: list[int]) -> tuple[bool, int]:
-        """Force unfixed variables whose wrong value would violate row ridx."""
+        """Force unfixed variables whose wrong value would violate row ridx.
+
+        Forcing sets a variable to its minimum contribution, so the row's
+        own slack stays put and one pass forces all it can.
+        """
         added = 0
         for wid, coeff in rows[ridx].terms:
             if value[wid] != -1:
@@ -125,12 +154,19 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         return True, added
 
     def propagate(seed: list[int]) -> tuple[bool, int]:
-        """Exhaust forced assignments reachable from the seed variables."""
+        """Exhaust forced assignments reachable from the seed variables.
+
+        Every row was left with nothing to force when its slack last fell,
+        so only the rows whose slack the popped variable lowered, and only
+        those with slack below their largest |coefficient|, are scanned.
+        """
         added = 0
         pending = list(seed)
         while pending:
             vid = pending.pop()
-            for ridx, _ in touching[vid]:
+            for ridx, _ in drops[value[vid]][vid]:
+                if slack[ridx] >= max_coeff[ridx]:
+                    continue
                 ok, add = force_in_row(ridx, pending)
                 added += add
                 if not ok:
@@ -141,6 +177,8 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         added = 0
         pending: list[int] = []
         for ridx in range(len(rows)):
+            if slack[ridx] >= max_coeff[ridx]:
+                continue
             ok, add = force_in_row(ridx, pending)
             added += add
             if not ok:
@@ -162,6 +200,13 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
             pos += 1
         return pos
 
+    # propagation forces only values that every feasible assignment shares,
+    # so the assignments left at the root are still closed under the flip
+    root = first_unfixed(0)
+    root_branches = (0, 1)
+    if model.flip_symmetric and root < n and model.variables[order[root]].kind == "color":
+        root_branches = (0,)
+
     def dfs(pos: int, committed: int) -> None:
         nonlocal best_cost, best_assignment, nodes, timed_out
         if timed_out:
@@ -173,7 +218,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
             best_assignment = list(value)
             return
         vid = order[pos]
-        for branch in (0, 1):
+        for branch in root_branches if pos == root else (0, 1):
             if deadline is not None and time.monotonic() > deadline:
                 timed_out = True
                 return
@@ -199,7 +244,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
 
     if best_assignment is None:
         if timed_out:
-            raise TimeLimit("time limit reached before any feasible assignment")
+            raise TimeLimit("time limit reached before any feasible assignment", nodes)
         raise Infeasible("constraints admit no assignment")
     stats = SolveStats(
         nodes_explored=nodes,

@@ -81,6 +81,18 @@ def preselect_ring() -> tuple[list[Feature], Config]:
     return feats, cfg
 
 
+def via_block(rows: int = 4, cols: int = 4) -> tuple[list[Feature], Config]:
+    """w_min vias at minimum pitch: a dense, cut-free, non-bipartite piece
+    that only the branch-and-bound settles."""
+    cfg = Config.from_rules(10, 10)
+    feats = [
+        Feature(cols * r + c, Polygon.of((20 * c, 20 * r, 20 * c + 10, 20 * r + 10)))
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    return feats, cfg
+
+
 def random_layout(rng: random.Random, n: int, box: int = 150) -> list[Feature]:
     """Up to n non-touching rectangular wires placed by rejection sampling."""
     shapes: list[Polygon] = []

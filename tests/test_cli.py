@@ -12,7 +12,7 @@ from leleec.layout_io import dump_json, emit_layout
 from leleec.layout_graph import Config
 from leleec.synth import gen_synthetic
 
-from conftest import stitch_ring
+from conftest import stitch_ring, via_block
 
 
 def _motif_file(tmp_path):
@@ -87,6 +87,22 @@ def test_gen_then_decompose_round_trip(tmp_path):
     assert run_cli(["decompose", str(layout), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["cost"] == "0"
     assert run_cli(["verify", str(layout), str(out)]) == 0
+
+
+def test_time_limit_writes_verifiable_incumbent(tmp_path, capsys):
+    feats, cfg = via_block(4, 4)
+    layout = tmp_path / "vias.json"
+    emit_layout(feats, cfg, layout)
+    out = tmp_path / "r.json"
+    assert run_cli(["decompose", str(layout), "--time-limit", "0", "--out", str(out)]) == 3
+    res = json.loads(out.read_text())
+    assert res["stats"]["proven_optimal"] is False
+    # the fallback incumbent: one mask, every conflict charged
+    assert len(set(res["colors"].values())) == 1
+    assert res["cost"] == str(len(res["conflicts"])) and res["conflicts"]
+    capsys.readouterr()
+    assert run_cli(["verify", str(layout), str(out)]) == 0
+    assert capsys.readouterr().err.strip() == "ok"
 
 
 def test_usage_error_exit_code(capsys):

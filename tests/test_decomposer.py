@@ -228,6 +228,20 @@ def test_speedups_preserve_optimality_on_random_layouts():
         assert fast.cost == mono.cost, f"seed {seed}"
 
 
+def test_zero_time_limit_gives_valid_one_mask_pieces():
+    # every piece times out before its first leaf and falls back to one mask
+    # with every conflict charged; decompose validates the merged result
+    for seed in range(30):
+        rng = random.Random(seed)
+        feats = random_layout(rng, rng.randrange(2, 10), box=220)
+        if not feats:
+            continue
+        res = decompose(feats, random_config(rng), time_limit=0.0)
+        assert res.stats["proven_optimal"] is False, f"seed {seed}"
+        assert res.selected_cuts == set() and res.stitches == []
+        assert res.cost == len(res.conflicts)
+
+
 def test_pipeline_determinism():
     feats, cfg = stitch_ring()
     a = decompose(feats, cfg)

@@ -15,7 +15,7 @@ from leleec.solver import (
     solve,
 )
 
-from conftest import clique4_motif, random_config, random_layout
+from conftest import clique4_motif, random_config, random_layout, via_block
 
 
 def test_empty_model_all_zeros():
@@ -91,6 +91,54 @@ def test_solve_matches_brute_force_on_random_models():
         _, expected = brute_force(model)
         assert stats.best_cost == expected, f"seed {seed - 1}"
         checked += 1
+
+
+def _solve_both_halves(model: IlpModel):
+    """(with symmetry break, without) solves of one model."""
+    assert model.flip_symmetric
+    with_flag = solve(model)
+    model.flip_symmetric = False
+    without = solve(model)
+    model.flip_symmetric = True
+    return with_flag, without
+
+
+def test_flip_symmetry_keeps_assignment_and_cost():
+    lg, eg = build_graphs(*clique4_motif())
+    models = [build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)]
+    seed = 0
+    while len(models) < 151:
+        model = _random_model(seed)
+        seed += 1
+        if model is not None and 0 < model.num_vars <= BRUTE_FORCE_CAP:
+            models.append(model)
+    saved = 0
+    for k, model in enumerate(models):
+        (a_on, s_on), (a_off, s_off) = _solve_both_halves(model)
+        assert a_on == a_off and s_on.best_cost == s_off.best_cost, f"model {k}"
+        assert s_on.nodes_explored <= s_off.nodes_explored, f"model {k}"
+        saved += s_off.nodes_explored - s_on.nodes_explored
+    assert saved > 0
+
+
+def test_lelele_baseline_is_not_flip_symmetric():
+    # its three-colour rows (xa + xb <= 1) do not survive complementing the bits
+    lg, _ = build_graphs(*clique4_motif())
+    assert not build_lelele_baseline(lg).flip_symmetric
+
+
+def test_via_block_work_count():
+    feats, cfg = via_block(4, 4)
+    lg, eg = build_graphs(feats, cfg)
+    model = build_model_from_problem(
+        ProblemGraph.from_layout(lg, eg), eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
+    )
+    (a_on, s_on), (a_off, s_off) = _solve_both_halves(model)
+    assert a_on == a_off and s_on.best_cost == s_off.best_cost == 34
+    # the node count of the unflagged search before rows were gated: the
+    # gating skips only rows that cannot force, so it must not move
+    assert s_off.nodes_explored == 41236
+    assert s_on.nodes_explored <= 0.6 * s_off.nodes_explored
 
 
 def test_solution_satisfies_every_row():
