@@ -2,8 +2,9 @@
 
 Subcommands: decompose, baseline-lelele, gen, verify.
 Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
-3 time limit hit (decompose still writes an incumbent result; a piece with
-no incumbent in time falls back to one mask with every conflict charged).
+3 time limit hit (decompose and baseline-lelele still write an incumbent
+result; a search with no incumbent in time falls back to one mask with every
+conflict charged).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .decomposer import build_graphs, decompose_graphs, validate_result
+from .decomposer import build_graphs, decompose_graphs
+from .decomposer import validate_result  # noqa: F401 - perfbench/spans.py traces this name here
 from .ilp_model import ProblemGraph, baseline_colors, build_lelele_baseline, build_model_from_problem
 from .layout_graph import Config, LayoutError
 from .layout_io import (
@@ -28,7 +30,7 @@ from .layout_io import (
     result_to_obj,
     verify_result,
 )
-from .solver import TimeLimit, solve
+from .solver import TimeLimit, one_mask_incumbent, solve
 from .svg import emit_svg
 from .synth import KINDS, gen_synthetic
 
@@ -55,7 +57,6 @@ def _build_parser() -> _Parser:
     p_dec = sub.add_parser("decompose", help="two masks + trim-cut decomposition")
     p_dec.add_argument("layout", help="layout file (JSON, format 1)")
     p_dec.add_argument("--no-stitch", action="store_true", help="disable stitch insertion")
-    p_dec.add_argument("--no-preselect", action="store_true", help="force end-cut pre-selection off")
     p_dec.add_argument(
         "--preselect",
         action="store_true",
@@ -104,12 +105,11 @@ def _cmd_decompose(args) -> int:
         cfg,
         alpha=alpha,
         enable_stitch=not args.no_stitch,
-        enable_preselect=args.preselect and not args.no_preselect,
+        enable_preselect=args.preselect,
         enable_bridges=not args.no_bridges,
     )
     lg, eg = build_graphs(features, cfg)
     result = decompose_graphs(lg, eg, cfg, time_limit=args.time_limit)
-    validate_result(result, lg, eg)
 
     if args.lp_dump:
         model = build_model_from_problem(
@@ -155,9 +155,8 @@ def _cmd_baseline(args) -> int:
     model = build_lelele_baseline(lg)
     try:
         assignment, stats = solve(model, args.time_limit)
-    except TimeLimit:
-        print("time limit reached before any feasible coloring", file=sys.stderr)
-        return EXIT_TIME_LIMIT
+    except TimeLimit as exc:
+        assignment, stats = one_mask_incumbent(model, exc)
     colors = baseline_colors(model, assignment)
     conflicts = sorted(
         var.key for vid, var in enumerate(model.variables) if var.kind == "conflict" and assignment[vid]

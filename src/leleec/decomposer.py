@@ -19,7 +19,10 @@ each. Every component gets its own slice of the end-cut graph
 (`component_endcut_graphs`): the same nodes, but only its own solid and
 dash edges, which is exact because coupling edges joined the components.
 Pre-selection, the bridge search and the piece models read the slice;
-the trim-rect merge and `validate_result` read the full graph.
+the trim-rect merge and the result checker read the full graph.
+
+`result_problems` is the one result checker: `validate_result` raises on
+its findings, and `layout_io.verify_result` reports them for a file.
 
 Under a time limit a piece keeps the solver's incumbent. A piece whose
 search ends before its first leaf takes the one-mask assignment instead
@@ -52,7 +55,7 @@ from .layout_graph import (
     build_conflict_edges,
     generate_stitch_candidates,
 )
-from .solver import SolveStats, TimeLimit, solve
+from .solver import SolveStats, TimeLimit, one_mask_incumbent, solve
 
 
 class DecompositionError(ValueError):
@@ -345,20 +348,10 @@ def _solve_piece(
         with_stitch=cfg.enable_stitch,
         alpha=cfg.alpha,
     )
-    start = time.monotonic()
     try:
         assignment, stats = solve(model, time_limit)
     except TimeLimit as exc:
-        # no incumbent in time: fall back to the always-feasible one-mask
-        # assignment, so a time-limited run still writes a valid result
-        assignment = model.one_mask_assignment()
-        model.check_assignment(assignment)
-        stats = SolveStats(
-            nodes_explored=exc.nodes_explored,
-            best_cost=model.objective_value(assignment),
-            proven_optimal=False,
-            elapsed=time.monotonic() - start,
-        )
+        assignment, stats = one_mask_incumbent(model, exc)
     d = decode_assignment(model, assignment)
     return PieceOutcome(
         sub=sub,
@@ -495,44 +488,68 @@ def decompose(
     return decompose_graphs(g, eg, cfg, time_limit)
 
 
-def validate_result(result: DecompResult, lg: LayoutGraph, eg: EndCutGraph) -> None:
-    """First-principles validity: exclusions, cut colors, conflict accounting."""
-    sel = sorted(result.selected_cuts)
-    for p, q in eg.solid_edges:
-        if p in result.selected_cuts and q in result.selected_cuts:
-            raise DecompositionError(f"selected cuts {p} and {q} are mutually exclusive")
+def result_problems(
+    lg: LayoutGraph,
+    eg: EndCutGraph,
+    colors: dict[int, int],
+    selected: set[int],
+    conflicts: list[EdgeKey],
+) -> list[str]:
+    """Every broken result rule, in a fixed order; [] for a legal result.
+
+    No two selected cuts share a solid edge (1c); each selected cut is
+    annotated on a conflict edge whose ends share a mask (1d/1e); each
+    charged conflict is a same-mask conflict edge; and every same-mask
+    conflict edge is charged, cut, or forgiven by dash-merged cuts that
+    join both its ends to a common neighbour.
+    """
+    problems = [
+        f"exclusion (1c): selected cuts {p} and {q} are within dis_c"
+        for p, q in sorted(e for e in eg.solid_edges if e[0] in selected and e[1] in selected)
+    ]
     anchors = _candidate_anchor(lg)
-    for cid in sel:
-        if cid not in anchors:
-            raise DecompositionError(f"selected cut {cid} is not annotated on any edge")
-        u, v = anchors[cid]
-        if result.colors[u] != result.colors[v]:
-            raise DecompositionError(f"selected cut {cid} spans different colors")
-    charged = set(result.conflicts)
     by_vertex: dict[int, dict[int, int]] = {}
-    for cid in sel:
+    for cid in sorted(selected):
+        if cid not in anchors:
+            problems.append(f"selected_cuts: candidate {cid} is not annotated on any conflict edge")
+            continue
         u, v = anchors[cid]
+        if colors[u] != colors[v]:
+            problems.append(f"cut colors (1d/1e): cut {cid} endpoints {u},{v} differ in mask")
         by_vertex.setdefault(u, {})[v] = cid
         by_vertex.setdefault(v, {})[u] = cid
-    for u, v in sorted(lg.conflict_edges):
-        if result.colors[u] != result.colors[v]:
+
+    charged: set[EdgeKey] = set()
+    for edge in conflicts:
+        if edge not in lg.conflict_edges:
+            problems.append(f"conflicts: {edge} is not a conflict edge")
             continue
-        if (u, v) in charged:
+        if colors[edge[0]] != colors[edge[1]]:
+            problems.append(f"conflicts: {edge} endpoints are on different masks")
+        charged.add(edge)
+
+    for u, v in sorted(lg.conflict_edges):
+        if colors[u] != colors[v] or (u, v) in charged:
             continue
         cand = lg.conflict_edges[(u, v)]
-        if cand is not None and cand in result.selected_cuts:
+        if cand is not None and cand in selected:
             continue
-        forgiven = False
-        for w, p in sorted(by_vertex.get(u, {}).items()):
-            q = by_vertex.get(v, {}).get(w)
-            if q is None or w in (u, v):
-                continue
-            pair = (p, q) if p < q else (q, p)
-            if pair in eg.dash_edges:
-                forgiven = True
-                break
+        cuts_at_v = by_vertex.get(v, {})
+        forgiven = any(
+            (min(p, q), max(p, q)) in eg.dash_edges
+            for w, p in by_vertex.get(u, {}).items()
+            if w not in (u, v) and (q := cuts_at_v.get(w)) is not None
+        )
         if not forgiven:
-            raise DecompositionError(f"conflict edge {(u, v)} is monochromatic but unaccounted")
+            problems.append(f"accounting: conflict edge {(u, v)} is monochromatic but not charged")
+    return problems
+
+
+def validate_result(result: DecompResult, lg: LayoutGraph, eg: EndCutGraph) -> None:
+    """Raise DecompositionError when `result_problems` finds any violation."""
+    problems = result_problems(lg, eg, result.colors, result.selected_cuts, result.conflicts)
+    if problems:
+        raise DecompositionError("; ".join(problems))
 
 
 def solve_monolithic(

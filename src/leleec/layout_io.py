@@ -13,12 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .decomposer import build_graphs, _candidate_anchor
+from .decomposer import build_graphs, result_problems
 from .endcut import EndCutGraph
 from .geometry import GeometryError, Polygon
-from .ilp_model import DecompResult, frac_str
+from .ilp_model import DecompResult, frac_str, merged_trim_rects
 from .layout_graph import (
     Config,
+    EdgeKey,
     Feature,
     LayoutGraph,
     OverlappingInput,
@@ -262,7 +263,10 @@ def parse_result(path: str | Path) -> dict:
 
 
 def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> list[str]:
-    """Re-derive the pipeline and check every invariant; returns violations."""
+    """Re-derive the pipeline and check every invariant; returns violations.
+
+    The cut and conflict rules are `decomposer.result_problems`, as in decompose.
+    """
     if result.get("mode") != "leleec":
         return ["mode: only 'leleec' results can be verified"]
     problems: list[str] = []
@@ -279,7 +283,6 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
         return problems
 
     lg, eg = build_graphs(features, cfg)
-    anchors = _candidate_anchor(lg)
 
     raw_colors = result.get("colors")
     if not isinstance(raw_colors, dict):
@@ -316,55 +319,13 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
             problems.append(f"selected_cuts: candidate {cid} does not match regenerated geometry")
         selected.add(cid)
 
-    for p, q in sorted(eg.solid_edges):
-        if p in selected and q in selected:
-            problems.append(f"exclusion (1c): selected cuts {p} and {q} are within dis_c")
-    for cid in sorted(selected):
-        if cid not in anchors:
-            problems.append(f"selected_cuts: candidate {cid} is not annotated on any conflict edge")
-            continue
-        u, v = anchors[cid]
-        if colors[u] != colors[v]:
-            problems.append(f"cut colors (1d/1e): cut {cid} endpoints {u},{v} differ in mask")
-
-    charged: set[tuple[int, int]] = set()
+    conflicts: list[EdgeKey] = []
     for e in result.get("conflicts", []):
-        if not (isinstance(e, list) and len(e) == 2):
+        if isinstance(e, list) and len(e) == 2:
+            conflicts.append((min(e), max(e)))
+        else:
             problems.append(f"conflicts: bad entry {e!r}")
-            continue
-        edge = (min(e), max(e))
-        if edge not in lg.conflict_edges:
-            problems.append(f"conflicts: {edge} is not a conflict edge")
-            continue
-        if colors.get(edge[0]) != colors.get(edge[1]):
-            problems.append(f"conflicts: {edge} endpoints are on different masks")
-        charged.add(edge)
-
-    by_vertex: dict[int, dict[int, int]] = {}
-    for cid in sorted(selected):
-        if cid in anchors:
-            u, v = anchors[cid]
-            by_vertex.setdefault(u, {})[v] = cid
-            by_vertex.setdefault(v, {})[u] = cid
-    for u, v in sorted(lg.conflict_edges):
-        if colors[u] != colors[v] or (u, v) in charged:
-            continue
-        cand = lg.conflict_edges[(u, v)]
-        if cand is not None and cand in selected:
-            continue
-        forgiven = False
-        for w, p in sorted(by_vertex.get(u, {}).items()):
-            q = by_vertex.get(v, {}).get(w)
-            if q is None or w in (u, v):
-                continue
-            pair = (p, q) if p < q else (q, p)
-            if pair in eg.dash_edges:
-                forgiven = True
-                break
-        if not forgiven:
-            problems.append(f"accounting: conflict edge {(u, v)} is monochromatic but not charged")
-
-    from .ilp_model import merged_trim_rects
+    problems += result_problems(lg, eg, colors, selected, conflicts)
 
     expected_trim = [list(r.as_tuple()) for r in merged_trim_rects(selected, eg)]
     if result.get("trim_cuts") != expected_trim:

@@ -49,9 +49,10 @@ class Infeasible(SolverError):
 class TimeLimit(SolverError):
     """Time budget exhausted before any feasible assignment was found."""
 
-    def __init__(self, message: str, nodes_explored: int = 0):
+    def __init__(self, message: str, nodes_explored: int = 0, elapsed: float = 0.0):
         super().__init__(message)
         self.nodes_explored = nodes_explored
+        self.elapsed = elapsed
 
 
 class TooLarge(SolverError):
@@ -244,7 +245,9 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
 
     if best_assignment is None:
         if timed_out:
-            raise TimeLimit("time limit reached before any feasible assignment", nodes)
+            raise TimeLimit(
+                "time limit reached before any feasible assignment", nodes, time.monotonic() - start
+            )
         raise Infeasible("constraints admit no assignment")
     stats = SolveStats(
         nodes_explored=nodes,
@@ -254,6 +257,18 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     )
     model.check_assignment(best_assignment)
     return best_assignment, stats
+
+
+def one_mask_incumbent(model: IlpModel, exc: TimeLimit) -> tuple[list[int], SolveStats]:
+    """The checked one-mask assignment, not proven optimal, for a solve that raised `exc`."""
+    assignment = model.one_mask_assignment()
+    model.check_assignment(assignment)
+    return assignment, SolveStats(
+        nodes_explored=exc.nodes_explored,
+        best_cost=model.objective_value(assignment),
+        proven_optimal=False,
+        elapsed=exc.elapsed,
+    )
 
 
 def brute_force(model: IlpModel) -> tuple[list[int], Fraction]:

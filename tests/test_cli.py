@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import leleec.cli
 from leleec.cli import run_cli
+from leleec.decomposer import build_graphs
 from leleec.layout_io import dump_json, emit_layout
 from leleec.layout_graph import Config
 from leleec.synth import gen_synthetic
@@ -103,6 +105,25 @@ def test_time_limit_writes_verifiable_incumbent(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["verify", str(layout), str(out)]) == 0
     assert capsys.readouterr().err.strip() == "ok"
+
+
+def test_baseline_time_limit_writes_one_mask_incumbent(tmp_path, capsys):
+    feats, cfg = via_block(4, 4)
+    layout = tmp_path / "vias.json"
+    emit_layout(feats, cfg, layout)
+    out = tmp_path / "r.json"
+    assert run_cli(["baseline-lelele", str(layout), "--time-limit", "0", "--out", str(out)]) == 3
+    res = json.loads(out.read_text())
+    lg, _ = build_graphs(feats, replace(cfg, enable_stitch=False))
+    assert set(res["colors"].values()) == {1}
+    assert res["conflicts"] == [list(e) for e in sorted(lg.conflict_edges)]
+    assert res["cost"] == str(len(lg.conflict_edges))
+    assert res["stats"]["proven_optimal"] is False
+
+
+def test_no_preselect_flag_is_gone(tmp_path, capsys):
+    layout = _motif_file(tmp_path)
+    assert run_cli(["decompose", str(layout), "--no-preselect"]) == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -245,6 +245,14 @@ def test_baseline_k5_matches_enumeration():
     assert stats.best_cost == 2
 
 
+def test_baseline_one_mask_assignment_is_feasible():
+    model = build_lelele_baseline(_k(4))
+    assignment = model.one_mask_assignment()
+    model.check_assignment(assignment)
+    assert set(baseline_colors(model, assignment).values()) == {0}
+    assert model.objective_value(assignment) == 6
+
+
 def test_baseline_random_graphs_match_enumeration():
     for seed in range(10):
         rng = random.Random(seed)
