@@ -17,7 +17,7 @@ from pathlib import Path
 from .decomposer import build_graphs, decompose_graphs
 from .decomposer import validate_result  # noqa: F401 - perfbench/spans.py traces this name here
 from .ilp_model import ProblemGraph, baseline_colors, build_lelele_baseline, build_model_from_problem
-from .layout_graph import Config, LayoutError
+from .layout_graph import Config, LayoutError, build_conflict_edges
 from .layout_io import (
     ParseError,
     ValidationError,
@@ -151,7 +151,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_baseline(args) -> int:
     features, cfg = parse_layout(args.layout)
     cfg = replace(cfg, enable_stitch=False, enable_preselect=False, enable_bridges=False)
-    lg, _eg = build_graphs(features, cfg)
+    lg = build_conflict_edges(features, cfg)
     model = build_lelele_baseline(lg)
     try:
         assignment, stats = solve(model, args.time_limit)

@@ -13,13 +13,14 @@ keeps its own conflict/cut variables, so charged costs always refer to real
 edges. Contraction can still cost optimality by flipping conflict-cycle
 parity, which is why it defaults off.
 
-The work per layout stays linear in its edges: conflict and stitch edges
-are bucketed by component, and by piece after a bridge split, in one pass
-each. Every component gets its own slice of the end-cut graph
-(`component_endcut_graphs`): the same nodes, but only its own solid and
-dash edges, which is exact because coupling edges joined the components.
-Pre-selection, the bridge search and the piece models read the slice;
-the trim-rect merge and the result checker read the full graph.
+Components and pieces are `ilp_model.ProblemGraph`s, the type the model
+builder reads. The work per layout stays linear in its edges: conflict and
+stitch edges are bucketed by component, and by piece after a bridge split,
+in one pass each. `split_components` hands every component its own slice
+of the end-cut graph in the same pass: the same nodes, but only its own
+solid and dash edges, which is exact because coupling edges joined the
+components. Pre-selection, the bridge search and the piece models read the
+slice; the trim-rect merge and the result checker read the full graph.
 
 `result_problems` is the one result checker: `validate_result` raises on
 its findings, and `layout_io.verify_result` reports them for a file.
@@ -62,21 +63,6 @@ class DecompositionError(ValueError):
     pass
 
 
-@dataclass
-class SubProblem:
-    """One independent component, possibly contracted by pre-selection.
-
-    rep maps every original vertex to its color-variable representative;
-    conflict/stitch edges keep their original keys.
-    """
-
-    vertex_ids: list[int]
-    rep: dict[int, int]
-    conflict_edges: dict[EdgeKey, tuple[int, ...]]
-    stitch_edges: set[EdgeKey]
-    preselected: tuple[int, ...] = ()
-
-
 class _UnionFind:
     def __init__(self, items):
         self.parent = {i: i for i in items}
@@ -107,68 +93,53 @@ def _candidate_anchor(lg: LayoutGraph) -> dict[int, EdgeKey]:
     return anchors
 
 
-def split_components(lg: LayoutGraph, eg: EndCutGraph) -> list[SubProblem]:
-    """Connected components of CE ∪ SE plus end-cut coupling links."""
-    uf = _UnionFind([s.id for s in lg.vertices])
-    for u, v in lg.conflict_edges:
-        uf.union(u, v)
-    for u, v in lg.stitch_edges:
-        uf.union(u, v)
-    anchors = _candidate_anchor(lg)
-    for p, q in sorted(eg.solid_edges | eg.dash_edges):
-        if p in anchors and q in anchors:
-            uf.union(anchors[p][0], anchors[q][0])
+def split_components(
+    lg: LayoutGraph, eg: EndCutGraph
+) -> list[tuple[ProblemGraph, EndCutGraph]]:
+    """Connected components of CE ∪ SE plus end-cut coupling links.
 
-    members: dict[int, list[int]] = {}
-    for s in lg.vertices:
-        members.setdefault(uf.find(s.id), []).append(s.id)
-    edges_of: dict[int, dict[EdgeKey, tuple[int, ...]]] = {root: {} for root in members}
-    for e in sorted(lg.conflict_edges):
-        cand = lg.conflict_edges[e]
-        edges_of[uf.find(e[0])][e] = () if cand is None else (cand,)
-    stitches_of: dict[int, set[EdgeKey]] = {root: set() for root in members}
-    for e in lg.stitch_edges:
-        stitches_of[uf.find(e[0])].add(e)
-
-    return [
-        SubProblem(
-            vertex_ids=members[root],
-            rep={v: v for v in members[root]},
-            conflict_edges=edges_of[root],
-            stitch_edges=stitches_of[root],
-            preselected=(),
-        )
-        for root in sorted(members)
-    ]
-
-
-def component_endcut_graphs(
-    lg: LayoutGraph, eg: EndCutGraph, subs: list[SubProblem]
-) -> list[EndCutGraph]:
-    """Each component's slice of the end-cut graph, aligned with `subs`.
-
-    A slice shares `nodes` with eg and holds the solid and dash edges whose
+    Each component comes with its slice of the end-cut graph: the slice
+    shares `nodes` with eg and holds the solid and dash edges whose
     candidates are annotated in that component. Coupling edges joined the
     components, so an edge between two annotated candidates never spans two
     of them; an edge with one unannotated candidate goes with the other one.
     Every model, bridge search and pre-selection over a piece of a
     component reads the same edges from its slice as from eg.
     """
-    comp_of = {v: k for k, sub in enumerate(subs) for v in sub.vertex_ids}
+    uf = _UnionFind([s.id for s in lg.vertices])
+    for u, v in lg.conflict_edges:
+        uf.union(u, v)
+    for u, v in lg.stitch_edges:
+        uf.union(u, v)
     anchors = _candidate_anchor(lg)
-    slices = [EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set()) for _ in subs]
+    for p, q in eg.solid_edges | eg.dash_edges:
+        if p in anchors and q in anchors:
+            uf.union(anchors[p][0], anchors[q][0])
+
+    comps: dict[int, ProblemGraph] = {}
+    slices: dict[int, EndCutGraph] = {}
+    for s in lg.vertices:
+        root = uf.find(s.id)
+        if root not in comps:
+            comps[root] = ProblemGraph()
+            slices[root] = EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set())
+        comps[root].vertex_reps[s.id] = s.id
+    for e, cand in lg.conflict_edges.items():
+        comps[uf.find(e[0])].conflict_edges[e] = cand
+    for e in lg.stitch_edges:
+        comps[uf.find(e[0])].stitch_edges.add(e)
     for p, q in eg.solid_edges:
         anchor = anchors.get(p) or anchors.get(q)
         if anchor is not None:
-            slices[comp_of[anchor[0]]].solid_edges.add((p, q))
+            slices[uf.find(anchor[0])].solid_edges.add((p, q))
     for p, q in eg.dash_edges:
         anchor = anchors.get(p) or anchors.get(q)
         if anchor is not None:
-            slices[comp_of[anchor[0]]].dash_edges.add((p, q))
-    return slices
+            slices[uf.find(anchor[0])].dash_edges.add((p, q))
+    return [(comps[root], slices[root]) for root in sorted(comps)]
 
 
-def preselect_endcuts(sub: SubProblem, eg: EndCutGraph) -> SubProblem:
+def preselect_endcuts(pg: ProblemGraph, eg: EndCutGraph) -> ProblemGraph:
     """Contract the endpoints of every candidate with zero solid exclusions.
 
     The candidate itself stays in the model (its selection becomes free and
@@ -180,27 +151,19 @@ def preselect_endcuts(sub: SubProblem, eg: EndCutGraph) -> SubProblem:
         solid_touch.add(p)
         solid_touch.add(q)
 
-    uf = _UnionFind(sub.vertex_ids)
-    chosen = []
-    for edge in sorted(sub.conflict_edges):
-        for cand in sub.conflict_edges[edge]:
-            if cand not in solid_touch:
-                uf.union(edge[0], edge[1])
-                chosen.append(cand)
-    if not chosen:
-        return sub
-    rep = {v: uf.find(sub.rep[v]) for v in sub.vertex_ids}
-    return SubProblem(
-        vertex_ids=sub.vertex_ids,
-        rep=rep,
-        conflict_edges=sub.conflict_edges,
-        stitch_edges=sub.stitch_edges,
-        preselected=tuple(sorted(chosen)),
+    uf = _UnionFind(pg.vertex_reps)
+    for (u, v), cand in pg.conflict_edges.items():
+        if cand is not None and cand not in solid_touch:
+            uf.union(u, v)
+    return ProblemGraph(
+        vertex_reps={v: uf.find(r) for v, r in pg.vertex_reps.items()},
+        conflict_edges=pg.conflict_edges,
+        stitch_edges=pg.stitch_edges,
     )
 
 
-def _rep_edge(sub: SubProblem, e: EdgeKey) -> EdgeKey | None:
-    a, b = sub.rep[e[0]], sub.rep[e[1]]
+def _rep_edge(pg: ProblemGraph, e: EdgeKey) -> EdgeKey | None:
+    a, b = pg.vertex_reps[e[0]], pg.vertex_reps[e[1]]
     if a == b:
         return None
     return (a, b) if a < b else (b, a)
@@ -243,37 +206,40 @@ def find_bridges(vertices: list[int], edges: list[tuple[int, int]]) -> list[int]
     return sorted(bridges)
 
 
-def split_bridges(sub: SubProblem, eg: EndCutGraph) -> tuple[list[SubProblem], list[EdgeKey]]:
+def split_bridges(
+    pg: ProblemGraph, eg: EndCutGraph
+) -> tuple[list[ProblemGraph], list[EdgeKey]]:
     """Cut clean bridges; returns (pieces, cut bridge edges in original keys).
 
     The bridge search runs on the representative-level union multigraph of
     conflict, stitch and end-cut coupling edges, so a conflict edge that is
     paralleled by a stitch path or an end-cut relation is never cut.
     """
-    reps = sorted(set(sub.rep.values()))
+    rep = pg.vertex_reps
+    reps = sorted(set(rep.values()))
     edge_list: list[tuple[int, int]] = []
     origin: list[EdgeKey | None] = []  # original CE key, None for SE/coupling edges
-    for e in sorted(sub.conflict_edges):
-        re = _rep_edge(sub, e)
+    for e in sorted(pg.conflict_edges):
+        re = _rep_edge(pg, e)
         if re is not None:
             edge_list.append(re)
             origin.append(e)
-    for e in sorted(sub.stitch_edges):
-        re = _rep_edge(sub, e)
+    for e in sorted(pg.stitch_edges):
+        re = _rep_edge(pg, e)
         if re is not None:
             edge_list.append(re)
             origin.append(None)
 
     cand_anchor: dict[int, EdgeKey] = {}
-    for e in sorted(sub.conflict_edges):
-        for cand in sub.conflict_edges[e]:
+    for e, cand in pg.conflict_edges.items():
+        if cand is not None:
             cand_anchor[cand] = e
     for p, q in sorted(eg.solid_edges | eg.dash_edges):
         if p in cand_anchor and q in cand_anchor:
-            ra = _rep_edge(sub, cand_anchor[p])
-            rb = _rep_edge(sub, cand_anchor[q])
-            a = sub.rep[cand_anchor[p][0]] if ra is None else ra[0]
-            b = sub.rep[cand_anchor[q][0]] if rb is None else rb[0]
+            ra = _rep_edge(pg, cand_anchor[p])
+            rb = _rep_edge(pg, cand_anchor[q])
+            a = rep[cand_anchor[p][0]] if ra is None else ra[0]
+            b = rep[cand_anchor[q][0]] if rb is None else rb[0]
             if a != b:
                 edge_list.append((a, b) if a < b else (b, a))
                 origin.append(None)
@@ -281,55 +247,36 @@ def split_bridges(sub: SubProblem, eg: EndCutGraph) -> tuple[list[SubProblem], l
     clean: list[tuple[int, EdgeKey]] = []
     for idx in find_bridges(reps, edge_list):
         orig = origin[idx]
-        if orig is not None and not sub.conflict_edges[orig]:
+        if orig is not None and pg.conflict_edges[orig] is None:
             clean.append((idx, orig))
     if not clean:
-        return [sub], []
+        return [pg], []
 
     cut_idx = {idx for idx, _ in clean}
     uf = _UnionFind(reps)
     for idx, (u, v) in enumerate(edge_list):
         if idx not in cut_idx:
             uf.union(u, v)
-    group_of = {v: uf.find(sub.rep[v]) for v in sub.vertex_ids}
-    groups: dict[int, list[int]] = {}
-    for v in sorted(sub.vertex_ids):
-        groups.setdefault(group_of[v], []).append(v)
     # a conflict edge that is not a cut bridge, and every stitch edge, joins
     # vertices of one group
+    groups: dict[int, ProblemGraph] = {}
+    for v in sorted(rep):
+        root = uf.find(rep[v])
+        if root not in groups:
+            groups[root] = ProblemGraph()
+        groups[root].vertex_reps[v] = rep[v]
     bridge_keys = {orig for _, orig in clean}
-    edges_of: dict[int, dict[EdgeKey, tuple[int, ...]]] = {root: {} for root in groups}
-    for e in sorted(sub.conflict_edges):
+    for e, cand in pg.conflict_edges.items():
         if e not in bridge_keys:
-            edges_of[group_of[e[0]]][e] = sub.conflict_edges[e]
-    stitches_of: dict[int, set[EdgeKey]] = {root: set() for root in groups}
-    for e in sub.stitch_edges:
-        stitches_of[group_of[e[0]]].add(e)
-
-    pieces = [
-        SubProblem(
-            vertex_ids=groups[root],
-            rep={v: sub.rep[v] for v in groups[root]},
-            conflict_edges=edges_of[root],
-            stitch_edges=stitches_of[root],
-            preselected=sub.preselected,
-        )
-        for root in sorted(groups)
-    ]
-    return pieces, sorted(orig for _, orig in clean)
-
-
-def _problem_graph(sub: SubProblem) -> ProblemGraph:
-    return ProblemGraph(
-        vertex_reps=dict(sorted(sub.rep.items())),
-        conflict_edges=dict(sorted(sub.conflict_edges.items())),
-        stitch_edges=set(sub.stitch_edges),
-    )
+            groups[uf.find(rep[e[0]])].conflict_edges[e] = cand
+    for e in pg.stitch_edges:
+        groups[uf.find(rep[e[0]])].stitch_edges.add(e)
+    return [groups[root] for root in sorted(groups)], sorted(bridge_keys)
 
 
 @dataclass
 class PieceOutcome:
-    sub: SubProblem
+    piece: ProblemGraph
     colors: dict[int, int]  # original vertex -> 0/1
     selected: set[int]
     conflicts: list[EdgeKey]
@@ -339,10 +286,10 @@ class PieceOutcome:
 
 
 def _solve_piece(
-    sub: SubProblem, eg: EndCutGraph, cfg: Config, time_limit: float | None
+    piece: ProblemGraph, eg: EndCutGraph, cfg: Config, time_limit: float | None
 ) -> PieceOutcome:
     model = build_model_from_problem(
-        _problem_graph(sub),
+        piece,
         eg,
         corrected=True,
         with_stitch=cfg.enable_stitch,
@@ -354,8 +301,8 @@ def _solve_piece(
         assignment, stats = one_mask_incumbent(model, exc)
     d = decode_assignment(model, assignment)
     return PieceOutcome(
-        sub=sub,
-        colors={v: d.rep_colors[sub.rep[v]] for v in sub.vertex_ids},
+        piece=piece,
+        colors={v: d.rep_colors[r] for v, r in piece.vertex_reps.items()},
         selected=d.selected,
         conflicts=d.conflicts,
         stitches=d.stitches,
@@ -367,12 +314,12 @@ def _solve_piece(
 def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
     """Flip piece groups so every cut bridge ends up bichromatic."""
     piece_of: dict[int, int] = {}
-    for idx, piece in enumerate(pieces):
-        for v in piece.sub.vertex_ids:
+    for idx, p in enumerate(pieces):
+        for v in p.piece.vertex_reps:
             piece_of[v] = idx
     uf = _UnionFind(range(len(pieces)))
     group_vertices: dict[int, list[int]] = {
-        i: list(p.sub.vertex_ids) for i, p in enumerate(pieces)
+        i: list(p.piece.vertex_reps) for i, p in enumerate(pieces)
     }
     colors: dict[int, int] = {}
     for p in pieces:
@@ -392,7 +339,7 @@ def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
         group_vertices[uf.find(gu)] = merged
 
     for p in pieces:
-        for v in p.sub.vertex_ids:
+        for v in p.piece.vertex_reps:
             p.colors[v] = colors[v]
 
 
@@ -413,8 +360,7 @@ def decompose_graphs(
     start = time.monotonic()
     outcomes: list[PieceOutcome] = []
     sub_count = 0
-    comps = split_components(g, eg)
-    for comp, comp_eg in zip(comps, component_endcut_graphs(g, eg, comps)):
+    for comp, comp_eg in split_components(g, eg):
         if cfg.enable_preselect:
             comp = preselect_endcuts(comp, comp_eg)
         if cfg.enable_bridges:
@@ -449,7 +395,7 @@ def decompose_graphs(
         proven = proven and o.stats.proven_optimal
         per_sub.append(
             {
-                "vertices": len(o.sub.vertex_ids),
+                "vertices": len(o.piece.vertex_reps),
                 "nodes_explored": o.stats.nodes_explored,
                 "cost": str(o.cost),
                 "proven_optimal": o.stats.proven_optimal,

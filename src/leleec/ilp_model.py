@@ -166,31 +166,27 @@ def frac_str(x: Fraction) -> str:
 
 @dataclass
 class ProblemGraph:
-    """Model-building view of (a piece of) the layout problem.
+    """The layout problem, or one independent piece of it, as a model sees it.
 
     vertex_reps maps every vertex to its color-variable representative
     (identity until pre-selection contracts vertices). Conflict edges keep
-    their original keys and map to the candidate ids available on them.
+    their original keys and map to the candidate id annotated on them, or to
+    None.
     """
 
-    vertex_reps: dict[int, int]
-    conflict_edges: dict[EdgeKey, tuple[int, ...]]
-    stitch_edges: set[EdgeKey]
+    vertex_reps: dict[int, int] = field(default_factory=dict)
+    conflict_edges: dict[EdgeKey, int | None] = field(default_factory=dict)
+    stitch_edges: set[EdgeKey] = field(default_factory=set)
 
     @staticmethod
     def from_layout(lg: LayoutGraph, eg: EndCutGraph) -> "ProblemGraph":
-        edges: dict[EdgeKey, tuple[int, ...]] = {}
         for e in sorted(lg.conflict_edges):
             cand = lg.conflict_edges[e]
-            if cand is not None:
-                if cand >= len(eg.nodes) or eg.nodes[cand].id != cand:
-                    raise InconsistentAnnotation(f"edge {e} references unknown candidate {cand}")
-                edges[e] = (cand,)
-            else:
-                edges[e] = ()
+            if cand is not None and (cand >= len(eg.nodes) or eg.nodes[cand].id != cand):
+                raise InconsistentAnnotation(f"edge {e} references unknown candidate {cand}")
         return ProblemGraph(
             vertex_reps={s.id: s.id for s in lg.vertices},
-            conflict_edges=edges,
+            conflict_edges=dict(lg.conflict_edges),
             stitch_edges=set(lg.stitch_edges),
         )
 
@@ -213,7 +209,8 @@ def build_model_from_problem(
 
     edge_list = sorted(pg.conflict_edges)
     for u, v in edge_list:
-        for cid in pg.conflict_edges[(u, v)]:
+        cid = pg.conflict_edges[(u, v)]
+        if cid is not None:
             m.add_var(f"ec_{cid}", "endcut", (cid,))
 
     # a conflict between u and v is forgiven only when cuts to one common
@@ -231,12 +228,13 @@ def build_model_from_problem(
             for w in sorted(adjacency[u] & adjacency[v]):
                 eu = (u, w) if u < w else (w, u)
                 ev = (v, w) if v < w else (w, v)
-                for p in pg.conflict_edges.get(eu, ()):
-                    for q in pg.conflict_edges.get(ev, ()):
-                        pair = (p, q) if p < q else (q, p)
-                        if pair in dash:
-                            g = m.add_var(f"g_{u}_{v}_w{w}_{p}_{q}", "merge", (u, v, w, p, q))
-                            gammas[(u, v)].append(g)
+                p, q = pg.conflict_edges[eu], pg.conflict_edges[ev]
+                if p is None or q is None:
+                    continue
+                pair = (p, q) if p < q else (q, p)
+                if pair in dash:
+                    g = m.add_var(f"g_{u}_{v}_w{w}_{p}_{q}", "merge", (u, v, w, p, q))
+                    gammas[(u, v)].append(g)
 
     for u, v in edge_list:
         m.add_var(f"c_{u}_{v}", "conflict", (u, v))
@@ -249,18 +247,14 @@ def build_model_from_problem(
         xv = m.var("color", (rep[v],))
         c = m.var("conflict", (u, v))
         assert xu is not None and xv is not None and c is not None
-        ecs = []
-        for cid in pg.conflict_edges[(u, v)]:
-            e = m.var("endcut", (cid,))
-            assert e is not None
-            ecs.append(e)
-        relax = [(e, -1) for e in ecs] + [(g, -1) for g in gammas[(u, v)]]
+        cid = pg.conflict_edges[(u, v)]
+        e = None if cid is None else m.var("endcut", (cid,))
+        relax = ([] if e is None else [(e, -1)]) + [(g, -1) for g in gammas[(u, v)]]
         m.add_constraint(f"same_{u}_{v}", [(xu, 1), (xv, 1), (c, -1)] + relax, 1)
         m.add_constraint(f"diff_{u}_{v}", [(xu, -1), (xv, -1), (c, -1)] + relax, -1)
-        for cid, e in zip(pg.conflict_edges[(u, v)], ecs):
-            if xu != xv:
-                m.add_constraint(f"cut_lo_{cid}", [(e, 1), (xu, 1), (xv, -1)], 1)
-                m.add_constraint(f"cut_hi_{cid}", [(e, 1), (xv, 1), (xu, -1)], 1)
+        if e is not None and xu != xv:
+            m.add_constraint(f"cut_lo_{cid}", [(e, 1), (xu, 1), (xv, -1)], 1)
+            m.add_constraint(f"cut_hi_{cid}", [(e, 1), (xv, 1), (xu, -1)], 1)
 
     if corrected:
         for u, v in edge_list:

@@ -66,8 +66,13 @@ def _load_json(path: str | Path) -> Any:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; booleans are ints to Python but not to the file format."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValidationError(f"{where}: expected an integer, got {value!r}")
     return value
 
@@ -293,7 +298,7 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
             vid = int(k)
         except ValueError:
             return [f"colors: bad vertex id {k!r}"]
-        if val not in (1, 2):
+        if not _is_int(val) or val not in (1, 2):
             return [f"colors: vertex {k} has mask {val!r}, expected 1 or 2"]
         colors[vid] = val - 1
     expected_ids = {s.id for s in lg.vertices}
@@ -306,10 +311,20 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
         return problems
 
     cuts = result.get("selected_cuts", [])
+    raw_conflicts = result.get("conflicts", [])
+    got_stitches = result.get("stitches", [])
+    sections = {"selected_cuts": cuts, "conflicts": raw_conflicts, "stitches": got_stitches}
+    for key, section in sections.items():
+        if not isinstance(section, list):
+            return [f"{key}: must be a list"]
     selected: set[int] = set()
     for item in cuts:
+        if not isinstance(item, dict):
+            return [f"selected_cuts: entry {item!r} is not an object"]
         cid = item.get("id")
-        if not isinstance(cid, int) or cid >= len(eg.nodes):
+        if not _is_int(cid):
+            return [f"selected_cuts: candidate id {cid!r} is not an integer"]
+        if not 0 <= cid < len(eg.nodes):
             problems.append(f"selected_cuts: unknown candidate id {cid!r}")
             continue
         node = eg.nodes[cid]
@@ -320,11 +335,10 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
         selected.add(cid)
 
     conflicts: list[EdgeKey] = []
-    for e in result.get("conflicts", []):
-        if isinstance(e, list) and len(e) == 2:
-            conflicts.append((min(e), max(e)))
-        else:
-            problems.append(f"conflicts: bad entry {e!r}")
+    for e in raw_conflicts:
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
+            return [f"conflicts: bad entry {e!r}"]
+        conflicts.append((min(e), max(e)))
     problems += result_problems(lg, eg, colors, selected, conflicts)
 
     expected_trim = [list(r.as_tuple()) for r in merged_trim_rects(selected, eg)]
@@ -339,7 +353,6 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
                 {"feature": lg.vertices[u].feature, "axis": axis, "coord": coord}
             )
     expected_stitches.sort(key=lambda s: (s["feature"], s["coord"]))
-    got_stitches = result.get("stitches", [])
     if got_stitches != expected_stitches:
         problems.append("stitches: do not match the stitch edges whose endpoints differ in mask")
 
@@ -348,7 +361,7 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
     except ValidationError as exc:
         problems.append(str(exc))
         return problems
-    expected_cost = Fraction(len(result.get("conflicts", [])))
+    expected_cost = Fraction(len(raw_conflicts))
     if cfg.enable_stitch:
         expected_cost += cfg.alpha * len(got_stitches)
     if cost != expected_cost:

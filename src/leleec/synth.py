@@ -13,6 +13,7 @@ Kinds:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .geometry import Polygon
 from .layout_graph import Config, Feature
@@ -34,18 +35,7 @@ def gen_synthetic(
     if kind == "clique4_array":
         # wire-end cuts are wire-width structures; the default w_th (= dis_m)
         # would forbid every candidate between minimum-width wires
-        motif_cfg = Config.from_rules(
-            cfg.w_min,
-            cfg.s_min,
-            dis_m=cfg.dis_m,
-            dis_c=cfg.dis_c,
-            w_th=cfg.w_min,
-            alpha=cfg.alpha,
-            merge_gap=cfg.merge_gap,
-            enable_stitch=cfg.enable_stitch,
-            enable_preselect=cfg.enable_preselect,
-            enable_bridges=cfg.enable_bridges,
-        )
+        motif_cfg = replace(cfg, w_th=cfg.w_min)
         return _clique4_array(n, rng, motif_cfg), motif_cfg
     if kind == "via_array":
         return _via_array(n, rng, cfg), cfg

@@ -7,6 +7,8 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import leleec.cli
 from leleec.cli import run_cli
 from leleec.decomposer import build_graphs
@@ -55,6 +57,53 @@ def test_verify_rejects_tampered_result(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "violation:" in captured.err
+
+
+def _set(key, value):
+    def edit(res):
+        res[key] = value
+
+    return edit
+
+
+def _add_cut(cid):
+    def edit(res):
+        res["selected_cuts"].append({**res["selected_cuts"][-1], "id": cid})
+
+    return edit
+
+
+def _set_mask(value):
+    def edit(res):
+        res["colors"][next(iter(res["colors"]))] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_set("selected_cuts", [5]), "selected_cuts: entry 5 is not an object"),
+        (_set("selected_cuts", 3), "selected_cuts: must be a list"),
+        (_set("conflicts", 3), "conflicts: must be a list"),
+        (_set("stitches", 3), "stitches: must be a list"),
+        (_set("conflicts", [[1, "a"]]), "conflicts: bad entry [1, 'a']"),
+        (_add_cut(-1), "selected_cuts: unknown candidate id -1"),
+        (_add_cut(True), "selected_cuts: candidate id True is not an integer"),
+        (_set_mask(True), "has mask True, expected 1 or 2"),
+    ],
+)
+def test_verify_reports_malformed_result_input(tmp_path, capsys, edit, expected):
+    layout = _motif_file(tmp_path)
+    out = tmp_path / "res.json"
+    run_cli(["decompose", str(layout), "--out", str(out)])
+    res = json.loads(out.read_text())
+    edit(res)
+    out.write_text(dump_json(res))
+    capsys.readouterr()
+    assert run_cli(["verify", str(layout), str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("violation: ") and expected in lines[0], lines
 
 
 def test_baseline_reports_one_conflict(tmp_path):

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from leleec.decomposer import (
     build_graphs,
-    component_endcut_graphs,
     decompose,
     preselect_endcuts,
     solve_monolithic,
@@ -13,7 +12,7 @@ from leleec.decomposer import (
     split_components,
     validate_result,
 )
-from leleec.ilp_model import ProblemGraph, build_model_from_problem
+from leleec.ilp_model import build_model_from_problem
 from leleec.layout_graph import Config
 from leleec.synth import gen_synthetic
 
@@ -34,7 +33,7 @@ def test_two_distant_features_two_subproblems():
     feats = make_features([(0, 0, 10, 40)], [(200, 0, 210, 40)])
     lg, eg = build_graphs(feats, CFG_NS)
     subs = split_components(lg, eg)
-    assert [s.vertex_ids for s in subs] == [[0], [1]]
+    assert [list(s.vertex_reps) for s, _ in subs] == [[0], [1]]
 
 
 def test_endcut_coupling_prevents_component_split():
@@ -82,7 +81,7 @@ def test_cycle_has_no_bridges():
     lg, eg = build_graphs(feats, CFG_NS)
     subs = split_components(lg, eg)
     assert len(subs) == 1
-    pieces, bridges = split_bridges(subs[0], eg)
+    pieces, bridges = split_bridges(subs[0][0], eg)
     assert bridges == [] and len(pieces) == 1
 
 
@@ -91,7 +90,7 @@ def test_bridge_with_candidate_is_not_cut():
     feats = make_features([(0, 0, 10, 60)], [(30, 0, 40, 60)])
     lg, eg = build_graphs(feats, cfg)
     subs = split_components(lg, eg)
-    pieces, bridges = split_bridges(subs[0], eg)
+    pieces, bridges = split_bridges(subs[0][0], eg)
     assert bridges == [] and len(pieces) == 1
 
 
@@ -117,14 +116,17 @@ def test_sliced_endcut_graph_builds_the_full_graph_models():
             merge_gap=rng.choice([10, 40]), enable_stitch=rng.random() < 0.5,
         )
         layouts.append((feats, cfg))
-    sliced_away = 0
+    sliced_away = cut_bridges = 0
     for feats, cfg in layouts:
         lg, eg = build_graphs(feats, cfg)
-        comps = split_components(lg, eg)
-        slices = component_endcut_graphs(lg, eg, comps)
+        pairs = split_components(lg, eg)
+        comps = [comp for comp, _ in pairs]
+        slices = [comp_eg for _, comp_eg in pairs]
         assert len(slices) == len(comps)
         assert set().union(*(s.solid_edges for s in slices)) == eg.solid_edges
         assert set().union(*(s.dash_edges for s in slices)) == eg.dash_edges
+        assert sorted(v for comp in comps for v in comp.vertex_reps) == [s.id for s in lg.vertices]
+        assert sorted(e for comp in comps for e in comp.conflict_edges) == sorted(lg.conflict_edges)
         for comp, comp_eg in zip(comps, slices):
             assert comp_eg.nodes is eg.nodes
             sliced_away += len(eg.solid_edges) - len(comp_eg.solid_edges)
@@ -133,15 +135,20 @@ def test_sliced_endcut_graph_builds_the_full_graph_models():
             for sub in (comp, pre):
                 pieces, bridges = split_bridges(sub, comp_eg)
                 assert (pieces, bridges) == split_bridges(sub, eg)
+                # the pieces partition the component's vertices, and each of
+                # its conflict edges is in exactly one piece or is a cut bridge
+                assert sorted(v for p in pieces for v in p.vertex_reps) == sorted(sub.vertex_reps)
+                placed = [e for p in pieces for e in p.conflict_edges] + bridges
+                assert sorted(placed) == sorted(sub.conflict_edges)
+                cut_bridges += len(bridges)
                 for piece in pieces:
-                    pg = ProblemGraph(dict(sorted(piece.rep.items())), piece.conflict_edges, piece.stitch_edges)
                     kw = dict(with_stitch=cfg.enable_stitch, alpha=cfg.alpha)
-                    m_slice = build_model_from_problem(pg, comp_eg, **kw)
-                    m_full = build_model_from_problem(pg, eg, **kw)
+                    m_slice = build_model_from_problem(piece, comp_eg, **kw)
+                    m_full = build_model_from_problem(piece, eg, **kw)
                     assert m_slice.variables == m_full.variables
                     assert m_slice.constraints == m_full.constraints
                     assert m_slice.objective == m_full.objective
-    assert sliced_away > 0
+    assert sliced_away > 0 and cut_bridges > 0
 
 
 # ---- pre-selection
@@ -152,8 +159,8 @@ def test_isolated_pair_contracts_to_zero_cost():
     feats = make_features([(0, 0, 10, 60)], [(30, 0, 40, 60)])
     lg, eg = build_graphs(feats, cfg)
     subs = split_components(lg, eg)
-    contracted = preselect_endcuts(subs[0], eg)
-    assert len(set(contracted.rep.values())) == 1
+    contracted = preselect_endcuts(subs[0][0], eg)
+    assert len(set(contracted.vertex_reps.values())) == 1
     res = decompose(feats, cfg)
     assert res.cost == 0 and res.selected_cuts == {0}
 
@@ -164,9 +171,9 @@ def test_candidate_with_solid_partner_not_preselected():
     assert eg.solid_edges  # every candidate has at least one exclusion here
     subs = split_components(lg, eg)
     touched = {c for e in eg.solid_edges for c in e}
-    contracted = preselect_endcuts(subs[0], eg)
+    contracted = preselect_endcuts(subs[0][0], eg)
     if set(c.id for c in eg.nodes) <= touched:
-        assert contracted.rep == subs[0].rep  # nothing contracted
+        assert contracted.vertex_reps == subs[0][0].vertex_reps  # nothing contracted
 
 
 def test_preselect_counterexample_ring():

@@ -3,13 +3,21 @@
 `perfbench/spans.py` wraps layer entry points by (module, attribute), and
 `Tracer.install` fails on a missing attribute. This loads that file as it
 is and checks every patch point, so a refactor that drops or renames one
-fails here, not only in the benchmark's own tests.
+fails here, not only in the benchmark's own tests. A traced decompose then
+checks the counters that read the patched calls' arguments.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+from leleec.cli import run_cli
+from leleec.decomposer import build_graphs, split_bridges, split_components
+from leleec.ilp_model import build_model_from_problem
+from leleec.layout_graph import Config
+from leleec.layout_io import emit_layout
+from leleec.synth import gen_synthetic
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -43,3 +51,33 @@ def test_install_then_uninstall_restores_originals():
     finally:
         tracer.uninstall()
     assert all(getattr(m, a) is f for (m, a), f in zip(points, before))
+
+
+def test_traced_decompose_counts_the_pieces_and_models(tmp_path):
+    """The counters read the patched calls' arguments and results; a changed
+    argument shape must fail here, not only skew the benchmark's counts."""
+    feats, cfg = gen_synthetic("clique4_array", 3, 0, Config.from_rules(10, 10))
+    layout = tmp_path / "motif.json"
+    emit_layout(feats, cfg, layout)
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert run_cli(["decompose", str(layout), "--out", str(tmp_path / "res.json")]) == 0
+    finally:
+        tracer.uninstall()
+
+    lg, eg = build_graphs(feats, cfg)
+    pieces = [
+        (piece, comp_eg)
+        for comp, comp_eg in split_components(lg, eg)
+        for piece in split_bridges(comp, comp_eg)[0]
+    ]
+    models = [
+        build_model_from_problem(piece, comp_eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha)
+        for piece, comp_eg in pieces
+    ]
+    assert len(pieces) == 3
+    assert tracer.counts["decomposer.pieces"] == len(pieces)
+    assert tracer.counts["decomposer.largest_piece"] == max(len(p.vertex_reps) for p, _ in pieces)
+    assert tracer.counts["ilp_model.vars"] == sum(m.num_vars for m in models)
