@@ -50,6 +50,17 @@ class _UsageError(Exception):
     pass
 
 
+def _time_limit(text: str) -> float:
+    """argparse type for --time-limit: a finite number of seconds, >= 0."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = float("nan")
+    if not 0.0 <= seconds < float("inf"):  # false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return seconds
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="leleec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,23 +68,17 @@ def _build_parser() -> _Parser:
     p_dec = sub.add_parser("decompose", help="two masks + trim-cut decomposition")
     p_dec.add_argument("layout", help="layout file (JSON, format 1)")
     p_dec.add_argument("--no-stitch", action="store_true", help="disable stitch insertion")
-    p_dec.add_argument(
-        "--preselect",
-        action="store_true",
-        help="enable end-cut pre-selection (off by default; can cost optimality)",
-    )
-    p_dec.add_argument("--no-bridges", action="store_true", help="disable bridge splitting")
     p_dec.add_argument("--alpha", type=str, default=None, help="stitch weight (exact decimal)")
     p_dec.add_argument("--svg", type=str, default=None, help="write an SVG rendering")
     p_dec.add_argument("--lp-dump", type=str, default=None, help="write the whole-layout model as LP text")
-    p_dec.add_argument("--time-limit", type=float, default=None, help="seconds")
+    p_dec.add_argument("--time-limit", type=_time_limit, default=None, help="seconds")
     p_dec.add_argument("--out", type=str, default=None, help="result file (default stdout)")
     p_dec.add_argument("--report", choices=("json", "text"), default="json")
 
     p_base = sub.add_parser("baseline-lelele", help="three-mask coloring baseline")
     p_base.add_argument("layout")
     p_base.add_argument("--svg", type=str, default=None)
-    p_base.add_argument("--time-limit", type=float, default=None)
+    p_base.add_argument("--time-limit", type=_time_limit, default=None)
     p_base.add_argument("--out", type=str, default=None)
     p_base.add_argument("--report", choices=("json", "text"), default="json")
 
@@ -101,13 +106,7 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_decompose(args) -> int:
     features, cfg = parse_layout(args.layout)
     alpha = parse_frac(args.alpha, "--alpha") if args.alpha is not None else cfg.alpha
-    cfg = replace(
-        cfg,
-        alpha=alpha,
-        enable_stitch=not args.no_stitch,
-        enable_preselect=args.preselect,
-        enable_bridges=not args.no_bridges,
-    )
+    cfg = replace(cfg, alpha=alpha, enable_stitch=not args.no_stitch)
     lg, eg = build_graphs(features, cfg)
     result = decompose_graphs(lg, eg, cfg, time_limit=args.time_limit)
 
@@ -150,7 +149,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_baseline(args) -> int:
     features, cfg = parse_layout(args.layout)
-    cfg = replace(cfg, enable_stitch=False, enable_preselect=False, enable_bridges=False)
+    cfg = replace(cfg, enable_stitch=False)
     lg = build_conflict_edges(features, cfg)
     model = build_lelele_baseline(lg)
     try:

@@ -1,17 +1,11 @@
 """Pipeline orchestration and optimality-preserving problem decomposition.
 
-Speedups, in order: independent components of the union graph (conflict,
-stitch and end-cut coupling edges), optional end-cut pre-selection (vertex
-contraction of zero-exclusion candidates), and clean-bridge splitting. A
-clean bridge is a conflict edge that is a bridge of the union multigraph and
-carries no candidate; after solving both sides, the smaller side's colors
-are flipped when the bridge endpoints collide (color-flip symmetry keeps
-each side's cost).
-
-Pre-selection contracts color variables only; every original conflict edge
-keeps its own conflict/cut variables, so charged costs always refer to real
-edges. Contraction can still cost optimality by flipping conflict-cycle
-parity, which is why it defaults off.
+There is one exact path: independent components of the union graph
+(conflict, stitch and end-cut coupling edges), then clean-bridge splitting,
+then one model per piece. A clean bridge is a conflict edge that is a bridge
+of the union multigraph and carries no candidate; after solving both sides,
+the smaller side's colors are flipped when the bridge endpoints collide
+(color-flip symmetry keeps each side's cost).
 
 Components and pieces are `ilp_model.ProblemGraph`s, the type the model
 builder reads. The work per layout stays linear in its edges: conflict and
@@ -19,8 +13,8 @@ stitch edges are bucketed by component, and by piece after a bridge split,
 in one pass each. `split_components` hands every component its own slice
 of the end-cut graph in the same pass: the same nodes, but only its own
 solid and dash edges, which is exact because coupling edges joined the
-components. Pre-selection, the bridge search and the piece models read the
-slice; the trim-rect merge and the result checker read the full graph.
+components. The bridge search and the piece models read the slice; the
+trim-rect merge and the result checker read the full graph.
 
 `result_problems` is the one result checker: `validate_result` raises on
 its findings, and `layout_io.verify_result` reports them for a file.
@@ -103,8 +97,8 @@ def split_components(
     candidates are annotated in that component. Coupling edges joined the
     components, so an edge between two annotated candidates never spans two
     of them; an edge with one unannotated candidate goes with the other one.
-    Every model, bridge search and pre-selection over a piece of a
-    component reads the same edges from its slice as from eg.
+    Every model and bridge search over a piece of a component reads the
+    same edges from its slice as from eg.
     """
     uf = _UnionFind([s.id for s in lg.vertices])
     for u, v in lg.conflict_edges:
@@ -123,7 +117,7 @@ def split_components(
         if root not in comps:
             comps[root] = ProblemGraph()
             slices[root] = EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set())
-        comps[root].vertex_reps[s.id] = s.id
+        comps[root].vertex_reps.add(s.id)
     for e, cand in lg.conflict_edges.items():
         comps[uf.find(e[0])].conflict_edges[e] = cand
     for e in lg.stitch_edges:
@@ -137,36 +131,6 @@ def split_components(
         if anchor is not None:
             slices[uf.find(anchor[0])].dash_edges.add((p, q))
     return [(comps[root], slices[root]) for root in sorted(comps)]
-
-
-def preselect_endcuts(pg: ProblemGraph, eg: EndCutGraph) -> ProblemGraph:
-    """Contract the endpoints of every candidate with zero solid exclusions.
-
-    The candidate itself stays in the model (its selection becomes free and
-    is forced by the now-internal conflict edge), so reported cuts and costs
-    come from the solve itself.
-    """
-    solid_touch: set[int] = set()
-    for p, q in eg.solid_edges:
-        solid_touch.add(p)
-        solid_touch.add(q)
-
-    uf = _UnionFind(pg.vertex_reps)
-    for (u, v), cand in pg.conflict_edges.items():
-        if cand is not None and cand not in solid_touch:
-            uf.union(u, v)
-    return ProblemGraph(
-        vertex_reps={v: uf.find(r) for v, r in pg.vertex_reps.items()},
-        conflict_edges=pg.conflict_edges,
-        stitch_edges=pg.stitch_edges,
-    )
-
-
-def _rep_edge(pg: ProblemGraph, e: EdgeKey) -> EdgeKey | None:
-    a, b = pg.vertex_reps[e[0]], pg.vertex_reps[e[1]]
-    if a == b:
-        return None
-    return (a, b) if a < b else (b, a)
 
 
 def find_bridges(vertices: list[int], edges: list[tuple[int, int]]) -> list[int]:
@@ -209,69 +173,55 @@ def find_bridges(vertices: list[int], edges: list[tuple[int, int]]) -> list[int]
 def split_bridges(
     pg: ProblemGraph, eg: EndCutGraph
 ) -> tuple[list[ProblemGraph], list[EdgeKey]]:
-    """Cut clean bridges; returns (pieces, cut bridge edges in original keys).
+    """Cut clean bridges; returns (pieces, cut bridge edges).
 
-    The bridge search runs on the representative-level union multigraph of
-    conflict, stitch and end-cut coupling edges, so a conflict edge that is
-    paralleled by a stitch path or an end-cut relation is never cut.
+    The bridge search runs on the union multigraph of conflict, stitch and
+    end-cut coupling edges, so a conflict edge that is paralleled by a stitch
+    path or an end-cut relation is never cut.
     """
-    rep = pg.vertex_reps
-    reps = sorted(set(rep.values()))
-    edge_list: list[tuple[int, int]] = []
-    origin: list[EdgeKey | None] = []  # original CE key, None for SE/coupling edges
-    for e in sorted(pg.conflict_edges):
-        re = _rep_edge(pg, e)
-        if re is not None:
-            edge_list.append(re)
-            origin.append(e)
-    for e in sorted(pg.stitch_edges):
-        re = _rep_edge(pg, e)
-        if re is not None:
-            edge_list.append(re)
-            origin.append(None)
-
+    conflict_keys = sorted(pg.conflict_edges)
+    edge_list: list[EdgeKey] = conflict_keys + sorted(pg.stitch_edges)
     cand_anchor: dict[int, EdgeKey] = {}
     for e, cand in pg.conflict_edges.items():
         if cand is not None:
             cand_anchor[cand] = e
     for p, q in sorted(eg.solid_edges | eg.dash_edges):
         if p in cand_anchor and q in cand_anchor:
-            ra = _rep_edge(pg, cand_anchor[p])
-            rb = _rep_edge(pg, cand_anchor[q])
-            a = rep[cand_anchor[p][0]] if ra is None else ra[0]
-            b = rep[cand_anchor[q][0]] if rb is None else rb[0]
+            a, b = cand_anchor[p][0], cand_anchor[q][0]
             if a != b:
                 edge_list.append((a, b) if a < b else (b, a))
-                origin.append(None)
 
-    clean: list[tuple[int, EdgeKey]] = []
-    for idx in find_bridges(reps, edge_list):
-        orig = origin[idx]
-        if orig is not None and pg.conflict_edges[orig] is None:
-            clean.append((idx, orig))
+    # edge_list starts with the conflict edges, so an index below their count
+    # is a conflict edge; a clean one carries no candidate
+    clean = [
+        idx
+        for idx in find_bridges(sorted(pg.vertex_reps), edge_list)
+        if idx < len(conflict_keys) and pg.conflict_edges[conflict_keys[idx]] is None
+    ]
     if not clean:
         return [pg], []
 
-    cut_idx = {idx for idx, _ in clean}
-    uf = _UnionFind(reps)
+    cut_idx = set(clean)
+    uf = _UnionFind(pg.vertex_reps)
     for idx, (u, v) in enumerate(edge_list):
         if idx not in cut_idx:
             uf.union(u, v)
     # a conflict edge that is not a cut bridge, and every stitch edge, joins
     # vertices of one group
     groups: dict[int, ProblemGraph] = {}
-    for v in sorted(rep):
-        root = uf.find(rep[v])
+    for v in sorted(pg.vertex_reps):
+        root = uf.find(v)
         if root not in groups:
             groups[root] = ProblemGraph()
-        groups[root].vertex_reps[v] = rep[v]
-    bridge_keys = {orig for _, orig in clean}
+        groups[root].vertex_reps.add(v)
+    bridge_keys = [conflict_keys[idx] for idx in clean]
+    cut = set(bridge_keys)
     for e, cand in pg.conflict_edges.items():
-        if e not in bridge_keys:
-            groups[uf.find(rep[e[0]])].conflict_edges[e] = cand
+        if e not in cut:
+            groups[uf.find(e[0])].conflict_edges[e] = cand
     for e in pg.stitch_edges:
-        groups[uf.find(rep[e[0]])].stitch_edges.add(e)
-    return [groups[root] for root in sorted(groups)], sorted(bridge_keys)
+        groups[uf.find(e[0])].stitch_edges.add(e)
+    return [groups[root] for root in sorted(groups)], bridge_keys
 
 
 @dataclass
@@ -302,7 +252,7 @@ def _solve_piece(
     d = decode_assignment(model, assignment)
     return PieceOutcome(
         piece=piece,
-        colors={v: d.rep_colors[r] for v, r in piece.vertex_reps.items()},
+        colors=d.colors,
         selected=d.selected,
         conflicts=d.conflicts,
         stitches=d.stitches,
@@ -361,12 +311,7 @@ def decompose_graphs(
     outcomes: list[PieceOutcome] = []
     sub_count = 0
     for comp, comp_eg in split_components(g, eg):
-        if cfg.enable_preselect:
-            comp = preselect_endcuts(comp, comp_eg)
-        if cfg.enable_bridges:
-            pieces, bridges = split_bridges(comp, comp_eg)
-        else:
-            pieces, bridges = [comp], []
+        pieces, bridges = split_bridges(comp, comp_eg)
         solved = []
         for piece in pieces:
             remaining = None

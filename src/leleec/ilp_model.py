@@ -61,7 +61,6 @@ class IlpModel:
     objective: dict[int, Fraction] = field(default_factory=dict)
     constraints: list[Constraint] = field(default_factory=list)
     alpha: Fraction = Fraction(0)
-    problem: "ProblemGraph | None" = None
     # complementing every colour bit maps feasible assignments to feasible
     # ones of equal cost; the solver then searches one half (see solver)
     flip_symmetric: bool = False
@@ -168,13 +167,12 @@ def frac_str(x: Fraction) -> str:
 class ProblemGraph:
     """The layout problem, or one independent piece of it, as a model sees it.
 
-    vertex_reps maps every vertex to its color-variable representative
-    (identity until pre-selection contracts vertices). Conflict edges keep
-    their original keys and map to the candidate id annotated on them, or to
-    None.
+    vertex_reps is the set of the piece's vertex ids, one color variable
+    each (the name is kept because perfbench/spans.py reads its length).
+    Conflict edges map to the candidate id annotated on them, or to None.
     """
 
-    vertex_reps: dict[int, int] = field(default_factory=dict)
+    vertex_reps: set[int] = field(default_factory=set)
     conflict_edges: dict[EdgeKey, int | None] = field(default_factory=dict)
     stitch_edges: set[EdgeKey] = field(default_factory=set)
 
@@ -185,7 +183,7 @@ class ProblemGraph:
             if cand is not None and (cand >= len(eg.nodes) or eg.nodes[cand].id != cand):
                 raise InconsistentAnnotation(f"edge {e} references unknown candidate {cand}")
         return ProblemGraph(
-            vertex_reps={s.id: s.id for s in lg.vertices},
+            vertex_reps={s.id for s in lg.vertices},
             conflict_edges=dict(lg.conflict_edges),
             stitch_edges=set(lg.stitch_edges),
         )
@@ -200,12 +198,10 @@ def build_model_from_problem(
     alpha: Fraction = Fraction(1, 10),
 ) -> IlpModel:
     m = IlpModel(alpha=alpha if with_stitch else Fraction(0), flip_symmetric=True)
-    m.problem = pg
     dash = eg.dash_edges
-    rep = pg.vertex_reps
 
-    for r in sorted(set(rep.values())):
-        m.add_var(f"x_{r}", "color", (r,))
+    for v in sorted(pg.vertex_reps):
+        m.add_var(f"x_{v}", "color", (v,))
 
     edge_list = sorted(pg.conflict_edges)
     for u, v in edge_list:
@@ -214,10 +210,8 @@ def build_model_from_problem(
             m.add_var(f"ec_{cid}", "endcut", (cid,))
 
     # a conflict between u and v is forgiven only when cuts to one common
-    # neighbor w merge u, w and v into a single printed shape; sharing a mask
-    # through contraction is not enough, so triangles are taken over the
-    # original vertices
-    adjacency: dict[int, set[int]] = {v: set() for v in rep}
+    # neighbor w merge u, w and v into a single printed shape
+    adjacency: dict[int, set[int]] = {v: set() for v in pg.vertex_reps}
     for u, v in edge_list:
         adjacency[u].add(v)
         adjacency[v].add(u)
@@ -243,8 +237,8 @@ def build_model_from_problem(
             m.add_var(f"s_{u}_{v}", "stitch", (u, v))
 
     for u, v in edge_list:
-        xu = m.var("color", (rep[u],))
-        xv = m.var("color", (rep[v],))
+        xu = m.var("color", (u,))
+        xv = m.var("color", (v,))
         c = m.var("conflict", (u, v))
         assert xu is not None and xv is not None and c is not None
         cid = pg.conflict_edges[(u, v)]
@@ -252,7 +246,7 @@ def build_model_from_problem(
         relax = ([] if e is None else [(e, -1)]) + [(g, -1) for g in gammas[(u, v)]]
         m.add_constraint(f"same_{u}_{v}", [(xu, 1), (xv, 1), (c, -1)] + relax, 1)
         m.add_constraint(f"diff_{u}_{v}", [(xu, -1), (xv, -1), (c, -1)] + relax, -1)
-        if e is not None and xu != xv:
+        if e is not None:
             m.add_constraint(f"cut_lo_{cid}", [(e, 1), (xu, 1), (xv, -1)], 1)
             m.add_constraint(f"cut_hi_{cid}", [(e, 1), (xv, 1), (xu, -1)], 1)
 
@@ -280,13 +274,12 @@ def build_model_from_problem(
         m.objective[c] = Fraction(1)
     if with_stitch:
         for u, v in sorted(pg.stitch_edges):
-            xu = m.var("color", (rep[u],))
-            xv = m.var("color", (rep[v],))
+            xu = m.var("color", (u,))
+            xv = m.var("color", (v,))
             s = m.var("stitch", (u, v))
             assert xu is not None and xv is not None and s is not None
-            if xu != xv:
-                m.add_constraint(f"st_lo_{u}_{v}", [(xu, 1), (xv, -1), (s, -1)], 0)
-                m.add_constraint(f"st_hi_{u}_{v}", [(xv, 1), (xu, -1), (s, -1)], 0)
+            m.add_constraint(f"st_lo_{u}_{v}", [(xu, 1), (xv, -1), (s, -1)], 0)
+            m.add_constraint(f"st_hi_{u}_{v}", [(xv, 1), (xu, -1), (s, -1)], 0)
             m.objective[s] = alpha
     return m
 
@@ -397,7 +390,7 @@ def merged_trim_rects(selected: set[int], eg: EndCutGraph) -> list[Rect]:
 class Decoded:
     """The layout meaning of a leleec model assignment."""
 
-    rep_colors: dict[int, int]  # color-variable representative -> 0/1
+    colors: dict[int, int]  # vertex -> 0/1
     selected: set[int]  # selected end-cut candidate ids
     conflicts: list[EdgeKey]  # charged conflict edges, sorted
     stitches: list[EdgeKey]  # active stitch edges, sorted
@@ -405,11 +398,11 @@ class Decoded:
 
 def decode_assignment(model: IlpModel, assignment: list[int]) -> Decoded:
     """Read colors, selected cuts, charged conflicts and stitches off an assignment."""
-    d = Decoded(rep_colors={}, selected=set(), conflicts=[], stitches=[])
+    d = Decoded(colors={}, selected=set(), conflicts=[], stitches=[])
     for vid, var in enumerate(model.variables):
         val = assignment[vid]
         if var.kind == "color":
-            d.rep_colors[var.key[0]] = val
+            d.colors[var.key[0]] = val
         elif var.kind == "endcut" and val:
             d.selected.add(var.key[0])
         elif var.kind == "conflict" and val:
@@ -431,12 +424,8 @@ def extract_result(
     """
     model.check_assignment(assignment)
     d = decode_assignment(model, assignment)
-    if model.problem is not None:
-        colors = {v: d.rep_colors[r] for v, r in sorted(model.problem.vertex_reps.items())}
-    else:
-        colors = d.rep_colors
     result = DecompResult(
-        colors=colors,
+        colors=d.colors,
         selected_cuts=d.selected,
         trim_rects=merged_trim_rects(d.selected, eg),
         conflicts=d.conflicts,

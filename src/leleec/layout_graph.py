@@ -41,7 +41,7 @@ class DuplicateCandidate(LayoutError):
 
 @dataclass(frozen=True)
 class Config:
-    """Design rules and knobs, distances in integer nm.
+    """Design rules, stitch switch and stitch weight; distances in integer nm.
 
     dis_m defaults to 2*w_min + 3*s_min; w_th and dis_c default to dis_m;
     merge_gap defaults to s_min; alpha defaults to 1/10.
@@ -55,11 +55,6 @@ class Config:
     alpha: Fraction = Fraction(1, 10)
     merge_gap: int = 0
     enable_stitch: bool = True
-    # Pre-selection is off by default: vertex contraction can flip the parity
-    # of conflict cycles through the contracted edge and cost optimality
-    # (see tests/test_decomposer.py::test_preselect_counterexample_ring).
-    enable_preselect: bool = False
-    enable_bridges: bool = True
 
     def __post_init__(self) -> None:
         for name in ("w_min", "s_min", "dis_m", "dis_c", "w_th", "merge_gap"):
@@ -80,8 +75,6 @@ class Config:
         alpha: Fraction | None = None,
         merge_gap: int | None = None,
         enable_stitch: bool = True,
-        enable_preselect: bool = False,
-        enable_bridges: bool = True,
     ) -> "Config":
         dm = dis_m if dis_m is not None else 2 * w_min + 3 * s_min
         return Config(
@@ -93,8 +86,6 @@ class Config:
             alpha=alpha if alpha is not None else Fraction(1, 10),
             merge_gap=merge_gap if merge_gap is not None else s_min,
             enable_stitch=enable_stitch,
-            enable_preselect=enable_preselect,
-            enable_bridges=enable_bridges,
         )
 
 

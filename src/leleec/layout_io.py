@@ -186,8 +186,10 @@ def config_to_obj(cfg: Config) -> dict:
         "alpha": frac_str(cfg.alpha),
         "merge_gap": cfg.merge_gap,
         "enable_stitch": cfg.enable_stitch,
-        "enable_preselect": cfg.enable_preselect,
-        "enable_bridges": cfg.enable_bridges,
+        # constant echoes of removed options, kept so result files stay
+        # byte-identical; config_from_obj ignores them
+        "enable_preselect": False,
+        "enable_bridges": True,
     }
 
 
@@ -204,8 +206,6 @@ def config_from_obj(obj: Any, where: str = "config") -> Config:
             alpha=parse_frac(obj.get("alpha"), f"{where}: alpha"),
             merge_gap=_expect_int(obj.get("merge_gap"), f"{where}: merge_gap"),
             enable_stitch=bool(obj.get("enable_stitch", True)),
-            enable_preselect=bool(obj.get("enable_preselect", False)),
-            enable_bridges=bool(obj.get("enable_bridges", True)),
         )
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
@@ -248,7 +248,7 @@ def baseline_result_to_obj(
     return {
         "format": FORMAT_VERSION,
         "mode": "lelele",
-        "config": config_to_obj(cfg),
+        "config": {**config_to_obj(cfg), "enable_bridges": False},
         "colors": {str(v): colors[v] + 1 for v in sorted(colors)},
         "conflicts": [list(e) for e in sorted(conflicts)],
         "cost": frac_str(cost),
@@ -294,9 +294,13 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
         return ["colors: must be an object"]
     colors: dict[int, int] = {}
     for k, val in raw_colors.items():
+        # only the canonical decimal form: "01" or " 1" would name vertex 1
+        # a second time
         try:
             vid = int(k)
         except ValueError:
+            vid = -1
+        if vid < 0 or k != str(vid):
             return [f"colors: bad vertex id {k!r}"]
         if not _is_int(val) or val not in (1, 2):
             return [f"colors: vertex {k} has mask {val!r}, expected 1 or 2"]

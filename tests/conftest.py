@@ -64,8 +64,9 @@ def stitch_ring() -> tuple[list[Feature], Config]:
 def preselect_ring() -> tuple[list[Feature], Config]:
     """Even 8-ring whose only candidate sits on one ring edge.
 
-    Contracting that edge turns the ring odd: pre-selection costs one
-    conflict that the plain solve avoids.
+    Contracting that edge turns the ring odd, so the end-cut pre-selection
+    that leleec once had (it contracted such edges) cost one conflict here
+    that the exact solve avoids.
     """
     cfg = Config.from_rules(10, 10, enable_stitch=False)
     feats = make_features(

@@ -183,7 +183,6 @@ def test_criterion_4_speedup_optimality():
     start = time.monotonic()
     checked = 0
     mismatches = 0
-    preselect_mismatches = 0
     seed = 0
     while checked < 200:
         seed += 1
@@ -196,36 +195,17 @@ def test_criterion_4_speedup_optimality():
         mono, _ = solve_monolithic(feats, cfg)
         if fast.cost != mono.cost:
             mismatches += 1
-        cfg_pre = Config.from_rules(
-            10, 10, w_th=cfg.w_th, enable_stitch=cfg.enable_stitch, enable_preselect=True
-        )
-        if decompose(feats, cfg_pre).cost != mono.cost:
-            preselect_mismatches += 1
         checked += 1
-    # the documented pre-selection counterexample: even ring turned odd
+    # the even ring that the removed end-cut pre-selection turned odd
     feats, cfg = preselect_ring()
-    ring_off = decompose(feats, cfg).cost
-    ring_on = decompose(
-        feats, Config.from_rules(10, 10, enable_stitch=False, enable_preselect=True)
-    ).cost
+    ring = decompose(feats, cfg).cost
     elapsed = time.monotonic() - start
-    print(
-        f"finding: pre-selection broke optimality on {preselect_mismatches} of {checked} "
-        f"random instances and on the 8-ring (cost {ring_on} vs {ring_off}); "
-        f"enable_preselect therefore defaults to off"
-    )
-    ok = (
-        checked >= 200
-        and mismatches == 0
-        and ring_off == 0
-        and ring_on == 1
-        and elapsed < 120.0
-    )
+    ok = checked >= 200 and mismatches == 0 and ring == 0 and elapsed < 120.0
     _report(
         4,
         ok,
-        f"components+bridges preserved optimality on {checked}/{checked} instances "
-        f"in {elapsed:.1f}s (pre-selection finding reported above)",
+        f"components+bridges preserved optimality on {checked - mismatches}/{checked} "
+        f"instances and the 8-ring costs {ring}, in {elapsed:.1f}s",
     )
 
 

@@ -80,6 +80,18 @@ def _set_mask(value):
     return edit
 
 
+def _respell_vertex_1(*spellings):
+    """Replace key "1" by other spellings of vertex 1, the last with its mask."""
+
+    def edit(res):
+        mask = res["colors"].pop("1")
+        for key in spellings[:-1]:
+            res["colors"][key] = 3 - mask
+        res["colors"][spellings[-1]] = mask
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, expected",
     [
@@ -91,6 +103,9 @@ def _set_mask(value):
         (_add_cut(-1), "selected_cuts: unknown candidate id -1"),
         (_add_cut(True), "selected_cuts: candidate id True is not an integer"),
         (_set_mask(True), "has mask True, expected 1 or 2"),
+        # vertex 1 on both masks; int() alone reads both keys as 1
+        (_respell_vertex_1("01", " 1"), "colors: bad vertex id '01'"),
+        (_respell_vertex_1("1", "-1"), "colors: bad vertex id '-1'"),
     ],
 )
 def test_verify_reports_malformed_result_input(tmp_path, capsys, edit, expected):
@@ -170,9 +185,19 @@ def test_baseline_time_limit_writes_one_mask_incumbent(tmp_path, capsys):
     assert res["stats"]["proven_optimal"] is False
 
 
-def test_no_preselect_flag_is_gone(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--no-preselect", "--preselect", "--no-bridges"])
+def test_no_preselect_flag_is_gone(tmp_path, capsys, flag):
     layout = _motif_file(tmp_path)
-    assert run_cli(["decompose", str(layout), "--no-preselect"]) == 1
+    assert run_cli(["decompose", str(layout), flag]) == 1
+
+
+@pytest.mark.parametrize("command", ["decompose", "baseline-lelele"])
+@pytest.mark.parametrize("limit", ["nan", "inf", "-1", "-0.5"])
+def test_time_limit_must_be_finite_and_non_negative(tmp_path, capsys, command, limit):
+    layout = _motif_file(tmp_path)
+    out = tmp_path / "r.json"
+    assert run_cli([command, str(layout), "--time-limit", limit, "--out", str(out)]) == 1
+    assert "--time-limit" in capsys.readouterr().err and not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -6,7 +6,6 @@ from fractions import Fraction
 from leleec.decomposer import (
     build_graphs,
     decompose,
-    preselect_endcuts,
     solve_monolithic,
     split_bridges,
     split_components,
@@ -17,7 +16,6 @@ from leleec.layout_graph import Config
 from leleec.synth import gen_synthetic
 
 from conftest import (
-    clique4_motif,
     gamma_quad,
     make_features,
     preselect_ring,
@@ -130,57 +128,40 @@ def test_sliced_endcut_graph_builds_the_full_graph_models():
         for comp, comp_eg in zip(comps, slices):
             assert comp_eg.nodes is eg.nodes
             sliced_away += len(eg.solid_edges) - len(comp_eg.solid_edges)
-            pre = preselect_endcuts(comp, comp_eg)
-            assert pre == preselect_endcuts(comp, eg)
-            for sub in (comp, pre):
-                pieces, bridges = split_bridges(sub, comp_eg)
-                assert (pieces, bridges) == split_bridges(sub, eg)
-                # the pieces partition the component's vertices, and each of
-                # its conflict edges is in exactly one piece or is a cut bridge
-                assert sorted(v for p in pieces for v in p.vertex_reps) == sorted(sub.vertex_reps)
-                placed = [e for p in pieces for e in p.conflict_edges] + bridges
-                assert sorted(placed) == sorted(sub.conflict_edges)
-                cut_bridges += len(bridges)
-                for piece in pieces:
-                    kw = dict(with_stitch=cfg.enable_stitch, alpha=cfg.alpha)
-                    m_slice = build_model_from_problem(piece, comp_eg, **kw)
-                    m_full = build_model_from_problem(piece, eg, **kw)
-                    assert m_slice.variables == m_full.variables
-                    assert m_slice.constraints == m_full.constraints
-                    assert m_slice.objective == m_full.objective
+            pieces, bridges = split_bridges(comp, comp_eg)
+            assert (pieces, bridges) == split_bridges(comp, eg)
+            # the pieces partition the component's vertices, and each of its
+            # conflict edges is in exactly one piece or is a cut bridge
+            assert sorted(v for p in pieces for v in p.vertex_reps) == sorted(comp.vertex_reps)
+            placed = [e for p in pieces for e in p.conflict_edges] + bridges
+            assert sorted(placed) == sorted(comp.conflict_edges)
+            cut_bridges += len(bridges)
+            for piece in pieces:
+                kw = dict(with_stitch=cfg.enable_stitch, alpha=cfg.alpha)
+                m_slice = build_model_from_problem(piece, comp_eg, **kw)
+                m_full = build_model_from_problem(piece, eg, **kw)
+                assert m_slice.variables == m_full.variables
+                assert m_slice.constraints == m_full.constraints
+                assert m_slice.objective == m_full.objective
     assert sliced_away > 0 and cut_bridges > 0
 
 
-# ---- pre-selection
+# ---- single-candidate layouts
 
 
 def test_isolated_pair_contracts_to_zero_cost():
-    cfg = Config.from_rules(10, 10, w_th=10, enable_stitch=False, enable_preselect=True)
+    """A lone candidate-annotated pair costs nothing: its one cut is selected."""
+    cfg = Config.from_rules(10, 10, w_th=10, enable_stitch=False)
     feats = make_features([(0, 0, 10, 60)], [(30, 0, 40, 60)])
-    lg, eg = build_graphs(feats, cfg)
-    subs = split_components(lg, eg)
-    contracted = preselect_endcuts(subs[0][0], eg)
-    assert len(set(contracted.vertex_reps.values())) == 1
     res = decompose(feats, cfg)
     assert res.cost == 0 and res.selected_cuts == {0}
 
 
-def test_candidate_with_solid_partner_not_preselected():
-    feats, cfg = clique4_motif()
-    lg, eg = build_graphs(feats, cfg)
-    assert eg.solid_edges  # every candidate has at least one exclusion here
-    subs = split_components(lg, eg)
-    touched = {c for e in eg.solid_edges for c in e}
-    contracted = preselect_endcuts(subs[0][0], eg)
-    if set(c.id for c in eg.nodes) <= touched:
-        assert contracted.vertex_reps == subs[0][0].vertex_reps  # nothing contracted
-
-
 def test_preselect_counterexample_ring():
-    """Contracting the only candidate's edge flips the 8-ring parity.
+    """The even 8-ring whose only candidate sits on one ring edge costs 0.
 
-    This is the documented finding behind enable_preselect defaulting to
-    off: pre-selection is not optimality-preserving in general.
+    Contracting that edge, as the removed pre-selection did, turned the ring
+    odd and cost one conflict.
     """
     feats, cfg = preselect_ring()
     lg, eg = build_graphs(feats, cfg)
@@ -188,25 +169,8 @@ def test_preselect_counterexample_ring():
     assert len(ring_edges) == 8 and len(eg.nodes) == 1
     assert eg.solid_edges == set()
 
-    res_off = decompose(feats, cfg)
-    assert res_off.cost == 0
-
-    cfg_on = Config.from_rules(10, 10, enable_stitch=False, enable_preselect=True)
-    res_on = decompose(feats, cfg_on)
-    assert res_on.cost == 1  # strictly worse than the true optimum
-
-
-def test_preselect_never_beats_optimum():
-    for seed in range(40):
-        rng = random.Random(9000 + seed)
-        feats = random_layout(rng, rng.randrange(2, 8), box=200)
-        if not feats:
-            continue
-        cfg_on = Config.from_rules(10, 10, w_th=10, enable_stitch=False, enable_preselect=True)
-        cfg_off = Config.from_rules(10, 10, w_th=10, enable_stitch=False)
-        res_on = decompose(feats, cfg_on)
-        res_off = decompose(feats, cfg_off)
-        assert res_on.cost >= res_off.cost
+    res = decompose(feats, cfg)
+    assert res.cost == 0
 
 
 # ---- whole pipeline

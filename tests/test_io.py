@@ -11,6 +11,8 @@ from leleec.layout_graph import Config
 from leleec.layout_io import (
     ParseError,
     ValidationError,
+    baseline_result_to_obj,
+    config_from_obj,
     dump_json,
     emit_layout,
     frac_str,
@@ -125,6 +127,24 @@ def test_result_verifies_and_round_trips(tmp_path):
     back = json.loads(text, parse_float=Fraction)
     assert verify_result(feats, cfg, back) == []
     assert dump_json(back) == text
+
+
+def test_config_echo_keeps_removed_option_keys():
+    feats, cfg = clique4_motif()
+    lg, eg = build_graphs(feats, cfg)
+    res = decompose_graphs(lg, eg, cfg)
+    echoes = {
+        "decompose": result_to_obj(res, lg, eg, cfg)["config"],
+        "baseline": baseline_result_to_obj(res.colors, [], Fraction(0), {}, cfg)["config"],
+    }
+    keys = ["w_min", "s_min", "dis_m", "dis_c", "w_th", "alpha", "merge_gap",
+            "enable_stitch", "enable_preselect", "enable_bridges"]
+    for name, bridges in (("decompose", True), ("baseline", False)):
+        echo = echoes[name]
+        assert list(echo) == keys, name
+        assert echo["enable_preselect"] is False and echo["enable_bridges"] is bridges, name
+    # older files with other values of the removed keys still read
+    assert config_from_obj({**echoes["decompose"], "enable_preselect": True}) == cfg
 
 
 def test_verify_names_flipped_color(tmp_path):
