@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: decompose, baseline-lelele, gen, verify.
+Subcommands: decompose, baseline-lelele, gen, verify. Both solving
+subcommands run `decomposer`: decompose one model per piece, baseline-lelele
+one three-mask model per conflict component.
 Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
 3 time limit hit (decompose and baseline-lelele still write an incumbent
-result; a search with no incumbent in time falls back to one mask with every
-conflict charged).
+result; a piece or component with no incumbent in time falls back to one
+mask with every conflict charged).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .decomposer import build_graphs, decompose_graphs
+from .decomposer import build_graphs, decompose_graphs, lelele_baseline
 from .decomposer import validate_result  # noqa: F401 - perfbench/spans.py traces this name here
-from .ilp_model import ProblemGraph, baseline_colors, build_lelele_baseline, build_model_from_problem
+from .ilp_model import ProblemGraph, build_model_from_problem
 from .layout_graph import Config, LayoutError, build_conflict_edges
 from .layout_io import (
     ParseError,
@@ -30,7 +32,6 @@ from .layout_io import (
     result_to_obj,
     verify_result,
 )
-from .solver import TimeLimit, one_mask_incumbent, solve
 from .svg import emit_svg
 from .synth import KINDS, gen_synthetic
 
@@ -151,31 +152,15 @@ def _cmd_baseline(args) -> int:
     features, cfg = parse_layout(args.layout)
     cfg = replace(cfg, enable_stitch=False)
     lg = build_conflict_edges(features, cfg)
-    model = build_lelele_baseline(lg)
-    try:
-        assignment, stats = solve(model, args.time_limit)
-    except TimeLimit as exc:
-        assignment, stats = one_mask_incumbent(model, exc)
-    colors = baseline_colors(model, assignment)
-    conflicts = sorted(
-        var.key for vid, var in enumerate(model.variables) if var.kind == "conflict" and assignment[vid]
-    )
-    obj = baseline_result_to_obj(
-        colors,
-        conflicts,
-        stats.best_cost,
-        {"nodes_explored": stats.nodes_explored, "proven_optimal": stats.proven_optimal},
-        cfg,
-    )
+    result = lelele_baseline(lg, args.time_limit)
+
     if args.svg:
-        emit_svg(lg, {v: c + 1 for v, c in colors.items()}, [], conflicts, args.svg)
+        emit_svg(lg, {v: c + 1 for v, c in result.colors.items()}, [], result.conflicts, args.svg)
     if args.report == "json":
-        _write_out(dump_json(obj), args.out)
+        _write_out(dump_json(baseline_result_to_obj(result, cfg)), args.out)
     else:
-        _write_out(
-            f"cost: {frac_str(stats.best_cost)}\nconflicts: {len(conflicts)}\n", args.out
-        )
-    return EXIT_OK if stats.proven_optimal else EXIT_TIME_LIMIT
+        _write_out(f"cost: {frac_str(result.cost)}\nconflicts: {len(result.conflicts)}\n", args.out)
+    return EXIT_OK if result.stats["proven_optimal"] else EXIT_TIME_LIMIT
 
 
 def _cmd_gen(args) -> int:

@@ -19,6 +19,10 @@ trim-rect merge and the result checker read the full graph.
 `result_problems` is the one result checker: `validate_result` raises on
 its findings, and `layout_io.verify_result` reports them for a file.
 
+`lelele_baseline` runs the three-mask baseline through the same component
+split (with an empty end-cut graph), per-piece solve and merge, without the
+bridge split, whose recombination is a two-mask color flip.
+
 Under a time limit a piece keeps the solver's incumbent. A piece whose
 search ends before its first leaf takes the one-mask assignment instead
 (no cut, merge or stitch, every conflict charged), which every model
@@ -34,8 +38,10 @@ from fractions import Fraction
 from .endcut import EndCutGraph, generate_candidates, build_endcut_graph
 from .ilp_model import (
     DecompResult,
+    Decoded,
     IlpModel,
     ProblemGraph,
+    build_lelele_baseline,
     build_model_from_problem,
     decode_assignment,
     extract_result,
@@ -227,38 +233,22 @@ def split_bridges(
 @dataclass
 class PieceOutcome:
     piece: ProblemGraph
-    colors: dict[int, int]  # original vertex -> 0/1
-    selected: set[int]
-    conflicts: list[EdgeKey]
-    stitches: list[EdgeKey]
-    cost: Fraction
+    decoded: Decoded
     stats: SolveStats
 
 
 def _solve_piece(
-    piece: ProblemGraph, eg: EndCutGraph, cfg: Config, time_limit: float | None
+    piece: ProblemGraph, model: IlpModel, start: float, time_limit: float | None
 ) -> PieceOutcome:
-    model = build_model_from_problem(
-        piece,
-        eg,
-        corrected=True,
-        with_stitch=cfg.enable_stitch,
-        alpha=cfg.alpha,
-    )
+    """Solve a piece's model in what is left of the time budget since `start`."""
+    remaining = None
+    if time_limit is not None:
+        remaining = max(0.0, time_limit - (time.monotonic() - start))
     try:
-        assignment, stats = solve(model, time_limit)
+        assignment, stats = solve(model, remaining)
     except TimeLimit as exc:
         assignment, stats = one_mask_incumbent(model, exc)
-    d = decode_assignment(model, assignment)
-    return PieceOutcome(
-        piece=piece,
-        colors=d.colors,
-        selected=d.selected,
-        conflicts=d.conflicts,
-        stitches=d.stitches,
-        cost=stats.best_cost,
-        stats=stats,
-    )
+    return PieceOutcome(piece, decode_assignment(model, assignment), stats)
 
 
 def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
@@ -273,7 +263,7 @@ def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
     }
     colors: dict[int, int] = {}
     for p in pieces:
-        colors.update(p.colors)
+        colors.update(p.decoded.colors)
 
     for u, v in bridges:
         gu, gv = uf.find(piece_of[u]), uf.find(piece_of[v])
@@ -290,7 +280,7 @@ def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
 
     for p in pieces:
         for v in p.piece.vertex_reps:
-            p.colors[v] = colors[v]
+            p.decoded.colors[v] = colors[v]
 
 
 def build_graphs(features: list[Feature], cfg: Config):
@@ -309,19 +299,37 @@ def decompose_graphs(
     """Decomposition core over already-built graphs; validated before return."""
     start = time.monotonic()
     outcomes: list[PieceOutcome] = []
-    sub_count = 0
     for comp, comp_eg in split_components(g, eg):
         pieces, bridges = split_bridges(comp, comp_eg)
         solved = []
         for piece in pieces:
-            remaining = None
-            if time_limit is not None:
-                remaining = max(0.0, time_limit - (time.monotonic() - start))
-            solved.append(_solve_piece(piece, comp_eg, cfg, remaining))
+            model = build_model_from_problem(
+                piece, comp_eg, corrected=True, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
+            )
+            solved.append(_solve_piece(piece, model, start, time_limit))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
-        sub_count += len(pieces)
+    return _merge_outcomes(outcomes, g, eg, cfg.alpha if cfg.enable_stitch else Fraction(0))
 
+
+def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompResult:
+    """Three-mask coloring (colors 0/1/2) of a conflict graph, one model per component.
+
+    No bridge split: its recombination flips one side between two masks.
+    """
+    start = time.monotonic()
+    eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
+    outcomes = [
+        _solve_piece(comp, build_lelele_baseline(comp), start, time_limit)
+        for comp, _ in split_components(lg, eg)
+    ]
+    return _merge_outcomes(outcomes, lg, eg, Fraction(0))
+
+
+def _merge_outcomes(
+    outcomes: list[PieceOutcome], g: LayoutGraph, eg: EndCutGraph, alpha: Fraction
+) -> DecompResult:
+    """One result from the pieces' outcomes; its cost and rules are checked."""
     colors: dict[int, int] = {}
     selected: set[int] = set()
     conflicts: list[EdgeKey] = []
@@ -331,23 +339,22 @@ def decompose_graphs(
     proven = True
     per_sub = []
     for o in outcomes:
-        colors.update(o.colors)
-        selected |= o.selected
-        conflicts.extend(o.conflicts)
-        stitches.extend(o.stitches)
-        cost += o.cost
+        colors.update(o.decoded.colors)
+        selected |= o.decoded.selected
+        conflicts.extend(o.decoded.conflicts)
+        stitches.extend(o.decoded.stitches)
+        cost += o.stats.best_cost
         nodes += o.stats.nodes_explored
         proven = proven and o.stats.proven_optimal
         per_sub.append(
             {
                 "vertices": len(o.piece.vertex_reps),
                 "nodes_explored": o.stats.nodes_explored,
-                "cost": str(o.cost),
+                "cost": str(o.stats.best_cost),
                 "proven_optimal": o.stats.proven_optimal,
             }
         )
 
-    alpha = cfg.alpha if cfg.enable_stitch else Fraction(0)
     result = DecompResult(
         colors={v: colors[v] for v in sorted(colors)},
         selected_cuts=selected,
@@ -357,7 +364,7 @@ def decompose_graphs(
         cost=cost,
         alpha=alpha,
         stats={
-            "sub_problems": sub_count,
+            "sub_problems": len(outcomes),
             "nodes_explored": nodes,
             "proven_optimal": proven,
             "per_sub": per_sub,

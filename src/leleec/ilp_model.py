@@ -9,6 +9,10 @@ The conflict rows carry the merge bits so that two dash-mergeable cuts around
 a common neighbor forgive the conflict between their outer features; without
 those terms the model charges a spurious conflict in exactly that pattern.
 A deliberately uncorrected variant is kept for demonstrating the difference.
+
+`build_lelele_baseline` is the three-mask coloring model of the paper's
+comparison over the same `ProblemGraph`: two color bits per vertex and a
+conflict bit per edge. `decode_assignment` reads either kind of model.
 """
 
 from __future__ import annotations
@@ -300,23 +304,24 @@ def build_model_with_stitch(
     )
 
 
-def build_lelele_baseline(lg: LayoutGraph) -> IlpModel:
-    """Plain three-mask coloring ILP (two bits per vertex), conflicts only."""
+def build_lelele_baseline(pg: ProblemGraph) -> IlpModel:
+    """Plain three-mask coloring ILP, conflicts only; vertex v has bits (v, 0), (v, 1)."""
     m = IlpModel()
-    for s in lg.vertices:
-        m.add_var(f"xa_{s.id}", "color", (s.id, 0))
-        m.add_var(f"xb_{s.id}", "color", (s.id, 1))
-    edge_list = sorted(lg.conflict_edges)
+    vertices = sorted(pg.vertex_reps)
+    for v in vertices:
+        m.add_var(f"xa_{v}", "color", (v, 0))
+        m.add_var(f"xb_{v}", "color", (v, 1))
+    edge_list = sorted(pg.conflict_edges)
     for u, v in edge_list:
         m.add_var(f"eq0_{u}_{v}", "aux", (u, v, 0))
         m.add_var(f"eq1_{u}_{v}", "aux", (u, v, 1))
     for u, v in edge_list:
         m.add_var(f"c_{u}_{v}", "conflict", (u, v))
-    for s in lg.vertices:
-        xa = m.var("color", (s.id, 0))
-        xb = m.var("color", (s.id, 1))
+    for v in vertices:
+        xa = m.var("color", (v, 0))
+        xb = m.var("color", (v, 1))
         assert xa is not None and xb is not None
-        m.add_constraint(f"threecolor_{s.id}", [(xa, 1), (xb, 1)], 1)
+        m.add_constraint(f"threecolor_{v}", [(xa, 1), (xb, 1)], 1)
     for u, v in edge_list:
         c = m.var("conflict", (u, v))
         assert c is not None
@@ -333,18 +338,6 @@ def build_lelele_baseline(lg: LayoutGraph) -> IlpModel:
         m.add_constraint(f"both_eq_{u}_{v}", [(eq0, 1), (eq1, 1), (c, -1)], 1)
         m.objective[c] = Fraction(1)
     return m
-
-
-def baseline_colors(model: IlpModel, assignment: list[int]) -> dict[int, int]:
-    """Vertex -> color in {0,1,2} from a baseline model assignment."""
-    colors: dict[int, int] = {}
-    for vid, var in enumerate(model.variables):
-        if var.kind == "color":
-            vertex, bit = var.key
-            colors.setdefault(vertex, 0)
-            if assignment[vid]:
-                colors[vertex] += 1 if bit == 0 else 2
-    return colors
 
 
 @dataclass
@@ -388,9 +381,9 @@ def merged_trim_rects(selected: set[int], eg: EndCutGraph) -> list[Rect]:
 
 @dataclass
 class Decoded:
-    """The layout meaning of a leleec model assignment."""
+    """The layout meaning of a leleec or three-mask baseline model assignment."""
 
-    colors: dict[int, int]  # vertex -> 0/1
+    colors: dict[int, int]  # vertex -> 0/1 (0/1/2 in the baseline)
     selected: set[int]  # selected end-cut candidate ids
     conflicts: list[EdgeKey]  # charged conflict edges, sorted
     stitches: list[EdgeKey]  # active stitch edges, sorted
@@ -402,7 +395,9 @@ def decode_assignment(model: IlpModel, assignment: list[int]) -> Decoded:
     for vid, var in enumerate(model.variables):
         val = assignment[vid]
         if var.kind == "color":
-            d.colors[var.key[0]] = val
+            # a leleec bit is keyed (v,); a baseline bit (v, b) weighs 2**b
+            v, *bit = var.key
+            d.colors[v] = d.colors.get(v, 0) + (val << bit[0] if bit else val)
         elif var.kind == "endcut" and val:
             d.selected.add(var.key[0])
         elif var.kind == "conflict" and val:

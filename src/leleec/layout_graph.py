@@ -110,14 +110,6 @@ class LayoutGraph:
     conflict_edges: dict[EdgeKey, int | None]
     stitch_edges: set[EdgeKey]
 
-    def feature_pairs(self) -> set[EdgeKey]:
-        """Feature-level conflict pairs implied by the segment-level edges."""
-        pairs = set()
-        for u, v in self.conflict_edges:
-            fu, fv = self.vertices[u].feature, self.vertices[v].feature
-            pairs.add((fu, fv) if fu < fv else (fv, fu))
-        return pairs
-
 
 def _check_features(features: list[Feature]) -> None:
     ids = [f.id for f in features]

@@ -21,6 +21,7 @@ from .layout_graph import (
     Config,
     EdgeKey,
     Feature,
+    LayoutError,
     LayoutGraph,
     OverlappingInput,
     build_conflict_edges,  # noqa: F401 - a layer entry point that perfbench/spans.py traces by this name
@@ -196,6 +197,9 @@ def config_to_obj(cfg: Config) -> dict:
 def config_from_obj(obj: Any, where: str = "config") -> Config:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: must be an object")
+    stitch = obj.get("enable_stitch", True)
+    if not isinstance(stitch, bool):  # bool("false") is True
+        raise ValidationError(f"{where}: enable_stitch: expected a boolean, got {stitch!r}")
     try:
         return Config(
             w_min=_expect_int(obj.get("w_min"), f"{where}: w_min"),
@@ -205,9 +209,9 @@ def config_from_obj(obj: Any, where: str = "config") -> Config:
             w_th=_expect_int(obj.get("w_th"), f"{where}: w_th"),
             alpha=parse_frac(obj.get("alpha"), f"{where}: alpha"),
             merge_gap=_expect_int(obj.get("merge_gap"), f"{where}: merge_gap"),
-            enable_stitch=bool(obj.get("enable_stitch", True)),
+            enable_stitch=stitch,
         )
-    except ValueError as exc:
+    except LayoutError as exc:  # a rule Config itself rejects
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -242,17 +246,17 @@ def result_to_obj(
     }
 
 
-def baseline_result_to_obj(
-    colors: dict[int, int], conflicts: list[tuple[int, int]], cost: Fraction, stats: dict, cfg: Config
-) -> dict:
+def baseline_result_to_obj(result: DecompResult, cfg: Config) -> dict:
+    """Three-mask baseline result-file object (mask ids are 1-based)."""
+    stats = result.stats or {}
     return {
         "format": FORMAT_VERSION,
         "mode": "lelele",
         "config": {**config_to_obj(cfg), "enable_bridges": False},
-        "colors": {str(v): colors[v] + 1 for v in sorted(colors)},
-        "conflicts": [list(e) for e in sorted(conflicts)],
-        "cost": frac_str(cost),
-        "stats": stats,
+        "colors": {str(v): result.colors[v] + 1 for v in sorted(result.colors)},
+        "conflicts": [list(e) for e in result.conflicts],
+        "cost": frac_str(result.cost),
+        "stats": {key: stats[key] for key in ("nodes_explored", "proven_optimal")},
     }
 
 
@@ -322,12 +326,16 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
         if not isinstance(section, list):
             return [f"{key}: must be a list"]
     selected: set[int] = set()
+    listed: set[int] = set()  # every listed id, unknown ones too
     for item in cuts:
         if not isinstance(item, dict):
             return [f"selected_cuts: entry {item!r} is not an object"]
         cid = item.get("id")
         if not _is_int(cid):
             return [f"selected_cuts: candidate id {cid!r} is not an integer"]
+        if cid in listed:
+            return [f"selected_cuts: candidate {cid} is listed twice"]
+        listed.add(cid)
         if not 0 <= cid < len(eg.nodes):
             problems.append(f"selected_cuts: unknown candidate id {cid!r}")
             continue
@@ -338,12 +346,15 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
             problems.append(f"selected_cuts: candidate {cid} does not match regenerated geometry")
         selected.add(cid)
 
-    conflicts: list[EdgeKey] = []
+    conflicts: dict[EdgeKey, None] = {}  # an ordered set
     for e in raw_conflicts:
         if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             return [f"conflicts: bad entry {e!r}"]
-        conflicts.append((min(e), max(e)))
-    problems += result_problems(lg, eg, colors, selected, conflicts)
+        edge = (min(e), max(e))
+        if edge in conflicts:
+            return [f"conflicts: {list(edge)} is listed twice"]
+        conflicts[edge] = None
+    problems += result_problems(lg, eg, colors, selected, list(conflicts))
 
     expected_trim = [list(r.as_tuple()) for r in merged_trim_rects(selected, eg)]
     if result.get("trim_cuts") != expected_trim:

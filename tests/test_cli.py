@@ -80,6 +80,19 @@ def _set_mask(value):
     return edit
 
 
+def _set_config(key, value):
+    def edit(res):
+        res["config"][key] = value
+
+    return edit
+
+
+def _charge_twice(res):
+    # (0, 1) is a same-mask conflict edge of the motif, so charging it once is legal
+    res["conflicts"] = [[0, 1], [1, 0]]
+    res["cost"] = "2"
+
+
 def _respell_vertex_1(*spellings):
     """Replace key "1" by other spellings of vertex 1, the last with its mask."""
 
@@ -106,6 +119,11 @@ def _respell_vertex_1(*spellings):
         # vertex 1 on both masks; int() alone reads both keys as 1
         (_respell_vertex_1("01", " 1"), "colors: bad vertex id '01'"),
         (_respell_vertex_1("1", "-1"), "colors: bad vertex id '-1'"),
+        # the cost counts the raw list, the rules a set of its entries
+        (_charge_twice, "conflicts: [0, 1] is listed twice"),
+        (_add_cut(5), "selected_cuts: candidate 5 is listed twice"),
+        (_set_config("enable_stitch", "false"), "enable_stitch: expected a boolean, got 'false'"),
+        (_set_config("w_min", "10"), "violation: config: w_min: expected an integer"),
     ],
 )
 def test_verify_reports_malformed_result_input(tmp_path, capsys, edit, expected):
@@ -183,6 +201,24 @@ def test_baseline_time_limit_writes_one_mask_incumbent(tmp_path, capsys):
     assert res["conflicts"] == [list(e) for e in sorted(lg.conflict_edges)]
     assert res["cost"] == str(len(lg.conflict_edges))
     assert res["stats"]["proven_optimal"] is False
+
+
+def test_baseline_solves_each_motif_on_its_own(tmp_path, capsys):
+    # one three-colour model over 64 independent motifs would need billions
+    # of nodes; one model per component needs 64 times a motif's nodes
+    stats = {}
+    for n in (1, 64):
+        layout = tmp_path / f"c{n}.json"
+        assert run_cli(["gen", "clique4_array", str(n), "--out", str(layout)]) == 0
+        out = tmp_path / f"b{n}.json"
+        assert run_cli(["baseline-lelele", str(layout), "--out", str(out)]) == 0
+        res = json.loads(out.read_text())
+        assert res["cost"] == str(n) and res["stats"]["proven_optimal"] is True
+        stats[n] = res["stats"]["nodes_explored"]
+    assert stats[64] == 64 * stats[1]
+    dec = tmp_path / "d64.json"
+    assert run_cli(["decompose", str(tmp_path / "c64.json"), "--out", str(dec)]) == 0
+    assert json.loads(dec.read_text())["cost"] == "0"
 
 
 @pytest.mark.parametrize("flag", ["--no-preselect", "--preselect", "--no-bridges"])

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from leleec.decomposer import (
     build_graphs,
     decompose,
+    lelele_baseline,
     solve_monolithic,
     split_bridges,
     split_components,
     validate_result,
 )
-from leleec.ilp_model import build_model_from_problem
-from leleec.layout_graph import Config
-from leleec.synth import gen_synthetic
+from leleec.endcut import EndCutGraph
+from leleec.ilp_model import ProblemGraph, build_lelele_baseline, build_model_from_problem, decode_assignment
+from leleec.layout_graph import Config, build_conflict_edges
+from leleec.solver import solve
+from leleec.synth import KINDS, gen_synthetic
 
 from conftest import (
     gamma_quad,
@@ -240,3 +244,40 @@ def test_gamma_quad_through_pipeline():
     assert res.cost == 0
     assert res.selected_cuts == {0, 1}
     assert [r.as_tuple() for r in res.trim_rects] == [(10, 8, 28, 100)]
+
+
+def _baseline_matches_whole_model(feats, cfg, where):
+    """The per-component baseline against one three-mask model of the whole layout."""
+    lg = build_conflict_edges(feats, replace(cfg, enable_stitch=False))
+    whole = build_lelele_baseline(
+        ProblemGraph.from_layout(lg, EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set()))
+    )
+    assignment, stats = solve(whole)
+    ref = decode_assignment(whole, assignment)
+    res = lelele_baseline(lg)
+    assert res.stats["proven_optimal"] and stats.proven_optimal, where
+    assert res.colors == ref.colors, where
+    assert res.conflicts == ref.conflicts, where
+    assert res.cost == stats.best_cost == len(res.conflicts), where
+    return res
+
+
+def test_baseline_per_component_equals_whole_model_on_gen_layouts():
+    # no tie breaks differently: the whole model's first optimum in search
+    # order is the product of each component's first optimum
+    split = 0
+    for kind in KINDS:
+        for n in (1, 2, 3):
+            for seed in (0, 1, 2):
+                feats, cfg = gen_synthetic(kind, n, seed, Config.from_rules(10, 10))
+                res = _baseline_matches_whole_model(feats, cfg, (kind, n, seed))
+                split += res.stats["sub_problems"] > 1
+    assert split > 0
+
+
+def test_baseline_per_component_equals_whole_model_on_random_layouts():
+    for seed in range(60):
+        rng = random.Random(seed)
+        feats = random_layout(rng, rng.randrange(2, 10), box=220)
+        if feats:
+            _baseline_matches_whole_model(feats, random_config(rng), f"seed {seed}")

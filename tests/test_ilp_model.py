@@ -13,11 +13,11 @@ from leleec.ilp_model import (
     InconsistentAnnotation,
     InfeasibleAssignment,
     ProblemGraph,
-    baseline_colors,
     build_lelele_baseline,
     build_model_from_problem,
     build_model_no_stitch,
     build_model_with_stitch,
+    decode_assignment,
     extract_result,
 )
 from leleec.layout_graph import Config, LayoutGraph, Segment
@@ -217,6 +217,10 @@ def _k(n):
     return _graph(list(range(n)), list(itertools.combinations(range(n), 2)))
 
 
+def _baseline(lg):
+    return build_lelele_baseline(ProblemGraph.from_layout(lg, _empty_eg()))
+
+
 def _min_conflicts_three_colors(n, edges):
     best = None
     for coloring in itertools.product(range(3), repeat=n):
@@ -226,30 +230,30 @@ def _min_conflicts_three_colors(n, edges):
 
 
 def test_baseline_four_clique_has_one_conflict():
-    model = build_lelele_baseline(_k(4))
+    model = _baseline(_k(4))
     assignment, stats = solve(model)
     assert stats.best_cost == 1
-    colors = baseline_colors(model, assignment)
+    colors = decode_assignment(model, assignment).colors
     assert set(colors.values()) <= {0, 1, 2}
 
 
 def test_baseline_triangle_is_free():
-    _, stats = solve(build_lelele_baseline(_k(3)))
+    _, stats = solve(_baseline(_k(3)))
     assert stats.best_cost == 0
 
 
 def test_baseline_k5_matches_enumeration():
     edges = list(itertools.combinations(range(5), 2))
     assert _min_conflicts_three_colors(5, edges) == 2
-    _, stats = solve(build_lelele_baseline(_k(5)))
+    _, stats = solve(_baseline(_k(5)))
     assert stats.best_cost == 2
 
 
 def test_baseline_one_mask_assignment_is_feasible():
-    model = build_lelele_baseline(_k(4))
+    model = _baseline(_k(4))
     assignment = model.one_mask_assignment()
     model.check_assignment(assignment)
-    assert set(baseline_colors(model, assignment).values()) == {0}
+    assert set(decode_assignment(model, assignment).colors.values()) == {0}
     assert model.objective_value(assignment) == 6
 
 
@@ -258,7 +262,7 @@ def test_baseline_random_graphs_match_enumeration():
         rng = random.Random(seed)
         n = rng.randrange(3, 7)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
-        model = build_lelele_baseline(_graph(list(range(n)), edges))
+        model = _baseline(_graph(list(range(n)), edges))
         _, stats = solve(model)
         assert stats.best_cost == _min_conflicts_three_colors(n, edges)
 

@@ -135,7 +135,7 @@ def test_config_echo_keeps_removed_option_keys():
     res = decompose_graphs(lg, eg, cfg)
     echoes = {
         "decompose": result_to_obj(res, lg, eg, cfg)["config"],
-        "baseline": baseline_result_to_obj(res.colors, [], Fraction(0), {}, cfg)["config"],
+        "baseline": baseline_result_to_obj(res, cfg)["config"],
     }
     keys = ["w_min", "s_min", "dis_m", "dis_c", "w_th", "alpha", "merge_gap",
             "enable_stitch", "enable_preselect", "enable_bridges"]
@@ -201,7 +201,7 @@ def test_comb_is_bipartite_pair():
 
 
 def test_clique4_array_contrast():
-    from leleec.ilp_model import build_lelele_baseline
+    from leleec.ilp_model import ProblemGraph, build_lelele_baseline
     from leleec.solver import solve
 
     cfg = Config.from_rules(10, 10)
@@ -209,8 +209,8 @@ def test_clique4_array_contrast():
     assert out_cfg.w_th == out_cfg.w_min
     res = decompose(feats, out_cfg)
     assert res.cost == 0 and len(res.selected_cuts) >= 2
-    lg, _ = build_graphs(feats, out_cfg)
-    _, stats = solve(build_lelele_baseline(lg))
+    lg, eg = build_graphs(feats, out_cfg)
+    _, stats = solve(build_lelele_baseline(ProblemGraph.from_layout(lg, eg)))
     assert stats.best_cost == 1
 
 

@@ -33,7 +33,7 @@ def test_motif_leleec_zero_lelele_one():
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
     _, stats = solve(model)
     assert stats.best_cost == 0
-    _, base_stats = solve(build_lelele_baseline(lg))
+    _, base_stats = solve(build_lelele_baseline(ProblemGraph.from_layout(lg, eg)))
     assert base_stats.best_cost == 1
 
 
@@ -123,8 +123,8 @@ def test_flip_symmetry_keeps_assignment_and_cost():
 
 def test_lelele_baseline_is_not_flip_symmetric():
     # its three-colour rows (xa + xb <= 1) do not survive complementing the bits
-    lg, _ = build_graphs(*clique4_motif())
-    assert not build_lelele_baseline(lg).flip_symmetric
+    lg, eg = build_graphs(*clique4_motif())
+    assert not build_lelele_baseline(ProblemGraph.from_layout(lg, eg)).flip_symmetric
 
 
 def test_via_block_work_count():
