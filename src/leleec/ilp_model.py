@@ -10,9 +10,14 @@ a common neighbor forgive the conflict between their outer features; without
 those terms the model charges a spurious conflict in exactly that pattern.
 A deliberately uncorrected variant is kept for demonstrating the difference.
 
+`build_model_from_problem` also records `IlpModel.pair_costs`, the rigid
+conflict edges (no cut and no merge term in their rows) and the stitch
+edges, which the solver's colour-space lower bound reads.
+
 `build_lelele_baseline` is the three-mask coloring model of the paper's
 comparison over the same `ProblemGraph`: two color bits per vertex and a
-conflict bit per edge. `decode_assignment` reads either kind of model.
+conflict bit per edge; it records no pair costs. `decode_assignment` reads
+either kind of model.
 """
 
 from __future__ import annotations
@@ -68,6 +73,10 @@ class IlpModel:
     # complementing every colour bit maps feasible assignments to feasible
     # ones of equal cost; the solver then searches one half (see solver)
     flip_symmetric: bool = False
+    # (colour u, colour v, cost var, charged_when_equal): pairs whose cost
+    # var the rows force exactly when the two colours are equal (or differ)
+    # and never while one of them is open; the solver bounds with them
+    pair_costs: list[tuple[int, int, int, bool]] = field(default_factory=list)
     _index: dict[tuple[str, tuple], int] = field(default_factory=dict)
 
     def add_var(self, name: str, kind: str, key: tuple) -> int:
@@ -250,6 +259,8 @@ def build_model_from_problem(
         relax = ([] if e is None else [(e, -1)]) + [(g, -1) for g in gammas[(u, v)]]
         m.add_constraint(f"same_{u}_{v}", [(xu, 1), (xv, 1), (c, -1)] + relax, 1)
         m.add_constraint(f"diff_{u}_{v}", [(xu, -1), (xv, -1), (c, -1)] + relax, -1)
+        if not relax:
+            m.pair_costs.append((xu, xv, c, True))
         if e is not None:
             m.add_constraint(f"cut_lo_{cid}", [(e, 1), (xu, 1), (xv, -1)], 1)
             m.add_constraint(f"cut_hi_{cid}", [(e, 1), (xv, 1), (xu, -1)], 1)
@@ -285,6 +296,7 @@ def build_model_from_problem(
             m.add_constraint(f"st_lo_{u}_{v}", [(xu, 1), (xv, -1), (s, -1)], 0)
             m.add_constraint(f"st_hi_{u}_{v}", [(xv, 1), (xu, -1), (s, -1)], 0)
             m.objective[s] = alpha
+            m.pair_costs.append((xu, xv, s, False))
     return m
 
 

@@ -24,7 +24,7 @@ from .layout_graph import (
     LayoutError,
     LayoutGraph,
     OverlappingInput,
-    build_conflict_edges,  # noqa: F401 - a layer entry point that perfbench/spans.py traces by this name
+    build_conflict_edges,
     reject_overlaps,
     stitch_coordinate,
 )
@@ -275,9 +275,13 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
     """Re-derive the pipeline and check every invariant; returns violations.
 
     The cut and conflict rules are `decomposer.result_problems`, as in decompose.
+    A `lelele` (three-mask baseline) result is checked as a result with masks
+    1-3 over the conflict graph, no cuts and no stitches: its conflicts must
+    be exactly the monochromatic conflict edges, and its cost their number.
     """
-    if result.get("mode") != "leleec":
-        return ["mode: only 'leleec' results can be verified"]
+    if result.get("mode") not in ("leleec", "lelele"):
+        return ["mode: must be 'leleec' or 'lelele'"]
+    lelele = result["mode"] == "lelele"
     problems: list[str] = []
     try:
         cfg = config_from_obj(result.get("config"))
@@ -291,11 +295,16 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
     if problems:
         return problems
 
-    lg, eg = build_graphs(features, cfg)
+    if lelele:
+        lg = build_conflict_edges(features, cfg)
+        eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
+    else:
+        lg, eg = build_graphs(features, cfg)
 
     raw_colors = result.get("colors")
     if not isinstance(raw_colors, dict):
         return ["colors: must be an object"]
+    masks = (1, 2, 3) if lelele else (1, 2)
     colors: dict[int, int] = {}
     for k, val in raw_colors.items():
         # only the canonical decimal form: "01" or " 1" would name vertex 1
@@ -306,8 +315,9 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
             vid = -1
         if vid < 0 or k != str(vid):
             return [f"colors: bad vertex id {k!r}"]
-        if not _is_int(val) or val not in (1, 2):
-            return [f"colors: vertex {k} has mask {val!r}, expected 1 or 2"]
+        if not _is_int(val) or val not in masks:
+            expected = "1, 2 or 3" if lelele else "1 or 2"
+            return [f"colors: vertex {k} has mask {val!r}, expected {expected}"]
         colors[vid] = val - 1
     expected_ids = {s.id for s in lg.vertices}
     if set(colors) != expected_ids:
@@ -357,7 +367,7 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
     problems += result_problems(lg, eg, colors, selected, list(conflicts))
 
     expected_trim = [list(r.as_tuple()) for r in merged_trim_rects(selected, eg)]
-    if result.get("trim_cuts") != expected_trim:
+    if not lelele and result.get("trim_cuts") != expected_trim:
         problems.append("trim_cuts: do not equal the dash-merged union rects of selected cuts")
 
     expected_stitches = []

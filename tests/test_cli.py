@@ -14,7 +14,7 @@ from leleec.cli import run_cli
 from leleec.decomposer import build_graphs
 from leleec.layout_io import dump_json, emit_layout
 from leleec.layout_graph import Config
-from leleec.synth import gen_synthetic
+from leleec.synth import KINDS, gen_synthetic
 
 from conftest import stitch_ring, via_block
 
@@ -148,6 +148,46 @@ def test_baseline_reports_one_conflict(tmp_path):
     assert res["mode"] == "lelele" and res["cost"] == "1"
     assert len(res["conflicts"]) == 1
     assert set(res["colors"].values()) <= {1, 2, 3}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_accepts_baseline_results(tmp_path, capsys, kind):
+    for n in (1, 2, 3):
+        for seed in (0, 1, 2):
+            layout = tmp_path / f"{kind}_{n}_{seed}.json"
+            emit_layout(*gen_synthetic(kind, n, seed, Config.from_rules(10, 10)), layout)
+            out = tmp_path / "base.json"
+            assert run_cli(["baseline-lelele", str(layout), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert run_cli(["verify", str(layout), str(out)]) == 0
+            assert capsys.readouterr().err.strip() == "ok"
+
+
+def _uncharge(res):
+    res["conflicts"] = []
+    res["cost"] = "0"
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_set_mask(4), "colors: vertex 0 has mask 4, expected 1, 2 or 3"),
+        (_uncharge, "accounting: conflict edge"),
+        (_set("cost", "2"), "cost: reported 2 != |conflicts| + alpha*|stitches| = 1"),
+    ],
+)
+def test_verify_rejects_tampered_baseline_result(tmp_path, capsys, edit, expected):
+    layout = _motif_file(tmp_path)
+    out = tmp_path / "base.json"
+    run_cli(["baseline-lelele", str(layout), "--out", str(out)])
+    res = json.loads(out.read_text())
+    assert res["cost"] == "1" and len(res["conflicts"]) == 1
+    edit(res)
+    out.write_text(dump_json(res))
+    capsys.readouterr()
+    assert run_cli(["verify", str(layout), str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("violation: ") and expected in lines[0], lines
 
 
 def test_stitch_flag_changes_cost(tmp_path):

@@ -23,7 +23,7 @@ from leleec.ilp_model import (
 from leleec.layout_graph import Config, LayoutGraph, Segment
 from leleec.solver import brute_force, solve
 
-from conftest import clique4_motif, gamma_quad
+from conftest import clique4_motif, gamma_quad, stitch_ring, via_block
 
 
 def _graph(vertex_features, conflict_edges, stitch_edges=(), annotations=None):
@@ -157,6 +157,28 @@ def test_color_flip_symmetry():
             flipped[vid] ^= 1
     model.check_assignment(flipped)  # must stay feasible
     assert model.objective_value(flipped) == stats.best_cost
+
+
+def test_pair_costs_are_the_rigid_conflict_and_stitch_edges():
+    feats, cfg = via_block(3, 4)  # cut-free, no stitch candidates: every edge is rigid
+    lg, eg = build_graphs(feats, cfg)
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
+    assert len(model.pair_costs) == len(lg.conflict_edges) > 0
+    for xu, xv, cvar, when_equal in model.pair_costs:
+        u, v = model.variables[cvar].key
+        assert (model.variables[xu].key, model.variables[xv].key) == ((u,), (v,))
+        assert model.variables[cvar].kind == "conflict" and when_equal
+    # (1, 3) and (2, 3) carry cuts and (1, 2) a merge term, so they are not rigid
+    lg, eg = build_graphs(*gamma_quad())
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
+    assert [model.variables[c].key for _, _, c, _ in model.pair_costs] == [(0, 1), (0, 2), (0, 3)]
+    assert model.var("merge", (1, 2, 3, 0, 1)) is not None
+    # stitch edges are charged when the colours differ
+    lg, eg = build_graphs(*stitch_ring())
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, with_stitch=True)
+    stitch_pairs = [(model.variables[c].key, eq) for _, _, c, eq in model.pair_costs if not eq]
+    assert stitch_pairs == [(e, False) for e in sorted(lg.stitch_edges)] and stitch_pairs
+    assert build_lelele_baseline(ProblemGraph.from_layout(lg, eg)).pair_costs == []
 
 
 def test_inconsistent_annotation_rejected():

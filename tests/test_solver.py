@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
-from leleec.decomposer import build_graphs
+from leleec.decomposer import build_graphs, decompose
 from leleec.ilp_model import IlpModel, ProblemGraph, build_lelele_baseline, build_model_from_problem
 from leleec.solver import (
     BRUTE_FORCE_CAP,
@@ -15,7 +16,7 @@ from leleec.solver import (
     solve,
 )
 
-from conftest import clique4_motif, random_config, random_layout, via_block
+from conftest import clique4_motif, random_config, random_layout, stitch_ring, via_block
 
 
 def test_empty_model_all_zeros():
@@ -127,18 +128,81 @@ def test_lelele_baseline_is_not_flip_symmetric():
     assert not build_lelele_baseline(ProblemGraph.from_layout(lg, eg)).flip_symmetric
 
 
+def _without_bound(model: IlpModel, solve_fn):
+    """solve_fn(model) with the colour-space bound off: no pair costs."""
+    saved = model.pair_costs
+    model.pair_costs = []
+    try:
+        return solve_fn(model)
+    finally:
+        model.pair_costs = saved
+
+
 def test_via_block_work_count():
     feats, cfg = via_block(4, 4)
     lg, eg = build_graphs(feats, cfg)
     model = build_model_from_problem(
         ProblemGraph.from_layout(lg, eg), eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
     )
-    (a_on, s_on), (a_off, s_off) = _solve_both_halves(model)
+    (a_on, s_on), (a_off, s_off) = _without_bound(model, _solve_both_halves)
     assert a_on == a_off and s_on.best_cost == s_off.best_cost == 34
     # the node count of the unflagged search before rows were gated: the
     # gating skips only rows that cannot force, so it must not move
     assert s_off.nodes_explored == 41236
     assert s_on.nodes_explored <= 0.6 * s_off.nodes_explored
+    # the same searches with the colour-space bound
+    (b_on, t_on), (b_off, t_off) = _solve_both_halves(model)
+    assert b_on == b_off == a_on and t_on.best_cost == t_off.best_cost == 34
+    assert t_off.nodes_explored == 7100
+    assert t_on.nodes_explored == 4761
+
+
+def _bound_models() -> list[IlpModel]:
+    """The clique4 motif, via blocks 3x4 and 4x4, and 150 seeded random models."""
+    models = []
+    for feats, cfg in (clique4_motif(), via_block(3, 4), via_block(4, 4)):
+        lg, eg = build_graphs(feats, cfg)
+        models.append(
+            build_model_from_problem(
+                ProblemGraph.from_layout(lg, eg), eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
+            )
+        )
+    seed = 0
+    while len(models) < 153:
+        model = _random_model(seed)
+        seed += 1
+        if model is not None and 0 < model.num_vars <= BRUTE_FORCE_CAP:
+            models.append(model)
+    return models
+
+
+def test_colour_space_bound_keeps_assignment_and_cost():
+    pruned = with_pairs = stitched = 0
+    for k, model in enumerate(_bound_models()):
+        a_on, s_on = solve(model)
+        a_off, s_off = _without_bound(model, solve)
+        assert a_on == a_off and s_on.best_cost == s_off.best_cost, f"model {k}"
+        assert s_on.nodes_explored <= s_off.nodes_explored, f"model {k}"
+        with_pairs += bool(model.pair_costs)
+        stitched += any(not when_equal for *_, when_equal in model.pair_costs)
+        pruned += s_on.nodes_explored < s_off.nodes_explored
+    assert with_pairs >= 80 and stitched >= 30 and pruned >= 20, (with_pairs, stitched, pruned)
+
+
+def test_solve_leaves_no_garbage():
+    # dfs refers to itself; solve must break that cycle on return
+    lg, eg = build_graphs(*via_block(3, 4))
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
+    gc.collect()
+    gc.disable()
+    try:
+        solve(model)
+        assert gc.collect() == 0
+        for feats, cfg in (via_block(4, 4), clique4_motif(), stitch_ring()):
+            decompose(feats, cfg)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_solution_satisfies_every_row():
