@@ -2,7 +2,9 @@
 
 There is one exact path: independent components of the union graph
 (conflict, stitch and end-cut coupling edges), then clean-bridge splitting,
-then one model per piece. A clean bridge is a conflict edge that is a bridge
+then one model per piece. A piece with no cut candidate that two masks
+colour at cost 0 needs no model: `closed_form` gives the assignment the
+solver would return, with 0 nodes, even under a time limit. A clean bridge is a conflict edge that is a bridge
 of the union multigraph and carries no candidate; after solving both sides,
 the smaller side's colors are flipped when the bridge endpoints collide
 (color-flip symmetry keeps each side's cost).
@@ -237,6 +239,44 @@ class PieceOutcome:
     stats: SolveStats
 
 
+def closed_form(piece: ProblemGraph, with_stitch: bool, alpha: Fraction) -> Decoded | None:
+    """What `solve` returns for a cut-free piece that two masks colour at cost 0, else None.
+
+    Without a cut candidate, and with alpha > 0 or no stitch edge, the cost-0
+    assignments are exactly the colourings in which conflict ends differ and
+    stitch ends are equal, with no bit but the colours set. A breadth-first
+    search finds one or meets an odd cycle. Each connected part's lowest
+    vertex, its first in search order, gets colour 0, which makes it the
+    smallest cost-0 assignment in search order: the one `solve` returns.
+    """
+    if any(cand is not None for cand in piece.conflict_edges.values()):
+        return None
+    stitches = piece.stitch_edges if with_stitch else set()
+    if stitches and not alpha > 0:
+        return None
+    # (neighbour, colour difference): 1 across a conflict edge, 0 across a stitch
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in piece.vertex_reps}
+    for edges, parity in ((piece.conflict_edges, 1), (stitches, 0)):
+        for u, v in edges:
+            adj[u].append((v, parity))
+            adj[v].append((u, parity))
+    colors: dict[int, int] = {}
+    for root in sorted(adj):
+        if root in colors:
+            continue
+        colors[root] = 0
+        queue = [root]
+        for u in queue:
+            for w, parity in adj[u]:
+                color = colors[u] ^ parity
+                if w not in colors:
+                    colors[w] = color
+                    queue.append(w)
+                elif colors[w] != color:
+                    return None
+    return Decoded(colors=colors, selected=set(), conflicts=[], stitches=[])
+
+
 def _solve_piece(
     piece: ProblemGraph, model: IlpModel, start: float, time_limit: float | None
 ) -> PieceOutcome:
@@ -303,6 +343,10 @@ def decompose_graphs(
         pieces, bridges = split_bridges(comp, comp_eg)
         solved = []
         for piece in pieces:
+            decoded = closed_form(piece, cfg.enable_stitch, cfg.alpha)
+            if decoded is not None:
+                solved.append(PieceOutcome(piece, decoded, SolveStats(0, Fraction(0), True, 0.0)))
+                continue
             model = build_model_from_problem(
                 piece, comp_eg, corrected=True, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
             )

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from leleec.decomposer import (
     build_graphs,
+    closed_form,
     decompose,
     lelele_baseline,
     solve_monolithic,
@@ -204,17 +205,66 @@ def test_speedups_preserve_optimality_on_random_layouts():
 
 
 def test_zero_time_limit_gives_valid_one_mask_pieces():
-    # every piece times out before its first leaf and falls back to one mask
-    # with every conflict charged; decompose validates the merged result
+    # every searched piece times out before its first leaf and falls back to
+    # one mask with every conflict charged; closed-form pieces stay exact;
+    # decompose validates the merged result
+    proven = 0
     for seed in range(30):
         rng = random.Random(seed)
         feats = random_layout(rng, rng.randrange(2, 10), box=220)
         if not feats:
             continue
-        res = decompose(feats, random_config(rng), time_limit=0.0)
-        assert res.stats["proven_optimal"] is False, f"seed {seed}"
+        cfg = random_config(rng)
+        res = decompose(feats, cfg, time_limit=0.0)
+        lg, eg = build_graphs(feats, cfg)
+        searched = any(
+            closed_form(piece, cfg.enable_stitch, cfg.alpha) is None
+            for comp, comp_eg in split_components(lg, eg)
+            for piece in split_bridges(comp, comp_eg)[0]
+        )
+        assert res.stats["proven_optimal"] is not searched, f"seed {seed}"
         assert res.selected_cuts == set() and res.stitches == []
         assert res.cost == len(res.conflicts)
+        proven += not searched
+    assert 0 < proven < 30
+
+
+def test_closed_form_pieces_match_the_solver():
+    """Every piece the closed form settles gets the solver's own answer, and
+    every cut-free piece it leaves to the solver costs more than 0 there."""
+    layouts = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        feats = random_layout(rng, rng.randrange(2, 10), box=220)
+        if feats:
+            cfg = random_config(rng)
+            layouts += [(feats, cfg), (feats, replace(cfg, alpha=Fraction(0)))]
+    for kind in KINDS:
+        for n in (1, 2, 3):
+            for seed in (0, 1, 2):
+                feats, cfg = gen_synthetic(kind, n, seed, Config.from_rules(10, 10))
+                layouts += [(feats, cfg), (feats, replace(cfg, alpha=Fraction(0)))]
+    accepted = rejected = 0
+    for feats, cfg in layouts:
+        lg, eg = build_graphs(feats, cfg)
+        for comp, comp_eg in split_components(lg, eg):
+            for piece in split_bridges(comp, comp_eg)[0]:
+                fast = closed_form(piece, cfg.enable_stitch, cfg.alpha)
+                cut_free = all(cand is None for cand in piece.conflict_edges.values())
+                if fast is None and not (cut_free and cfg.alpha > 0):
+                    continue
+                model = build_model_from_problem(
+                    piece, comp_eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
+                )
+                assignment, stats = solve(model)
+                if fast is None:
+                    assert stats.best_cost > 0, piece
+                    rejected += 1
+                else:
+                    assert decode_assignment(model, assignment) == fast, piece
+                    assert stats.best_cost == 0 and stats.proven_optimal, piece
+                    accepted += 1
+    assert accepted > 300 and rejected > 10, (accepted, rejected)
 
 
 def test_pipeline_determinism():
