@@ -2,12 +2,13 @@
 
 There is one exact path: independent components of the union graph
 (conflict, stitch and end-cut coupling edges), then clean-bridge splitting,
-then one model per piece. A piece with no cut candidate that two masks
-colour at cost 0 needs no model: `closed_form` gives the assignment the
-solver would return, with 0 nodes, even under a time limit. A clean bridge is a conflict edge that is a bridge
-of the union multigraph and carries no candidate; after solving both sides,
-the smaller side's colors are flipped when the bridge endpoints collide
-(color-flip symmetry keeps each side's cost).
+then one model per piece. A clean bridge is a conflict edge that is a
+bridge of the union multigraph and carries no candidate; after solving both
+sides, the smaller side's colors are flipped when the bridge endpoints
+collide (color-flip symmetry keeps each side's cost). A piece with no cut
+candidate that two masks colour at cost 0 needs no model: `closed_form`
+gives the assignment the solver would return, with 0 nodes, even under a
+time limit.
 
 Components and pieces are `ilp_model.ProblemGraph`s, the type the model
 builder reads. The work per layout stays linear in its edges: conflict and
@@ -25,7 +26,7 @@ its findings, and `layout_io.verify_result` reports them for a file.
 split (with an empty end-cut graph), per-piece solve and merge, without the
 bridge split, whose recombination is a two-mask color flip.
 
-Under a time limit a piece keeps the solver's incumbent. A piece whose
+Under a time limit a searched piece keeps the solver's incumbent. A piece whose
 search ends before its first leaf takes the one-mask assignment instead
 (no cut, merge or stitch, every conflict charged), which every model
 admits, so a time-limited result is still valid, with proven_optimal false.
@@ -47,6 +48,7 @@ from .ilp_model import (
     build_model_from_problem,
     decode_assignment,
     extract_result,
+    graph_order,
     merged_trim_rects,
 )
 from .layout_graph import (
@@ -245,9 +247,10 @@ def closed_form(piece: ProblemGraph, with_stitch: bool, alpha: Fraction) -> Deco
     Without a cut candidate, and with alpha > 0 or no stitch edge, the cost-0
     assignments are exactly the colourings in which conflict ends differ and
     stitch ends are equal, with no bit but the colours set. A breadth-first
-    search finds one or meets an odd cycle. Each connected part's lowest
-    vertex, its first in search order, gets colour 0, which makes it the
-    smallest cost-0 assignment in search order: the one `solve` returns.
+    search finds one or meets an odd cycle. Each connected part's first
+    vertex in the model's colour order (`graph_order` over the same edges)
+    gets colour 0, which makes it the smallest cost-0 assignment in search
+    order: the one `solve` returns.
     """
     if any(cand is not None for cand in piece.conflict_edges.values()):
         return None
@@ -261,19 +264,13 @@ def closed_form(piece: ProblemGraph, with_stitch: bool, alpha: Fraction) -> Deco
             adj[u].append((v, parity))
             adj[v].append((u, parity))
     colors: dict[int, int] = {}
-    for root in sorted(adj):
-        if root in colors:
-            continue
-        colors[root] = 0
-        queue = [root]
-        for u in queue:
-            for w, parity in adj[u]:
-                color = colors[u] ^ parity
-                if w not in colors:
-                    colors[w] = color
-                    queue.append(w)
-                elif colors[w] != color:
-                    return None
+    # graph_order is breadth-first over these edges: each vertex but the
+    # first of its part gets its colour from an earlier neighbour
+    for u in graph_order(piece.vertex_reps, [*piece.conflict_edges, *stitches]):
+        color = colors.setdefault(u, 0)
+        for w, parity in adj[u]:
+            if colors.setdefault(w, color ^ parity) != color ^ parity:
+                return None
     return Decoded(colors=colors, selected=set(), conflicts=[], stitches=[])
 
 

@@ -12,16 +12,20 @@ A deliberately uncorrected variant is kept for demonstrating the difference.
 
 `build_model_from_problem` also records `IlpModel.pair_costs`, the rigid
 conflict edges (no cut and no merge term in their rows) and the stitch
-edges, which the solver's colour-space lower bound reads.
+edges, which the solver's colour-space lower bound reads, and
+`IlpModel.colour_order`, the colour bits in `graph_order` over those same
+edges, which `search_order` branches on first. Neither is in `lp_dump`.
 
 `build_lelele_baseline` is the three-mask coloring model of the paper's
 comparison over the same `ProblemGraph`: two color bits per vertex and a
-conflict bit per edge; it records no pair costs. `decode_assignment` reads
+conflict bit per edge; it records no pair costs and no colour order, so it
+branches in kind-then-id order. `decode_assignment` reads
 either kind of model.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,6 +81,8 @@ class IlpModel:
     # var the rows force exactly when the two colours are equal (or differ)
     # and never while one of them is open; the solver bounds with them
     pair_costs: list[tuple[int, int, int, bool]] = field(default_factory=list)
+    # every colour var in branching order; empty keeps ascending id
+    colour_order: list[int] = field(default_factory=list)
     _index: dict[tuple[str, tuple], int] = field(default_factory=dict)
 
     def add_var(self, name: str, kind: str, key: tuple) -> int:
@@ -100,8 +106,13 @@ class IlpModel:
         return len(self.variables)
 
     def search_order(self) -> list[int]:
-        """Branching order: colors, then end-cuts, merges, conflicts, stitches."""
-        return sorted(range(self.num_vars), key=lambda v: (KIND_RANK[self.variables[v].kind], v))
+        """Branching order: colors, then end-cuts, merges, conflicts, stitches.
+
+        Colors come in `colour_order` when it is set; every other family,
+        and colors without it, in ascending id.
+        """
+        order = sorted(range(self.num_vars), key=lambda v: (KIND_RANK[self.variables[v].kind], v))
+        return self.colour_order + order[len(self.colour_order) :]
 
     def one_mask_assignment(self) -> list[int]:
         """Everything on one mask, no cut, merge or stitch, every conflict charged.
@@ -202,6 +213,37 @@ class ProblemGraph:
         )
 
 
+def graph_order(vertices: Iterable[int], edges: Iterable[EdgeKey]) -> list[int]:
+    """The vertices breadth-first over the edges, most constrained first.
+
+    Each search starts at the unvisited vertex of highest degree and takes
+    neighbours by (degree desc, id); a lone vertex comes last.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def rank(v: int) -> tuple[int, int]:
+        return -len(adj[v]), v
+
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in sorted(adj, key=rank):
+        if root in seen:
+            continue
+        seen.add(root)
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            for w in sorted(adj[order[head]], key=rank):
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+            head += 1
+    return order
+
+
 def build_model_from_problem(
     pg: ProblemGraph,
     eg: EndCutGraph,
@@ -249,6 +291,9 @@ def build_model_from_problem(
         for u, v in sorted(pg.stitch_edges):
             m.add_var(f"s_{u}_{v}", "stitch", (u, v))
 
+    # the pair_costs edges, kept apart: the colour order must not move when
+    # a caller clears pair_costs to turn the bound off
+    coupled: list[EdgeKey] = []
     for u, v in edge_list:
         xu = m.var("color", (u,))
         xv = m.var("color", (v,))
@@ -261,6 +306,7 @@ def build_model_from_problem(
         m.add_constraint(f"diff_{u}_{v}", [(xu, -1), (xv, -1), (c, -1)] + relax, -1)
         if not relax:
             m.pair_costs.append((xu, xv, c, True))
+            coupled.append((u, v))
         if e is not None:
             m.add_constraint(f"cut_lo_{cid}", [(e, 1), (xu, 1), (xv, -1)], 1)
             m.add_constraint(f"cut_hi_{cid}", [(e, 1), (xv, 1), (xu, -1)], 1)
@@ -297,6 +343,8 @@ def build_model_from_problem(
             m.add_constraint(f"st_hi_{u}_{v}", [(xv, 1), (xu, -1), (s, -1)], 0)
             m.objective[s] = alpha
             m.pair_costs.append((xu, xv, s, False))
+            coupled.append((u, v))
+    m.colour_order = [m._index[("color", (v,))] for v in graph_order(pg.vertex_reps, coupled)]
     return m
 
 

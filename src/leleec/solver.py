@@ -1,11 +1,15 @@
 """Exact 0-1 ILP solving: deterministic branch-and-bound and a brute-force oracle.
 
-The search is depth-first over a fixed variable order (colors, end-cuts,
-merges, conflicts, stitches; ascending id within each family), trying 0
-before 1. Unit propagation over the <=-rows forces implied assignments,
-e.g. a conflict bit whose row is otherwise violated. A branch is descended
-only while its lower bound is below the incumbent's cost. Identical models
-yield byte-identical assignments and node counts.
+The search is depth-first over the model's `search_order`, trying 0 before
+1: colors, end-cuts, merges, conflicts, stitches. Colors come in the
+model's `colour_order` (breadth-first over its rigid conflict and stitch
+edges, the highest degree first, so the most constrained bits are fixed
+early), every other family in ascending id. The returned assignment is the
+smallest optimum read in that order, the one `brute_force` picks. Unit
+propagation over the <=-rows forces implied assignments, e.g. a conflict
+bit whose row is otherwise violated. A branch is descended only while its
+lower bound is below the incumbent's cost. Identical models yield
+byte-identical assignments and node counts.
 
 The lower bound is the committed cost, the objective mass of variables
 fixed to 1 (all objective coefficients are non-negative), plus a

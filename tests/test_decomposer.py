@@ -229,9 +229,45 @@ def test_zero_time_limit_gives_valid_one_mask_pieces():
     assert 0 < proven < 30
 
 
+def _closed_form_against_solver(piece, eg, with_stitch, alpha):
+    """"accepted" or "rejected" once checked against the solver, else None.
+
+    A piece the closed form settles must get the solver's own answer at
+    cost 0; a cut-free piece it leaves to the solver while alpha > 0 must
+    cost more than 0 there.
+    """
+    fast = closed_form(piece, with_stitch, alpha)
+    cut_free = all(cand is None for cand in piece.conflict_edges.values())
+    if fast is None and not (cut_free and alpha > 0):
+        return None
+    model = build_model_from_problem(piece, eg, with_stitch=with_stitch, alpha=alpha)
+    assignment, stats = solve(model)
+    if fast is None:
+        assert stats.best_cost > 0, piece
+        return "rejected"
+    assert decode_assignment(model, assignment) == fast, piece
+    assert stats.best_cost == 0 and stats.proven_optimal, piece
+    return "accepted"
+
+
+def test_closed_form_on_order_sensitive_pieces():
+    empty = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
+    # a 2x3 ladder: the first vertex in colour order is 1 (degree 3), not 0
+    ladder = ProblemGraph(
+        set(range(6)), dict.fromkeys([(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]), set()
+    )
+    assert _closed_form_against_solver(ladder, empty, True, Fraction(1, 10)) == "accepted"
+    assert closed_form(ladder, True, Fraction(1, 10)).colors[0] == 1
+    # colour order 1, 2, 0, 3: parity gives 3 its neighbour 2's colour 1,
+    # but at alpha = 0 the solver takes 3 = 0 and a free stitch
+    tail = ProblemGraph({0, 1, 2, 3}, {(0, 1): None, (1, 2): None}, {(2, 3)})
+    assert _closed_form_against_solver(tail, empty, True, Fraction(1, 10)) == "accepted"
+    assert closed_form(tail, True, Fraction(0)) is None
+    model = build_model_from_problem(tail, empty, with_stitch=True, alpha=Fraction(0))
+    assert decode_assignment(model, solve(model)[0]).stitches == [(2, 3)]
+
+
 def test_closed_form_pieces_match_the_solver():
-    """Every piece the closed form settles gets the solver's own answer, and
-    every cut-free piece it leaves to the solver costs more than 0 there."""
     layouts = []
     for seed in range(60):
         rng = random.Random(seed)
@@ -244,26 +280,15 @@ def test_closed_form_pieces_match_the_solver():
             for seed in (0, 1, 2):
                 feats, cfg = gen_synthetic(kind, n, seed, Config.from_rules(10, 10))
                 layouts += [(feats, cfg), (feats, replace(cfg, alpha=Fraction(0)))]
-    accepted = rejected = 0
+    outcomes = []
     for feats, cfg in layouts:
         lg, eg = build_graphs(feats, cfg)
         for comp, comp_eg in split_components(lg, eg):
             for piece in split_bridges(comp, comp_eg)[0]:
-                fast = closed_form(piece, cfg.enable_stitch, cfg.alpha)
-                cut_free = all(cand is None for cand in piece.conflict_edges.values())
-                if fast is None and not (cut_free and cfg.alpha > 0):
-                    continue
-                model = build_model_from_problem(
-                    piece, comp_eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
+                outcomes.append(
+                    _closed_form_against_solver(piece, comp_eg, cfg.enable_stitch, cfg.alpha)
                 )
-                assignment, stats = solve(model)
-                if fast is None:
-                    assert stats.best_cost > 0, piece
-                    rejected += 1
-                else:
-                    assert decode_assignment(model, assignment) == fast, piece
-                    assert stats.best_cost == 0 and stats.proven_optimal, piece
-                    accepted += 1
+    accepted, rejected = outcomes.count("accepted"), outcomes.count("rejected")
     assert accepted > 300 and rejected > 10, (accepted, rejected)
 
 

@@ -19,6 +19,7 @@ from leleec.ilp_model import (
     build_model_with_stitch,
     decode_assignment,
     extract_result,
+    graph_order,
 )
 from leleec.layout_graph import Config, LayoutGraph, Segment
 from leleec.solver import brute_force, solve
@@ -179,6 +180,35 @@ def test_pair_costs_are_the_rigid_conflict_and_stitch_edges():
     stitch_pairs = [(model.variables[c].key, eq) for _, _, c, eq in model.pair_costs if not eq]
     assert stitch_pairs == [(e, False) for e in sorted(lg.stitch_edges)] and stitch_pairs
     assert build_lelele_baseline(ProblemGraph.from_layout(lg, eg)).pair_costs == []
+
+
+def test_graph_order_is_breadth_first_from_the_highest_degree():
+    # degrees 0:1 1:3 2:1 3:2 4:1 5:0 6:1 7:1; a second search starts at 6,
+    # the lone vertex 5 comes last
+    edges = [(0, 1), (1, 2), (1, 3), (3, 4), (6, 7)]
+    assert graph_order(range(8), edges) == [1, 3, 0, 2, 4, 6, 7, 5]
+    assert graph_order([], []) == []
+
+
+def test_colour_order_follows_the_pair_cost_edges():
+    # gamma_quad: only (0, 1), (0, 2), (0, 3) are rigid, so vertex 0 leads
+    lg, eg = build_graphs(*gamma_quad())
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
+    assert [model.variables[x].key for x in model.colour_order] == [(0,), (1,), (2,), (3,)]
+    # stitch_ring with stitches: the colour bits in graph order over its
+    # conflict and stitch edges; the baseline keeps kind-then-id order
+    lg, eg = build_graphs(*stitch_ring())
+    pg = ProblemGraph.from_layout(lg, eg)
+    model = build_model_from_problem(pg, eg, with_stitch=True)
+    coupled = [*lg.conflict_edges, *lg.stitch_edges]
+    expected = [model.var("color", (v,)) for v in graph_order(pg.vertex_reps, coupled)]
+    assert model.colour_order == expected and expected != sorted(expected)
+    assert model.search_order()[: len(expected)] == expected
+    baseline = build_lelele_baseline(pg)
+    assert baseline.colour_order == []
+    assert baseline.search_order() == sorted(
+        range(baseline.num_vars), key=lambda v: (baseline.variables[v].kind != "color", v)
+    )
 
 
 def test_inconsistent_annotation_rejected():

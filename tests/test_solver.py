@@ -81,17 +81,58 @@ def _random_model(seed: int):
 
 
 def test_solve_matches_brute_force_on_random_models():
-    checked = 0
+    # not only the cost: solve returns the oracle's tie-break, the smallest
+    # optimum in search order, also where the colour order is not by id
+    checked = reordered = 0
     seed = 0
     while checked < 150:
         model = _random_model(seed)
         seed += 1
         if model is None or not (0 < model.num_vars <= BRUTE_FORCE_CAP):
             continue
-        _, stats = solve(model)
-        _, expected = brute_force(model)
+        assignment, stats = solve(model)
+        expected_assignment, expected = brute_force(model)
         assert stats.best_cost == expected, f"seed {seed - 1}"
+        assert assignment == expected_assignment, f"seed {seed - 1}"
         checked += 1
+        reordered += model.colour_order != sorted(model.colour_order)
+    assert reordered >= 50, reordered
+
+
+def test_solve_tie_break_on_via_blocks():
+    """The smallest optimum in search order on dense cut-free blocks.
+
+    The 2x3 block (21 variables) is checked against brute_force. The 3x4
+    block has 69, beyond its cap, but no cut, merge or stitch variable, so
+    its optimum is fixed by the 12 colour bits: enumerate those instead.
+    """
+    lg, eg = build_graphs(*via_block(2, 3))
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
+    assert model.num_vars <= BRUTE_FORCE_CAP
+    assert solve(model)[0] == brute_force(model)[0]
+
+    lg, eg = build_graphs(*via_block(3, 4))
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
+    assert {v.kind for v in model.variables} == {"color", "conflict"}
+    colour_bits = model.colour_order
+    assert colour_bits != sorted(colour_bits)
+    conflicts = [
+        (vid, model.var("color", var.key[:1]), model.var("color", var.key[1:]))
+        for vid, var in enumerate(model.variables)
+        if var.kind == "conflict"
+    ]
+    best = None
+    for code in range(1 << len(colour_bits)):  # first colour in order = most significant
+        assignment = [0] * model.num_vars
+        for pos, vid in enumerate(colour_bits):
+            assignment[vid] = (code >> (len(colour_bits) - 1 - pos)) & 1
+        for vid, xu, xv in conflicts:
+            assignment[vid] = int(assignment[xu] == assignment[xv])
+        cost = sum(assignment[vid] for vid, _, _ in conflicts)
+        if best is None or cost < best[0]:
+            best = (cost, assignment)
+    found, stats = solve(model)
+    assert (stats.best_cost, found) == best
 
 
 def _solve_both_halves(model: IlpModel):
@@ -138,23 +179,42 @@ def _without_bound(model: IlpModel, solve_fn):
         model.pair_costs = saved
 
 
+def _kind_then_id(model: IlpModel, solve_fn):
+    """solve_fn(model) with colours branched in ascending id: no colour order."""
+    saved = model.colour_order
+    model.colour_order = []
+    try:
+        return solve_fn(model)
+    finally:
+        model.colour_order = saved
+
+
 def test_via_block_work_count():
     feats, cfg = via_block(4, 4)
     lg, eg = build_graphs(feats, cfg)
     model = build_model_from_problem(
         ProblemGraph.from_layout(lg, eg), eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
     )
-    (a_on, s_on), (a_off, s_off) = _without_bound(model, _solve_both_halves)
+    (a_on, s_on), (a_off, s_off) = _kind_then_id(
+        model, lambda m: _without_bound(m, _solve_both_halves)
+    )
     assert a_on == a_off and s_on.best_cost == s_off.best_cost == 34
     # the node count of the unflagged search before rows were gated: the
     # gating skips only rows that cannot force, so it must not move
     assert s_off.nodes_explored == 41236
     assert s_on.nodes_explored <= 0.6 * s_off.nodes_explored
     # the same searches with the colour-space bound
-    (b_on, t_on), (b_off, t_off) = _solve_both_halves(model)
+    (b_on, t_on), (b_off, t_off) = _kind_then_id(model, _solve_both_halves)
     assert b_on == b_off == a_on and t_on.best_cost == t_off.best_cost == 34
     assert t_off.nodes_explored == 7100
     assert t_on.nodes_explored == 4761
+    # graph-order branching, without and with the bound
+    (c_on, u_on), (c_off, u_off) = _without_bound(model, _solve_both_halves)
+    assert c_on == c_off and u_on.best_cost == u_off.best_cost == 34
+    assert (u_off.nodes_explored, u_on.nodes_explored) == (33160, 17353)
+    (d_on, v_on), (d_off, v_off) = _solve_both_halves(model)
+    assert d_on == d_off == c_on and v_on.best_cost == v_off.best_cost == 34
+    assert (v_off.nodes_explored, v_on.nodes_explored) == (3102, 2213)
 
 
 def _bound_models() -> list[IlpModel]:
