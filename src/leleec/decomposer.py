@@ -19,14 +19,27 @@ solid and dash edges, which is exact because coupling edges joined the
 components. The bridge search and the piece models read the slice; the
 trim-rect merge and the result checker read the full graph.
 
+A searched piece that repeats an earlier piece of the same call is not
+solved again. Relabelling each vertex id to its rank among the piece's
+vertices, and each candidate id to its rank among the piece's candidates,
+keeps every order the model builders and `graph_order` read, so two pieces
+that are equal in rank space get one model but for variable names, and one
+assignment and node count from `solve`. A per-call memo keyed by the
+relabelled piece keeps each proven-optimal outcome in rank space; a repeat
+maps it back to its own ids with 0 nodes and `proven_optimal` true, so
+`nodes_explored` and `per_sub` count only the search that ran. The memo
+never outlives the call: each CLI call does the same work.
+
 `result_problems` is the one result checker: `validate_result` raises on
 its findings, and `layout_io.verify_result` reports them for a file.
 
 `lelele_baseline` runs the three-mask baseline through the same component
-split (with an empty end-cut graph), per-piece solve and merge, without the
-bridge split, whose recombination is a two-mask color flip.
+split (with an empty end-cut graph), per-piece solve with its memo, and
+merge, without the bridge split, whose recombination is a two-mask color
+flip.
 
-Under a time limit a searched piece keeps the solver's incumbent. A piece whose
+Under a time limit a searched piece keeps the solver's incumbent, and a
+repeat of a proven piece still takes the proven outcome. A piece whose
 search ends before its first leaf takes the one-mask assignment instead
 (no cut, merge or stitch, every conflict charged), which every model
 admits, so a time-limited result is still valid, with proven_optimal false.
@@ -35,8 +48,10 @@ admits, so a time-limited result is still valid, with proven_optimal false.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .endcut import EndCutGraph, generate_candidates, build_endcut_graph
 from .ilp_model import (
@@ -274,10 +289,77 @@ def closed_form(piece: ProblemGraph, with_stitch: bool, alpha: Fraction) -> Deco
     return Decoded(colors=colors, selected=set(), conflicts=[], stitches=[])
 
 
+# a searched piece relabelled by rank: its vertex count, its conflict edges
+# with their candidate ranks, its stitch edges, and the solid and dash edges
+# between its own candidates
+PieceKey = tuple[int, tuple, tuple, tuple, tuple]
+# proven-optimal outcomes of one call's searched pieces, in rank space, and their costs
+PieceMemo = dict[PieceKey, tuple[Decoded, Fraction]]
+
+
+def _rank_space(
+    piece: ProblemGraph, eg: EndCutGraph
+) -> tuple[PieceKey, dict[int, int], dict[int, int]]:
+    """(memo key, vertex id -> rank, candidate id -> rank) of a piece, ids ascending.
+
+    Each vertex id becomes its rank in the piece's sorted ids, and each
+    candidate id its rank among the piece's own candidates. Both maps keep
+    order, and the model builders read ids only in sorted order, so two
+    pieces with equal keys get the same model but for variable names.
+    """
+    vrank = {v: i for i, v in enumerate(sorted(piece.vertex_reps))}
+    cids = {c for c in piece.conflict_edges.values() if c is not None}
+    crank = {c: i for i, c in enumerate(sorted(cids))}
+
+    def own(edges: set[EdgeKey]) -> tuple:
+        return tuple(sorted((crank[p], crank[q]) for p, q in edges if p in crank and q in crank))
+
+    key = (
+        len(vrank),
+        tuple(
+            sorted(
+                (vrank[u], vrank[v], None if c is None else crank[c])
+                for (u, v), c in piece.conflict_edges.items()
+            )
+        ),
+        tuple(sorted((vrank[u], vrank[v]) for u, v in piece.stitch_edges)),
+        own(eg.solid_edges),
+        own(eg.dash_edges),
+    )
+    return key, vrank, crank
+
+
+def _relabel(d: Decoded, vmap, cmap) -> Decoded:
+    """A new `Decoded` with vertex ids through vmap and candidate ids through cmap."""
+    return Decoded(
+        colors={vmap[v]: c for v, c in d.colors.items()},
+        selected={cmap[c] for c in d.selected},
+        conflicts=[(vmap[u], vmap[v]) for u, v in d.conflicts],
+        stitches=[(vmap[u], vmap[v]) for u, v in d.stitches],
+    )
+
+
 def _solve_piece(
-    piece: ProblemGraph, model: IlpModel, start: float, time_limit: float | None
+    piece: ProblemGraph,
+    eg: EndCutGraph,
+    build: Callable[[ProblemGraph], IlpModel],
+    memo: PieceMemo,
+    start: float,
+    time_limit: float | None,
 ) -> PieceOutcome:
-    """Solve a piece's model in what is left of the time budget since `start`."""
+    """Solve a piece in what is left of the time budget since `start`, or reuse a repeat's.
+
+    A piece whose key is in memo takes the stored outcome, mapped back to its
+    own ids, with no model and no search (0 nodes, proven optimal). A piece
+    solved to a proven optimum is stored; a time-limited outcome is not.
+    """
+    key, vrank, crank = _rank_space(piece, eg)
+    if key in memo:
+        decoded, cost = memo[key]
+        # a rank map's keys, in order, are the ids by rank
+        back = _relabel(decoded, list(vrank), list(crank))
+        return PieceOutcome(piece, back, SolveStats(0, cost, True, 0.0))
+    model = build(piece)
     remaining = None
     if time_limit is not None:
         remaining = max(0.0, time_limit - (time.monotonic() - start))
@@ -285,7 +367,10 @@ def _solve_piece(
         assignment, stats = solve(model, remaining)
     except TimeLimit as exc:
         assignment, stats = one_mask_incumbent(model, exc)
-    return PieceOutcome(piece, decode_assignment(model, assignment), stats)
+    decoded = decode_assignment(model, assignment)
+    if stats.proven_optimal:
+        memo[key] = _relabel(decoded, vrank, crank), stats.best_cost
+    return PieceOutcome(piece, decoded, stats)
 
 
 def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
@@ -335,19 +420,24 @@ def decompose_graphs(
 ) -> DecompResult:
     """Decomposition core over already-built graphs; validated before return."""
     start = time.monotonic()
+    memo: PieceMemo = {}
     outcomes: list[PieceOutcome] = []
     for comp, comp_eg in split_components(g, eg):
         pieces, bridges = split_bridges(comp, comp_eg)
+        build = partial(
+            build_model_from_problem,
+            eg=comp_eg,
+            corrected=True,
+            with_stitch=cfg.enable_stitch,
+            alpha=cfg.alpha,
+        )
         solved = []
         for piece in pieces:
             decoded = closed_form(piece, cfg.enable_stitch, cfg.alpha)
             if decoded is not None:
                 solved.append(PieceOutcome(piece, decoded, SolveStats(0, Fraction(0), True, 0.0)))
                 continue
-            model = build_model_from_problem(
-                piece, comp_eg, corrected=True, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
-            )
-            solved.append(_solve_piece(piece, model, start, time_limit))
+            solved.append(_solve_piece(piece, comp_eg, build, memo, start, time_limit))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
     return _merge_outcomes(outcomes, g, eg, cfg.alpha if cfg.enable_stitch else Fraction(0))
@@ -360,8 +450,9 @@ def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompR
     """
     start = time.monotonic()
     eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
+    memo: PieceMemo = {}
     outcomes = [
-        _solve_piece(comp, build_lelele_baseline(comp), start, time_limit)
+        _solve_piece(comp, eg, build_lelele_baseline, memo, start, time_limit)
         for comp, _ in split_components(lg, eg)
     ]
     return _merge_outcomes(outcomes, lg, eg, Fraction(0))

@@ -120,6 +120,9 @@ def gen_corner_corner(
     narrower than w_th in either direction or overlapping a feature interior
     are discarded; ties on area break to the smallest lo corner.
     """
+    if cfg.w_th >= cfg.dis_m:
+        # both base sides are shorter than dis_m <= w_th, and each shape keeps one of them
+        return None
     best_pair: tuple[Point, Point] | None = None
     best_d: int | None = None
     for pa in _polygon_corners(a):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from leleec.geometry import Polygon, polygon_distance
+from leleec.ilp_model import IlpModel
 from leleec.layout_graph import Config, Feature
 
 
@@ -118,6 +119,20 @@ def random_config(rng: random.Random) -> Config:
         10,
         w_th=rng.choice([10, 12, 50]),
         enable_stitch=rng.random() < 0.4,
+    )
+
+
+def model_shape(model: IlpModel) -> tuple:
+    """Everything of a model the solver reads, without its variable names and keys:
+    two models with equal shapes get the same assignment and node count."""
+    return (
+        tuple(v.kind for v in model.variables),
+        tuple((c.terms, c.rhs) for c in model.constraints),
+        tuple(sorted(model.objective.items())),
+        model.alpha,
+        model.flip_symmetric,
+        tuple(model.pair_costs),
+        tuple(model.colour_order),
     )
 
 

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+from leleec import decomposer
 from leleec.decomposer import (
     build_graphs,
     closed_form,
@@ -21,8 +22,10 @@ from leleec.solver import solve
 from leleec.synth import KINDS, gen_synthetic
 
 from conftest import (
+    clique4_motif,
     gamma_quad,
     make_features,
+    model_shape,
     preselect_ring,
     random_config,
     random_layout,
@@ -290,6 +293,91 @@ def test_closed_form_pieces_match_the_solver():
                 )
     accepted, rejected = outcomes.count("accepted"), outcomes.count("rejected")
     assert accepted > 300 and rejected > 10, (accepted, rejected)
+
+
+def _memo_layouts():
+    """The 60 seeded random layouts and the gen kinds (n <= 3, seeds 0-2), each
+    with its own settings, without stitches and at alpha 0."""
+    layouts = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        feats = random_layout(rng, rng.randrange(2, 10), box=220)
+        if feats:
+            layouts.append((feats, random_config(rng)))
+    for kind in KINDS:
+        for n in (1, 2, 3):
+            for seed in (0, 1, 2):
+                layouts.append(gen_synthetic(kind, n, seed, Config.from_rules(10, 10)))
+    return [
+        (feats, c)
+        for feats, cfg in layouts
+        for c in (cfg, replace(cfg, enable_stitch=False), replace(cfg, alpha=Fraction(0)))
+    ]
+
+
+def _piece_model(piece, eg, cfg):
+    return build_model_from_problem(piece, eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha)
+
+
+def test_equal_piece_keys_give_equal_models():
+    shapes, pieces = {}, 0
+    for feats, cfg in _memo_layouts():
+        lg, eg = build_graphs(feats, cfg)
+        for comp, comp_eg in split_components(lg, eg):
+            for piece in split_bridges(comp, comp_eg)[0]:
+                if closed_form(piece, cfg.enable_stitch, cfg.alpha) is not None:
+                    continue
+                key = (cfg.enable_stitch, cfg.alpha, decomposer._rank_space(piece, comp_eg)[0])
+                shape = model_shape(_piece_model(piece, comp_eg, cfg))
+                assert shapes.setdefault(key, shape) == shape, piece
+                pieces += 1
+    assert pieces - len(shapes) > 100, (pieces, len(shapes))
+
+
+def test_piece_keys_tell_cut_edges_apart():
+    # one clique4 motif, then the same piece with one dash edge, one solid
+    # edge or one candidate fewer: each changes the model, so the key
+    feats, cfg = clique4_motif()
+    lg, eg = build_graphs(feats, cfg)
+    ((piece, comp_eg),) = split_components(lg, eg)
+    no_dash = replace(comp_eg, dash_edges=comp_eg.dash_edges - {min(comp_eg.dash_edges)})
+    no_solid = replace(comp_eg, solid_edges=comp_eg.solid_edges - {min(comp_eg.solid_edges)})
+    uncut = replace(piece, conflict_edges={**piece.conflict_edges, min(piece.conflict_edges): None})
+    variants = [(piece, comp_eg), (piece, no_dash), (piece, no_solid), (uncut, comp_eg)]
+    keys = {decomposer._rank_space(p, e)[0] for p, e in variants}
+    models = {model_shape(_piece_model(p, e, cfg)) for p, e in variants}
+    assert len(keys) == len(models) == len(variants)
+
+
+def _masked(res):
+    per_sub = [{**entry, "nodes_explored": 0} for entry in res.stats["per_sub"]]
+    return (
+        res.colors,
+        res.selected_cuts,
+        [r.as_tuple() for r in res.trim_rects],
+        res.conflicts,
+        res.stitches,
+        res.cost,
+        {**res.stats, "nodes_explored": 0, "per_sub": per_sub},
+    )
+
+
+def test_reused_pieces_match_their_own_solves(monkeypatch):
+    layouts = _memo_layouts()
+    with_memo = [decompose(feats, cfg) for feats, cfg in layouts]
+    rank_space = decomposer._rank_space
+    # a fresh key per piece: no piece is ever a repeat
+    monkeypatch.setattr(
+        decomposer, "_rank_space", lambda piece, eg: (object(), *rank_space(piece, eg)[1:])
+    )
+    without = [decompose(feats, cfg) for feats, cfg in layouts]
+    assert [_masked(r) for r in with_memo] == [_masked(r) for r in without]
+    reused = sum(
+        a["nodes_explored"] == 0 < b["nodes_explored"]
+        for ra, rb in zip(with_memo, without)
+        for a, b in zip(ra.stats["per_sub"], rb.stats["per_sub"])
+    )
+    assert reused > 50, reused
 
 
 def test_pipeline_determinism():

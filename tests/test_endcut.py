@@ -325,3 +325,74 @@ def test_cut_pairs_examined_grow_linearly_with_motifs(monkeypatch):
         counts.append(examined[0])
         assert examined[0] < len(cands) * (len(cands) - 1) // 20
     assert 0 < counts[1] <= 2.1 * counts[0], counts
+
+
+# ---- corner-corner cuts under rules that no corner shape can meet
+
+
+def corner_corner_without_shortcut(a, b, cfg, obstacles=()):
+    """gen_corner_corner without its early return for w_th >= dis_m."""
+    corners = leleec.endcut._polygon_corners
+    pairs = [(pa, pb) for pa in corners(a) for pb in corners(b)]
+    pa, pb = min(pairs, key=lambda p: ((p[0].x - p[1].x) ** 2 + (p[0].y - p[1].y) ** 2, *p))
+    if (pa.x - pb.x) ** 2 + (pa.y - pb.y) ** 2 >= cfg.dis_m**2:
+        return None
+    x_lo, x_hi, y_lo, y_hi = min(pa.x, pb.x), max(pa.x, pb.x), min(pa.y, pb.y), max(pa.y, pb.y)
+    shapes = []
+    for horizontal, (lo, hi) in ((True, (x_lo, x_hi)), (False, (y_lo, y_hi))):
+        grow = cfg.w_th - (hi - lo)
+        for s_lo, s_hi in [(lo, hi)] if grow <= 0 else [(lo - grow, hi), (lo, hi + grow)]:
+            coords = (s_lo, y_lo, s_hi, y_hi) if horizontal else (x_lo, s_lo, x_hi, s_hi)
+            if coords[0] < coords[2] and coords[1] < coords[3]:
+                shapes.append(Rect.of(*coords))
+    fits = [
+        cut
+        for cut in shapes
+        if min(cut.width, cut.height) >= cfg.w_th
+        and not any(rect_overlaps_polygon(cut, f.shape) for f in obstacles)
+    ]
+    return min(fits, key=lambda r: (r.area(), r.lo.x, r.lo.y), default=None)
+
+
+def _corner_layouts(w_ths):
+    """Seeded wires and L-shapes, each with w_th drawn from w_ths."""
+    for seed in range(30):
+        rng = random.Random(900 + seed)
+        feats = _random_polygons(rng, rng.randrange(4, 40), box=rng.choice([150, 300]))
+        yield feats, Config.from_rules(10, 10, dis_m=rng.choice([30, 50]), w_th=rng.choice(w_ths))
+
+
+def _candidates_both_ways(feats, cfg, monkeypatch):
+    pairs = sorted(build_conflict_edges(feats, cfg).conflict_edges)
+    fast = generate_candidates(feats, pairs, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(leleec.endcut, "gen_corner_corner", corner_corner_without_shortcut)
+        slow = generate_candidates(feats, pairs, cfg)
+    return fast, slow
+
+
+def test_no_corner_cut_when_w_th_reaches_dis_m(monkeypatch):
+    conflict_pairs = 0
+    # these kinds keep the default rules, w_th == dis_m; clique4_array lowers w_th
+    gen = [gen_synthetic(k, 3, 0, Config.from_rules(10, 10)) for k in ("grid", "comb", "via_array")]
+    for feats, cfg in [*_corner_layouts([50, 80]), *gen]:
+        assert cfg.w_th >= cfg.dis_m
+        fast, slow = _candidates_both_ways(feats, cfg, monkeypatch)
+        assert fast == slow
+        assert not any(c.kind == CORNER_CORNER for c in slow)
+        for fa, fb in build_conflict_edges(feats, cfg).conflict_edges:
+            assert corner_corner_without_shortcut(feats[fa], feats[fb], cfg) is None
+            conflict_pairs += 1
+    assert conflict_pairs > 100
+
+
+def test_corner_cuts_remain_when_w_th_is_below_dis_m(monkeypatch):
+    corners = 0
+    for feats, cfg in _corner_layouts([4, 10, 12]):
+        fast, slow = _candidates_both_ways(feats, cfg, monkeypatch)
+        assert fast == slow
+        corners += sum(c.kind == CORNER_CORNER for c in fast)
+    assert corners > 0
+    cfg = Config.from_rules(10, 10, w_th=4)
+    a, b = F(0, (0, 0, 10, 10)), F(1, (14, 14, 24, 24))
+    assert gen_corner_corner(a, b, cfg, [a, b]) == corner_corner_without_shortcut(a, b, cfg, [a, b])
