@@ -19,7 +19,7 @@ from pathlib import Path
 from .decomposer import build_graphs, decompose_graphs, lelele_baseline
 from .decomposer import validate_result  # noqa: F401 - perfbench/spans.py traces this name here
 from .ilp_model import ProblemGraph, build_model_from_problem
-from .layout_graph import Config, LayoutError, build_conflict_edges
+from .layout_graph import Config, LayoutError, OverlappingInput, build_conflict_edges, feature_index
 from .layout_io import (
     ParseError,
     ValidationError,
@@ -151,7 +151,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_baseline(args) -> int:
     features, cfg = parse_layout(args.layout)
     cfg = replace(cfg, enable_stitch=False)
-    lg = build_conflict_edges(features, cfg)
+    lg = build_conflict_edges(features, cfg, feature_index(features, cfg))
     result = lelele_baseline(lg, args.time_limit)
 
     if args.svg:
@@ -201,6 +201,9 @@ def run_cli(argv: list[str]) -> int:
             return _cmd_gen(args)
         if args.command == "verify":
             return _cmd_verify(args)
+    except OverlappingInput as exc:  # raised by the graph build, after parsing
+        print(f"error: {args.layout}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ParseError, ValidationError, LayoutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

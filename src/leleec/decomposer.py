@@ -73,6 +73,7 @@ from .layout_graph import (
     LayoutGraph,
     annotate_end_cuts,
     build_conflict_edges,
+    feature_index,
     generate_stitch_candidates,
 )
 from .solver import SolveStats, TimeLimit, one_mask_incumbent, solve
@@ -406,12 +407,18 @@ def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
 
 
 def build_graphs(features: list[Feature], cfg: Config):
-    """Shared pipeline front end: annotated layout graph + end-cut graph."""
-    g0 = build_conflict_edges(features, cfg)
-    candidates = generate_candidates(features, sorted(g0.conflict_edges), cfg)
+    """Shared pipeline front end: annotated layout graph + end-cut graph.
+
+    One feature index serves every stage. Its one near-pair walk, in the
+    conflict build, raises OverlappingInput for touching or overlapping
+    features.
+    """
+    index = feature_index(features, cfg)
+    g0 = build_conflict_edges(features, cfg, index)
+    candidates = generate_candidates(features, sorted(g0.conflict_edges), cfg, index)
     g = generate_stitch_candidates(features, g0, cfg) if cfg.enable_stitch else g0
     g = annotate_end_cuts(g, candidates)
-    eg = build_endcut_graph(candidates, features, cfg)
+    eg = build_endcut_graph(candidates, features, cfg, index)
     return g, eg
 
 

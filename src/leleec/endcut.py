@@ -8,9 +8,11 @@ they share a feature and sit close enough to merge into one larger cut
 (dash edges).
 
 Both stages look things up in the uniform bucket index of
-`geometry.GridIndex` instead of scanning everything. Every cut of a pair
-lies within max(dis_m, w_th) of the bbox of the pair's first feature, so
-only the features filed near that feature are tested as obstacles. Cuts are bucketed at
+`geometry.GridIndex` instead of scanning everything. They share the
+layout's one `feature_index`, which the conflict build also walks, and
+take it as an argument. Every cut of a pair lies within max(dis_m, w_th)
+of the bbox of the pair's first feature, so only the features filed near
+that feature are tested as obstacles. Cuts are bucketed at
 max(dis_c, merge_gap), so only cuts in neighbouring cells are classified,
 and the merged bbox of a dash pair is tested against the features filed
 near it. The tests keep the all-pairs, all-obstacle forms as references.
@@ -32,7 +34,7 @@ from .geometry import (
     rect_overlaps_polygon,
     rect_union_bbox,
 )
-from .layout_graph import Config, EdgeKey, Feature, feature_index
+from .layout_graph import Config, EdgeKey, Feature
 
 EDGE_EDGE = "edge_edge"
 CORNER_CORNER = "corner_corner"
@@ -111,22 +113,33 @@ def _polygon_corners(f: Feature) -> list[Point]:
 
 
 def gen_corner_corner(
-    a: Feature, b: Feature, cfg: Config, obstacles: Sequence[Feature] = ()
+    a: Feature,
+    b: Feature,
+    cfg: Config,
+    obstacles: Sequence[Feature] = (),
+    corners: dict[int, list[Point]] | None = None,
 ) -> Rect | None:
     """Minimal-area of the four corner-bridging shapes, or None.
 
     The nearest corner pair spans a base rectangle; each of the four shapes
     thickens the base to exactly w_th along one axis toward one side. Shapes
     narrower than w_th in either direction or overlapping a feature interior
-    are discarded; ties on area break to the smallest lo corner.
+    are discarded; ties on area break to the smallest lo corner. `corners`
+    keeps each feature's sorted corners by feature id between calls;
+    `generate_candidates` passes one dict per call.
     """
     if cfg.w_th >= cfg.dis_m:
         # both base sides are shorter than dis_m <= w_th, and each shape keeps one of them
         return None
+    if corners is None:
+        corners = {}
+    for f in (a, b):
+        if f.id not in corners:
+            corners[f.id] = _polygon_corners(f)
     best_pair: tuple[Point, Point] | None = None
     best_d: int | None = None
-    for pa in _polygon_corners(a):
-        for pb in _polygon_corners(b):
+    for pa in corners[a.id]:
+        for pb in corners[b.id]:
             d = (pa.x - pb.x) ** 2 + (pa.y - pb.y) ** 2
             if best_d is None or (d, pa, pb) < (best_d, *best_pair):
                 best_d, best_pair = d, (pa, pb)
@@ -164,14 +177,17 @@ def gen_corner_corner(
 
 
 def generate_candidates(
-    features: list[Feature], pairs: Iterable[EdgeKey], cfg: Config
+    features: list[Feature], pairs: Iterable[EdgeKey], cfg: Config, index: GridIndex
 ) -> list[EndCutCandidate]:
-    """One candidate per conflicting feature pair (edge-edge first), ids dense."""
-    index = feature_index(features, cfg)
+    """One candidate per conflicting feature pair (edge-edge first), ids dense.
+
+    `index` is the layout's `feature_index`; obstacles are looked up in it.
+    """
     # along each axis, every cut of a pair (fa, *) either spans less than
     # dis_m from fa's bbox or is w_th long around a corner of fa
     margin = max(cfg.dis_m, cfg.w_th)
     out: list[EndCutCandidate] = []
+    corners: dict[int, list[Point]] = {}  # one corner list per feature per call
     near_of, near = None, []
     for fa, fb in sorted(pairs):
         a, b = features[fa], features[fb]
@@ -180,7 +196,7 @@ def generate_candidates(
         rect = gen_edge_edge(a, b, cfg, near)
         kind = EDGE_EDGE
         if rect is None:
-            rect = gen_corner_corner(a, b, cfg, near)
+            rect = gen_corner_corner(a, b, cfg, near, corners)
             kind = CORNER_CORNER
         if rect is None:
             continue
@@ -191,20 +207,21 @@ def generate_candidates(
 
 
 def build_endcut_graph(
-    candidates: list[EndCutCandidate], features: list[Feature], cfg: Config
+    candidates: list[EndCutCandidate], features: list[Feature], cfg: Config, obstacles: GridIndex
 ) -> EndCutGraph:
     """Classify candidate pairs as dash (mergeable), solid (exclusive), or unrelated.
 
     Pairs are keyed (p.id, q.id) with p listed before q. Only pairs in
     neighbouring cells of a cut index at max(dis_c, merge_gap) can be within
-    either distance, so no other pair is examined.
+    either distance, so no other pair is examined. `obstacles` is the
+    layout's `feature_index`; a dash pair's merged bbox is tested against
+    the features that index files near the bbox.
     """
     solid: set[EdgeKey] = set()
     dash: set[EdgeKey] = set()
     merge_sq = cfg.merge_gap * cfg.merge_gap
     disc_sq = cfg.dis_c * cfg.dis_c
     cuts = GridIndex([c.cut_rect for c in candidates], max(cfg.dis_c, cfg.merge_gap))
-    obstacles = feature_index(features, cfg)
     for i, j in cuts.near_pairs():
         p, q = candidates[i], candidates[j]
         d = rect_distance(p.cut_rect, q.cut_rect)

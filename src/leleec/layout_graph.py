@@ -4,6 +4,11 @@ Vertices are feature segments (one per feature until stitch splitting).
 Conflict edges join segments of different features whose squared distance is
 strictly below dis_m**2; stitch edges join consecutive segments of one
 feature.
+
+`feature_index` is built once per layout and shared: the conflict build
+walks its near pairs, and the end-cut stages query it for obstacles. The
+one near-pair walk of `build_conflict_edges` is also the input check: it
+rejects the first id-ordered pair of features that touch or overlap.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .geometry import (
     GridIndex,
     Polygon,
     polygon_distance,
-    rect_distance,
     split_polygon,
     subtract_intervals,
 )
@@ -122,29 +126,17 @@ def feature_index(features: list[Feature], cfg: Config) -> GridIndex:
     return GridIndex([f.shape.bbox for f in features], cfg.dis_m)
 
 
-def reject_overlaps(features: list[Feature], cfg: Config) -> None:
-    """Raise OverlappingInput for the first id-ordered pair of features that touch or overlap.
-
-    Only pairs whose bounding boxes touch get an exact polygon test.
-    """
-    _check_features(features)
-    boxes = [f.shape.bbox for f in features]
-    for i, j in feature_index(features, cfg).near_pairs():
-        if rect_distance(boxes[i], boxes[j]) > 0:
-            continue
-        if polygon_distance(features[i].shape, features[j].shape) == 0:
-            raise OverlappingInput(f"features {i} and {j} overlap or touch")
-
-
-def build_conflict_edges(features: list[Feature], cfg: Config) -> LayoutGraph:
+def build_conflict_edges(features: list[Feature], cfg: Config, index: GridIndex) -> LayoutGraph:
     """Layout graph with one vertex per feature and conflict edges within dis_m.
 
-    Raises OverlappingInput when two features touch or overlap.
+    `index` is `feature_index(features, cfg)`. Its near pairs are walked in
+    id order, so OverlappingInput names the first id-ordered pair of
+    features that touch or overlap.
     """
     _check_features(features)
     limit = cfg.dis_m * cfg.dis_m
     edges: dict[EdgeKey, int | None] = {}
-    for i, j in feature_index(features, cfg).near_pairs():
+    for i, j in index.near_pairs():
         d = polygon_distance(features[i].shape, features[j].shape)
         if d == 0:
             raise OverlappingInput(f"features {i} and {j} overlap or touch")

@@ -23,9 +23,8 @@ from .layout_graph import (
     Feature,
     LayoutError,
     LayoutGraph,
-    OverlappingInput,
     build_conflict_edges,
-    reject_overlaps,
+    feature_index,
     stitch_coordinate,
 )
 
@@ -79,7 +78,12 @@ def _expect_int(value: Any, where: str) -> int:
 
 
 def parse_layout(path: str | Path) -> tuple[list[Feature], Config]:
-    """Validated features and resolved config from a layout file."""
+    """Validated features and resolved config from a layout file.
+
+    Geometry is not checked here: the conflict build of `build_graphs` (or
+    `build_conflict_edges`) raises OverlappingInput for features that touch
+    or overlap.
+    """
     data = _load_json(path)
     return layout_from_obj(data, str(path))
 
@@ -137,10 +141,6 @@ def layout_from_obj(data: Any, where: str = "layout") -> tuple[list[Feature], Co
     features.sort(key=lambda f: f.id)
     if [f.id for f in features] != list(range(len(features))):
         raise ValidationError(f"{where}: feature ids must be dense from 0")
-    try:
-        reject_overlaps(features, cfg)
-    except OverlappingInput as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
     return features, cfg
 
 
@@ -278,6 +278,9 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
     A `lelele` (three-mask baseline) result is checked as a result with masks
     1-3 over the conflict graph, no cuts and no stitches: its conflicts must
     be exactly the monochromatic conflict edges, and its cost their number.
+    The config is checked against the layout's before any graph is built.
+    Raises OverlappingInput, from the graph build, when layout features
+    touch or overlap.
     """
     if result.get("mode") not in ("leleec", "lelele"):
         return ["mode: must be 'leleec' or 'lelele'"]
@@ -296,7 +299,7 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
         return problems
 
     if lelele:
-        lg = build_conflict_edges(features, cfg)
+        lg = build_conflict_edges(features, cfg, feature_index(features, cfg))
         eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
     else:
         lg, eg = build_graphs(features, cfg)

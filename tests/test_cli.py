@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,8 +13,9 @@ import pytest
 import leleec.cli
 from leleec.cli import run_cli
 from leleec.decomposer import build_graphs
-from leleec.layout_io import dump_json, emit_layout
-from leleec.layout_graph import Config
+from leleec.geometry import GridIndex, Polygon, polygon_distance, rects_overlap
+from leleec.layout_io import config_to_obj, dump_json, emit_layout
+from leleec.layout_graph import Config, Feature
 from leleec.synth import KINDS, gen_synthetic
 
 from conftest import stitch_ring, via_block
@@ -334,3 +336,90 @@ def test_cli_import_does_not_load_numpy():
     code = f"import sys; sys.path.insert(0, {src!r}); import leleec.cli; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+# ---- the overlap check and the work of one front end per call
+
+
+def _first_touching_pair(feats):
+    """First id-ordered pair at squared distance 0, by an all-pairs scan."""
+    for i in range(len(feats)):
+        for j in range(i + 1, len(feats)):
+            if polygon_distance(feats[i].shape, feats[j].shape) == 0:
+                return i, j
+    return None
+
+
+def _overlapping_layouts(tmp_path):
+    """Seeded layouts of random boxes, each with features that touch or overlap."""
+    for seed in range(40):
+        rng = random.Random(700 + seed)
+        feats = []
+        for i in range(rng.randrange(2, 30)):
+            x, y = rng.randrange(0, 300), rng.randrange(0, 300)
+            feats.append(Feature(i, Polygon.of((x, y, x + rng.randrange(5, 60), y + rng.randrange(5, 60)))))
+        pair = _first_touching_pair(feats)
+        if pair is None:
+            continue
+        cfg = Config.from_rules(10, 10)
+        layout = tmp_path / f"overlap_{seed}.json"
+        emit_layout(feats, cfg, layout)
+        yield layout, cfg, feats, pair
+
+
+def test_overlapping_features_exit_2_naming_the_first_pair(tmp_path, capsys):
+    touching = overlapping = 0
+    for layout, cfg, feats, (i, j) in _overlapping_layouts(tmp_path):
+        if rects_overlap(feats[i].shape.bbox, feats[j].shape.bbox):
+            overlapping += 1
+        else:
+            touching += 1
+        expected = f"error: {layout}: features {i} and {j} overlap or touch\n"
+        out = tmp_path / "out.json"
+        for mode in ("leleec", "lelele"):
+            # a well-formed result whose config matches, so verify reaches the geometry
+            result = {"format": 1, "mode": mode, "config": config_to_obj(cfg), "colors": {}}
+            out.write_text(dump_json(result))
+            assert run_cli(["verify", str(layout), str(out)]) == 2
+            assert capsys.readouterr().err == expected
+        out.unlink()
+        for command in ("decompose", "baseline-lelele"):
+            assert run_cli([command, str(layout), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == expected
+            assert not out.exists()
+    assert touching > 0 and overlapping > 0
+
+
+def test_one_feature_index_and_one_near_pair_walk_per_call(tmp_path, monkeypatch):
+    layout, result, base = tmp_path / "motif.json", tmp_path / "res.json", tmp_path / "base.json"
+    assert run_cli(["gen", "clique4_array", "4", "--out", str(layout)]) == 0
+    boxes = [f.shape.bbox for f in gen_synthetic("clique4_array", 4, 0, Config.from_rules(10, 10))[0]]
+    built, walked = [], []
+    init, near_pairs = GridIndex.__init__, GridIndex.near_pairs
+
+    def counted_init(self, rects, cell):
+        built.append((self, list(rects)))
+        init(self, rects, cell)
+
+    def counted_near_pairs(self):
+        walked.append(self)
+        return near_pairs(self)
+
+    monkeypatch.setattr(GridIndex, "__init__", counted_init)
+    monkeypatch.setattr(GridIndex, "near_pairs", counted_near_pairs)
+    calls = (
+        (["decompose", str(layout), "--out", str(result)], 2),
+        (["verify", str(layout), str(result)], 2),
+        (["baseline-lelele", str(layout), "--out", str(base)], 1),
+        (["verify", str(layout), str(base)], 1),
+    )
+    for argv, indexes in calls:
+        built.clear()
+        walked.clear()
+        assert run_cli(argv) == 0
+        over_features = [index for index, rects in built if rects == boxes]
+        assert len(over_features) == 1, argv
+        # decompose and a leleec verify also build the cut index, over candidates
+        assert len(built) == indexes, argv
+        assert [index is over_features[0] for index in walked].count(True) == 1, argv
+        assert len(walked) == indexes, argv

@@ -15,9 +15,17 @@ from leleec.decomposer import (
     split_components,
     validate_result,
 )
-from leleec.endcut import EndCutGraph
+from leleec.endcut import EndCutGraph, build_endcut_graph, generate_candidates
+from leleec.geometry import Polygon, Rect, rect_distance
 from leleec.ilp_model import ProblemGraph, build_lelele_baseline, build_model_from_problem, decode_assignment
-from leleec.layout_graph import Config, build_conflict_edges
+from leleec.layout_graph import (
+    Config,
+    Feature,
+    annotate_end_cuts,
+    build_conflict_edges,
+    feature_index,
+    generate_stitch_candidates,
+)
 from leleec.solver import solve
 from leleec.synth import KINDS, gen_synthetic
 
@@ -380,6 +388,53 @@ def test_reused_pieces_match_their_own_solves(monkeypatch):
     assert reused > 50, reused
 
 
+def _stage_by_stage(features, cfg):
+    """build_graphs' stages called one by one, each with a fresh feature index."""
+    g0 = build_conflict_edges(features, cfg, feature_index(features, cfg))
+    pairs = sorted(g0.conflict_edges)
+    candidates = generate_candidates(features, pairs, cfg, feature_index(features, cfg))
+    g = generate_stitch_candidates(features, g0, cfg) if cfg.enable_stitch else g0
+    g = annotate_end_cuts(g, candidates)
+    return g, build_endcut_graph(candidates, features, cfg, feature_index(features, cfg))
+
+
+def _wires(rng, n, window, cfg):
+    """Up to n straight wires 10-12 wide and 40-240 long at >= s_min spacing."""
+    rects = []
+    for _ in range(20 * n):
+        if len(rects) == n:
+            break
+        width, length = rng.randint(10, 12), rng.randint(40, 240)
+        dx, dy = (length, width) if rng.random() < 0.5 else (width, length)
+        x, y = rng.randrange(window - dx), rng.randrange(window - dy)
+        r = Rect.of(x, y, x + dx, y + dy)
+        if all(rect_distance(r, o) >= cfg.s_min**2 for o in rects):
+            rects.append(r)
+    return [Feature(i, Polygon((r,))) for i, r in enumerate(rects)]
+
+
+def test_shared_index_front_end_matches_stage_by_stage():
+    layouts = []
+    for seed in range(6):
+        cfg = Config.from_rules(10, 10, enable_stitch=seed % 3 != 2)
+        layouts.append((_wires(random.Random(seed), 120, 1900, cfg), cfg))
+        feats, motif_cfg = gen_synthetic("clique4_array", 8 + seed, seed, Config.from_rules(10, 10))
+        layouts.append((feats, replace(motif_cfg, enable_stitch=seed % 2 == 0)))
+    seen = dict.fromkeys(("cut_edges", "stitch", "solid", "dash"), 0)
+    for feats, cfg in layouts:
+        lg, eg = build_graphs(feats, cfg)
+        ref_lg, ref_eg = _stage_by_stage(feats, cfg)
+        assert lg.vertices == ref_lg.vertices
+        assert list(lg.conflict_edges.items()) == list(ref_lg.conflict_edges.items())
+        assert lg.stitch_edges == ref_lg.stitch_edges
+        assert (eg.nodes, eg.solid_edges, eg.dash_edges) == (ref_eg.nodes, ref_eg.solid_edges, ref_eg.dash_edges)
+        seen["cut_edges"] += sum(c is not None for c in lg.conflict_edges.values())
+        seen["stitch"] += len(lg.stitch_edges)
+        seen["solid"] += len(eg.solid_edges)
+        seen["dash"] += len(eg.dash_edges)
+    assert all(seen.values()), seen
+
+
 def test_pipeline_determinism():
     feats, cfg = stitch_ring()
     a = decompose(feats, cfg)
@@ -411,7 +466,7 @@ def test_gamma_quad_through_pipeline():
 
 def _baseline_matches_whole_model(feats, cfg, where):
     """The per-component baseline against one three-mask model of the whole layout."""
-    lg = build_conflict_edges(feats, replace(cfg, enable_stitch=False))
+    lg = build_conflict_edges(feats, cfg, feature_index(feats, cfg))
     whole = build_lelele_baseline(
         ProblemGraph.from_layout(lg, EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set()))
     )

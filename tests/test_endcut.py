@@ -21,7 +21,7 @@ from leleec.geometry import (
     rect_overlaps_polygon,
     rect_union_bbox,
 )
-from leleec.layout_graph import Config, Feature, build_conflict_edges
+from leleec.layout_graph import Config, Feature, build_conflict_edges, feature_index
 from leleec.synth import gen_synthetic
 
 from conftest import make_features, random_layout
@@ -89,8 +89,9 @@ def test_corner_corner_far_corners_rejected():
 def test_priority_edge_edge_then_corner_corner():
     cfg = Config.from_rules(10, 10, w_th=10)
     feats = make_features([(0, 0, 10, 60)], [(30, 0, 40, 60)])
-    g = build_conflict_edges(feats, cfg)
-    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg)
+    index = feature_index(feats, cfg)
+    g = build_conflict_edges(feats, cfg, index)
+    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
     assert [c.kind for c in cands] == [EDGE_EDGE]
     # corner-corner is only attempted when edge-edge fails
     assert gen_edge_edge(feats[0], feats[1], cfg, feats) is not None
@@ -101,8 +102,9 @@ def test_candidate_interiors_clear_of_features():
         rng = random.Random(seed)
         feats = random_layout(rng, 8, box=200)
         cfg = Config.from_rules(10, 10, w_th=rng.choice([10, 12]))
-        g = build_conflict_edges(feats, cfg)
-        cands = generate_candidates(feats, sorted(g.conflict_edges), cfg)
+        index = feature_index(feats, cfg)
+        g = build_conflict_edges(feats, cfg, index)
+        cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
         for cand in cands:
             for f in feats:
                 assert not rect_overlaps_polygon(cand.cut_rect, f.shape)
@@ -112,12 +114,13 @@ def test_candidate_generation_translation_invariant():
     rng = random.Random(42)
     feats = random_layout(rng, 8, box=200)
     cfg = Config.from_rules(10, 10, w_th=10)
-    g = build_conflict_edges(feats, cfg)
-    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg)
+    index = feature_index(feats, cfg)
+    g = build_conflict_edges(feats, cfg, index)
+    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
     dx, dy = 137, -59
     moved = [Feature(f.id, f.shape.translated(dx, dy)) for f in feats]
-    g2 = build_conflict_edges(moved, cfg)
-    cands2 = generate_candidates(moved, sorted(g2.conflict_edges), cfg)
+    g2 = build_conflict_edges(moved, cfg, feature_index(moved, cfg))
+    cands2 = generate_candidates(moved, sorted(g2.conflict_edges), cfg, feature_index(moved, cfg))
     assert len(cands) == len(cands2)
     for c1, c2 in zip(cands, cands2):
         assert c1.cut_rect.translated(dx, dy) == c2.cut_rect
@@ -140,7 +143,7 @@ def test_far_cuts_unrelated():
         _mk_cand(0, 0, 1, (10, 0, 20, 60)),
         _mk_cand(1, 1, 2, (30, 240, 40, 300)),
     ]
-    eg = build_endcut_graph(cands, feats, cfg)
+    eg = build_endcut_graph(cands, feats, cfg, feature_index(feats, cfg))
     # distance 180 >= dis_c and far beyond merge_gap
     assert eg.solid_edges == set() and eg.dash_edges == set()
 
@@ -149,9 +152,10 @@ def test_abutting_cuts_sharing_feature_are_dash():
     from conftest import gamma_quad
 
     feats, cfg = gamma_quad()
-    g = build_conflict_edges(feats, cfg)
-    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg)
-    eg = build_endcut_graph(cands, feats, cfg)
+    index = feature_index(feats, cfg)
+    g = build_conflict_edges(feats, cfg, index)
+    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
+    eg = build_endcut_graph(cands, feats, cfg, index)
     assert [(c.feature_a, c.feature_b) for c in cands] == [(1, 3), (2, 3)]
     assert cands[0].cut_rect.as_tuple() == (10, 8, 14, 100)
     assert cands[1].cut_rect.as_tuple() == (24, 8, 28, 100)
@@ -169,7 +173,7 @@ def test_close_cuts_without_shared_feature_are_solid():
         _mk_cand(0, 0, 1, (10, 0, 20, 100)),
         _mk_cand(1, 2, 3, (10, 120, 20, 220)),
     ]
-    eg = build_endcut_graph(cands, feats, cfg)
+    eg = build_endcut_graph(cands, feats, cfg, feature_index(feats, cfg))
     # 20 apart: within dis_c = 50, no shared feature
     assert eg.solid_edges == {(0, 1)}
     assert eg.dash_edges == set()
@@ -187,7 +191,7 @@ def test_dash_requires_clear_merged_bbox():
         _mk_cand(0, 0, 1, (10, 60, 20, 108)),
         _mk_cand(1, 1, 2, (30, 60, 40, 108)),
     ]
-    eg = build_endcut_graph(cands, feats, cfg)
+    eg = build_endcut_graph(cands, feats, cfg, feature_index(feats, cfg))
     # cuts share feature 1 and are merge_gap apart, but the union bbox
     # overlaps feature 3 which is not a participant
     assert (0, 1) in eg.solid_edges
@@ -199,9 +203,10 @@ def test_classification_is_a_partition():
         rng = random.Random(300 + seed)
         feats = random_layout(rng, 8, box=180)
         cfg = Config.from_rules(10, 10, w_th=10)
-        g = build_conflict_edges(feats, cfg)
-        cands = generate_candidates(feats, sorted(g.conflict_edges), cfg)
-        eg = build_endcut_graph(cands, feats, cfg)
+        index = feature_index(feats, cfg)
+        g = build_conflict_edges(feats, cfg, index)
+        cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
+        eg = build_endcut_graph(cands, feats, cfg, index)
         assert not (eg.solid_edges & eg.dash_edges)
         merge_sq = cfg.merge_gap**2
         disc_sq = cfg.dis_c**2
@@ -290,12 +295,13 @@ def test_indexed_front_end_matches_all_pairs_reference():
             dis_c=rng.choice([20, 50, 90]),
             merge_gap=rng.choice([5, 10, 40, 120]),
         )
-        pairs = sorted(build_conflict_edges(feats, cfg).conflict_edges)
-        cands = generate_candidates(feats, pairs, cfg)
+        index = feature_index(feats, cfg)
+        pairs = sorted(build_conflict_edges(feats, cfg, index).conflict_edges)
+        cands = generate_candidates(feats, pairs, cfg, index)
         assert cands == all_obstacle_candidates(feats, pairs, cfg), f"seed {seed}"
         # keys follow list order, not ids, so a shuffled list must agree too
         for order in (cands, rng.sample(cands, len(cands))):
-            eg = build_endcut_graph(order, feats, cfg)
+            eg = build_endcut_graph(order, feats, cfg, index)
             ref = all_pairs_endcut_graph(order, feats, cfg)
             assert (eg.solid_edges, eg.dash_edges) == (ref.solid_edges, ref.dash_edges), f"seed {seed}"
         totals["corner"] += sum(c.kind == CORNER_CORNER for c in cands)
@@ -319,9 +325,11 @@ def test_cut_pairs_examined_grow_linearly_with_motifs(monkeypatch):
     counts = []
     for motifs in (64, 128):
         feats, cfg = gen_synthetic("clique4_array", motifs, 0, Config.from_rules(10, 10))
-        cands = generate_candidates(feats, sorted(build_conflict_edges(feats, cfg).conflict_edges), cfg)
+        index = feature_index(feats, cfg)
+        pairs = sorted(build_conflict_edges(feats, cfg, index).conflict_edges)
+        cands = generate_candidates(feats, pairs, cfg, index)
         examined[0] = 0
-        build_endcut_graph(cands, feats, cfg)
+        build_endcut_graph(cands, feats, cfg, index)
         counts.append(examined[0])
         assert examined[0] < len(cands) * (len(cands) - 1) // 20
     assert 0 < counts[1] <= 2.1 * counts[0], counts
@@ -330,8 +338,8 @@ def test_cut_pairs_examined_grow_linearly_with_motifs(monkeypatch):
 # ---- corner-corner cuts under rules that no corner shape can meet
 
 
-def corner_corner_without_shortcut(a, b, cfg, obstacles=()):
-    """gen_corner_corner without its early return for w_th >= dis_m."""
+def corner_corner_without_shortcut(a, b, cfg, obstacles=(), corners=None):
+    """gen_corner_corner without its early return for w_th >= dis_m or its corner memo."""
     corners = leleec.endcut._polygon_corners
     pairs = [(pa, pb) for pa in corners(a) for pb in corners(b)]
     pa, pb = min(pairs, key=lambda p: ((p[0].x - p[1].x) ** 2 + (p[0].y - p[1].y) ** 2, *p))
@@ -363,11 +371,12 @@ def _corner_layouts(w_ths):
 
 
 def _candidates_both_ways(feats, cfg, monkeypatch):
-    pairs = sorted(build_conflict_edges(feats, cfg).conflict_edges)
-    fast = generate_candidates(feats, pairs, cfg)
+    index = feature_index(feats, cfg)
+    pairs = sorted(build_conflict_edges(feats, cfg, index).conflict_edges)
+    fast = generate_candidates(feats, pairs, cfg, index)
     with monkeypatch.context() as m:
         m.setattr(leleec.endcut, "gen_corner_corner", corner_corner_without_shortcut)
-        slow = generate_candidates(feats, pairs, cfg)
+        slow = generate_candidates(feats, pairs, cfg, index)
     return fast, slow
 
 
@@ -380,7 +389,7 @@ def test_no_corner_cut_when_w_th_reaches_dis_m(monkeypatch):
         fast, slow = _candidates_both_ways(feats, cfg, monkeypatch)
         assert fast == slow
         assert not any(c.kind == CORNER_CORNER for c in slow)
-        for fa, fb in build_conflict_edges(feats, cfg).conflict_edges:
+        for fa, fb in build_conflict_edges(feats, cfg, feature_index(feats, cfg)).conflict_edges:
             assert corner_corner_without_shortcut(feats[fa], feats[fb], cfg) is None
             conflict_pairs += 1
     assert conflict_pairs > 100

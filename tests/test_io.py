@@ -93,19 +93,6 @@ def test_parse_error_on_malformed_json(tmp_path):
     assert "line" in str(err.value)
 
 
-def test_overlapping_features_rejected_at_parse(tmp_path):
-    obj = dict(
-        MINIMAL,
-        features=[
-            {"id": 0, "rects": [[0, 0, 10, 40]]},
-            {"id": 1, "rects": [[5, 5, 30, 30]]},
-        ],
-    )
-    with pytest.raises(ValidationError) as err:
-        parse_layout(_write(tmp_path, "olap.json", obj))
-    assert "overlap" in str(err.value)
-
-
 def test_layout_round_trip(tmp_path):
     feats, cfg = clique4_motif()
     path = tmp_path / "x.json"

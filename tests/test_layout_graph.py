@@ -5,16 +5,15 @@ import random
 import pytest
 
 from leleec.endcut import generate_candidates
-from leleec.geometry import Polygon, polygon_distance
+from leleec.geometry import polygon_distance
 from leleec.layout_graph import (
     Config,
-    Feature,
     DuplicateCandidate,
     OverlappingInput,
     annotate_end_cuts,
     build_conflict_edges,
+    feature_index,
     generate_stitch_candidates,
-    reject_overlaps,
     stitch_coordinate,
 )
 
@@ -24,7 +23,7 @@ CFG = Config.from_rules(10, 10)  # dis_m = 50
 
 
 def edges_of(features, cfg=CFG):
-    return set(build_conflict_edges(features, cfg).conflict_edges)
+    return set(build_conflict_edges(features, cfg, feature_index(features, cfg)).conflict_edges)
 
 
 def test_two_rects_within_dis_m_conflict():
@@ -62,13 +61,13 @@ def test_golden_topology():
 def test_overlapping_features_rejected():
     feats = make_features([(0, 0, 10, 40)], [(5, 5, 30, 30)])
     with pytest.raises(OverlappingInput):
-        build_conflict_edges(feats, CFG)
+        build_conflict_edges(feats, CFG, feature_index(feats, CFG))
 
 
 def test_touching_features_rejected():
     feats = make_features([(0, 0, 10, 40)], [(10, 0, 30, 30)])
     with pytest.raises(OverlappingInput):
-        build_conflict_edges(feats, CFG)
+        build_conflict_edges(feats, CFG, feature_index(feats, CFG))
 
 
 def test_grid_index_matches_brute_force():
@@ -89,27 +88,8 @@ def test_grid_index_matches_brute_force():
     assert len(feats) > 0
 
 
-def test_reject_overlaps_names_the_pair_the_conflict_build_rejects():
-    raised = 0
-    for seed in range(60):
-        rng = random.Random(600 + seed)
-        feats = []
-        for i in range(rng.randrange(2, 30)):
-            x, y = rng.randrange(0, 300), rng.randrange(0, 300)
-            feats.append(Feature(i, Polygon.of((x, y, x + rng.randrange(5, 60), y + rng.randrange(5, 60)))))
-        try:
-            build_conflict_edges(feats, CFG)
-        except OverlappingInput as exc:
-            raised += 1
-            with pytest.raises(OverlappingInput, match=f"^{exc}$"):
-                reject_overlaps(feats, CFG)
-        else:
-            reject_overlaps(feats, CFG)
-    assert 0 < raised < 60
-
-
 def test_vertex_count_equals_feature_count_without_stitching():
-    g = build_conflict_edges(GOLDEN_FEATURES, CFG)
+    g = build_conflict_edges(GOLDEN_FEATURES, CFG, feature_index(GOLDEN_FEATURES, CFG))
     assert len(g.vertices) == len(GOLDEN_FEATURES)
     assert [v.id for v in g.vertices] == [f.id for f in GOLDEN_FEATURES]
 
@@ -119,7 +99,7 @@ def test_vertex_count_equals_feature_count_without_stitching():
 
 def test_isolated_feature_is_never_split():
     feats = make_features([(0, 0, 200, 10)])
-    g0 = build_conflict_edges(feats, CFG)
+    g0 = build_conflict_edges(feats, CFG, feature_index(feats, CFG))
     g = generate_stitch_candidates(feats, g0, CFG)
     assert len(g.vertices) == 1
     assert g.stitch_edges == set()
@@ -127,7 +107,7 @@ def test_isolated_feature_is_never_split():
 
 def test_left_half_conflict_splits_at_projection_boundary():
     feats = make_features([(0, 0, 100, 10)], [(0, 30, 40, 40)])
-    g0 = build_conflict_edges(feats, CFG)
+    g0 = build_conflict_edges(feats, CFG, feature_index(feats, CFG))
     assert set(g0.conflict_edges) == {(0, 1)}
     g = generate_stitch_candidates(feats, g0, CFG)
     wire_segments = [s for s in g.vertices if s.feature == 0]
@@ -143,14 +123,14 @@ def test_left_half_conflict_splits_at_projection_boundary():
 
 def test_fully_covered_feature_is_one_segment():
     feats = make_features([(0, 0, 10, 40)], [(20, 0, 30, 40)])
-    g0 = build_conflict_edges(feats, CFG)
+    g0 = build_conflict_edges(feats, CFG, feature_index(feats, CFG))
     g = generate_stitch_candidates(feats, g0, CFG)
     assert len(g.vertices) == 2
     assert g.stitch_edges == set()
 
 
 def _stitched(features, cfg=CFG):
-    g0 = build_conflict_edges(features, cfg)
+    g0 = build_conflict_edges(features, cfg, feature_index(features, cfg))
     return g0, generate_stitch_candidates(features, g0, cfg)
 
 
@@ -209,8 +189,9 @@ def test_no_edge_between_segments_of_same_feature():
 
 def test_annotate_edge_edge_candidate():
     feats, cfg = make_features([(0, 0, 10, 60)], [(30, 0, 40, 60)]), Config.from_rules(10, 10, w_th=10)
-    g = build_conflict_edges(feats, cfg)
-    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg)
+    index = feature_index(feats, cfg)
+    g = build_conflict_edges(feats, cfg, index)
+    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
     g = annotate_end_cuts(g, cands)
     assert g.conflict_edges[(0, 1)] == 0
 
@@ -218,8 +199,9 @@ def test_annotate_edge_edge_candidate():
 def test_width_forbidden_candidate_leaves_edge_unannotated():
     # facing run of 40 < w_th of 50: the candidate is forbidden
     feats = make_features([(0, 0, 10, 40)], [(20, 0, 30, 40)])
-    g = build_conflict_edges(feats, CFG)
-    cands = generate_candidates(feats, sorted(g.conflict_edges), CFG)
+    index = feature_index(feats, CFG)
+    g = build_conflict_edges(feats, CFG, index)
+    cands = generate_candidates(feats, sorted(g.conflict_edges), CFG, index)
     assert cands == []
     g = annotate_end_cuts(g, cands)
     assert g.conflict_edges[(0, 1)] is None
@@ -227,8 +209,9 @@ def test_width_forbidden_candidate_leaves_edge_unannotated():
 
 def test_golden_annotation():
     cfg = Config.from_rules(10, 10, w_th=10)
-    g = build_conflict_edges(GOLDEN_FEATURES, cfg)
-    cands = generate_candidates(GOLDEN_FEATURES, sorted(g.conflict_edges), cfg)
+    index = feature_index(GOLDEN_FEATURES, cfg)
+    g = build_conflict_edges(GOLDEN_FEATURES, cfg, index)
+    cands = generate_candidates(GOLDEN_FEATURES, sorted(g.conflict_edges), cfg, index)
     g = annotate_end_cuts(g, cands)
     by_pair = {
         (cands[c.id].feature_a, cands[c.id].feature_b): c.cut_rect.as_tuple() for c in cands
@@ -242,8 +225,9 @@ def test_golden_annotation():
 
 def test_duplicate_candidate_rejected():
     feats, cfg = make_features([(0, 0, 10, 60)], [(30, 0, 40, 60)]), Config.from_rules(10, 10, w_th=10)
-    g = build_conflict_edges(feats, cfg)
-    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg)
+    index = feature_index(feats, cfg)
+    g = build_conflict_edges(feats, cfg, index)
+    cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
     doubled = cands + [
         type(cands[0])(
             id=1, feature_a=0, feature_b=1, cut_rect=cands[0].cut_rect, kind=cands[0].kind
@@ -261,8 +245,9 @@ def test_annotation_targets_nearest_segment_pair():
         [(0, 30, 10, 70)],
         [(290, 30, 300, 70)],
     )
-    g0 = build_conflict_edges(feats, cfg)
-    cands = generate_candidates(feats, sorted(g0.conflict_edges), cfg)
+    index = feature_index(feats, cfg)
+    g0 = build_conflict_edges(feats, cfg, index)
+    cands = generate_candidates(feats, sorted(g0.conflict_edges), cfg, index)
     g = generate_stitch_candidates(feats, g0, cfg)
     g = annotate_end_cuts(g, cands)
     for cand in cands:
