@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from leleec.decomposer import build_graphs, decompose, decompose_graphs
-from leleec.layout_graph import Config
+from leleec.cli import run_cli
+from leleec.layout_graph import Config, OverlappingInput
 from leleec.layout_io import (
     ParseError,
     ValidationError,
@@ -91,6 +92,31 @@ def test_parse_error_on_malformed_json(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_layout(path)
     assert "line" in str(err.value)
+
+
+def test_overlapping_features_rejected_at_parse(tmp_path, capsys):
+    """A parsed layout with overlapping features is rejected before any result.
+
+    `parse_layout` reads the geometry without checking it; the conflict build
+    that every command runs next raises, and the CLI names the layout path.
+    """
+    obj = dict(
+        MINIMAL,
+        features=[
+            {"id": 0, "rects": [[0, 0, 10, 40]]},
+            {"id": 1, "rects": [[5, 5, 30, 30]]},
+        ],
+    )
+    path = _write(tmp_path, "olap.json", obj)
+    features, cfg = parse_layout(path)
+    with pytest.raises(OverlappingInput, match="^features 0 and 1 overlap or touch$"):
+        build_graphs(features, cfg)
+    with pytest.raises(OverlappingInput, match="^features 0 and 1 overlap or touch$"):
+        decompose(features, cfg)
+    out = tmp_path / "out.json"
+    assert run_cli(["decompose", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: features 0 and 1 overlap or touch\n"
+    assert not out.exists()
 
 
 def test_layout_round_trip(tmp_path):

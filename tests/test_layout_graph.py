@@ -5,9 +5,10 @@ import random
 import pytest
 
 from leleec.endcut import generate_candidates
-from leleec.geometry import polygon_distance
+from leleec.geometry import Polygon, polygon_distance
 from leleec.layout_graph import (
     Config,
+    Feature,
     DuplicateCandidate,
     OverlappingInput,
     annotate_end_cuts,
@@ -86,6 +87,33 @@ def test_grid_index_matches_brute_force():
                     expected.add((i, j))
         assert got == expected
     assert len(feats) > 0
+
+
+def reject_overlaps(features):
+    """Reference check: OverlappingInput for the first id-ordered touching pair, by an all-pairs scan."""
+    for i in range(len(features)):
+        for j in range(i + 1, len(features)):
+            if polygon_distance(features[i].shape, features[j].shape) == 0:
+                raise OverlappingInput(f"features {i} and {j} overlap or touch")
+
+
+def test_reject_overlaps_names_the_pair_the_conflict_build_rejects():
+    raised = 0
+    for seed in range(60):
+        rng = random.Random(600 + seed)
+        feats = []
+        for i in range(rng.randrange(2, 30)):
+            x, y = rng.randrange(0, 300), rng.randrange(0, 300)
+            feats.append(Feature(i, Polygon.of((x, y, x + rng.randrange(5, 60), y + rng.randrange(5, 60)))))
+        try:
+            build_conflict_edges(feats, CFG, feature_index(feats, CFG))
+        except OverlappingInput as exc:
+            raised += 1
+            with pytest.raises(OverlappingInput, match=f"^{exc}$"):
+                reject_overlaps(feats)
+        else:
+            reject_overlaps(feats)
+    assert 0 < raised < 60
 
 
 def test_vertex_count_equals_feature_count_without_stitching():
