@@ -19,10 +19,8 @@ from pathlib import Path
 from .decomposer import build_graphs, decompose_graphs, lelele_baseline
 from .decomposer import validate_result  # noqa: F401 - perfbench/spans.py traces this name here
 from .ilp_model import ProblemGraph, build_model_from_problem
-from .layout_graph import Config, LayoutError, OverlappingInput, build_conflict_edges, feature_index
+from .layout_graph import Config, OverlappingInput, build_conflict_edges, feature_index
 from .layout_io import (
-    ParseError,
-    ValidationError,
     baseline_result_to_obj,
     dump_json,
     frac_str,
@@ -104,6 +102,14 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _exit_code(stats: dict) -> int:
+    """0 for a proven optimum; 3, with a notice, for a time-limited incumbent."""
+    if stats["proven_optimal"]:
+        return EXIT_OK
+    print("time limit reached: result is an incumbent, not proven optimal", file=sys.stderr)
+    return EXIT_TIME_LIMIT
+
+
 def _cmd_decompose(args) -> int:
     features, cfg = parse_layout(args.layout)
     alpha = parse_frac(args.alpha, "--alpha") if args.alpha is not None else cfg.alpha
@@ -112,12 +118,7 @@ def _cmd_decompose(args) -> int:
     result = decompose_graphs(lg, eg, cfg, time_limit=args.time_limit)
 
     if args.lp_dump:
-        model = build_model_from_problem(
-            ProblemGraph.from_layout(lg, eg),
-            eg,
-            with_stitch=cfg.enable_stitch,
-            alpha=cfg.alpha,
-        )
+        model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=cfg.alpha)
         Path(args.lp_dump).write_text(model.lp_dump(), encoding="utf-8")
     if args.svg:
         emit_svg(
@@ -142,10 +143,7 @@ def _cmd_decompose(args) -> int:
             f"proven optimal: {obj['stats'].get('proven_optimal')}",
         ]
         _write_out("\n".join(lines) + "\n", args.out)
-    if not obj["stats"].get("proven_optimal", True):
-        print("time limit reached: result is an incumbent, not proven optimal", file=sys.stderr)
-        return EXIT_TIME_LIMIT
-    return EXIT_OK
+    return _exit_code(result.stats)
 
 
 def _cmd_baseline(args) -> int:
@@ -160,7 +158,7 @@ def _cmd_baseline(args) -> int:
         _write_out(dump_json(baseline_result_to_obj(result, cfg)), args.out)
     else:
         _write_out(f"cost: {frac_str(result.cost)}\nconflicts: {len(result.conflicts)}\n", args.out)
-    return EXIT_OK if result.stats["proven_optimal"] else EXIT_TIME_LIMIT
+    return _exit_code(result.stats)
 
 
 def _cmd_gen(args) -> int:
@@ -204,7 +202,7 @@ def run_cli(argv: list[str]) -> int:
     except OverlappingInput as exc:  # raised by the graph build, after parsing
         print(f"error: {args.layout}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ParseError, ValidationError, LayoutError, ValueError) as exc:
+    except ValueError as exc:  # ParseError, ValidationError, LayoutError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     raise AssertionError("unreachable")

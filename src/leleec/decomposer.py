@@ -103,14 +103,50 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _candidate_anchor(lg: LayoutGraph) -> dict[int, EdgeKey]:
-    """candidate id -> the conflict edge it annotates."""
-    anchors: dict[int, EdgeKey] = {}
-    for edge in sorted(lg.conflict_edges):
-        cand = lg.conflict_edges[edge]
-        if cand is not None:
-            anchors[cand] = edge
-    return anchors
+def _candidate_anchor(g: LayoutGraph | ProblemGraph) -> dict[int, EdgeKey]:
+    """candidate id -> the conflict edge it annotates (each annotates one edge)."""
+    return {cand: e for e, cand in g.conflict_edges.items() if cand is not None}
+
+
+def _coupling_edges(anchors: dict[int, EdgeKey], eg: EndCutGraph) -> list[EdgeKey]:
+    """One vertex pair per solid or dash edge between two anchored candidates:
+    the first ends of the conflict edges they annotate."""
+    return [
+        (anchors[p][0], anchors[q][0])
+        for p, q in eg.solid_edges | eg.dash_edges
+        if p in anchors and q in anchors
+    ]
+
+
+def _group(
+    vertices: list[int],
+    g: LayoutGraph | ProblemGraph,
+    coupling: list[EdgeKey],
+    cut: set[EdgeKey],
+) -> tuple[_UnionFind, dict[int, ProblemGraph]]:
+    """The parts of g's conflict, stitch and coupling edges less the cut conflict edges.
+
+    Each part is keyed by its root, its smallest vertex, and holds its
+    vertices and its conflict edges (but the cut ones) and stitch edges.
+    """
+    uf = _UnionFind(vertices)
+    for u, v in g.conflict_edges:
+        if (u, v) not in cut:
+            uf.union(u, v)
+    for u, v in [*g.stitch_edges, *coupling]:
+        uf.union(u, v)
+    parts: dict[int, ProblemGraph] = {}
+    for v in vertices:
+        root = uf.find(v)
+        if root not in parts:
+            parts[root] = ProblemGraph()
+        parts[root].vertex_reps.add(v)
+    for e, cand in g.conflict_edges.items():
+        if e not in cut:
+            parts[uf.find(e[0])].conflict_edges[e] = cand
+    for e in g.stitch_edges:
+        parts[uf.find(e[0])].stitch_edges.add(e)
+    return uf, parts
 
 
 def split_components(
@@ -126,28 +162,11 @@ def split_components(
     Every model and bridge search over a piece of a component reads the
     same edges from its slice as from eg.
     """
-    uf = _UnionFind([s.id for s in lg.vertices])
-    for u, v in lg.conflict_edges:
-        uf.union(u, v)
-    for u, v in lg.stitch_edges:
-        uf.union(u, v)
     anchors = _candidate_anchor(lg)
-    for p, q in eg.solid_edges | eg.dash_edges:
-        if p in anchors and q in anchors:
-            uf.union(anchors[p][0], anchors[q][0])
-
-    comps: dict[int, ProblemGraph] = {}
-    slices: dict[int, EndCutGraph] = {}
-    for s in lg.vertices:
-        root = uf.find(s.id)
-        if root not in comps:
-            comps[root] = ProblemGraph()
-            slices[root] = EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set())
-        comps[root].vertex_reps.add(s.id)
-    for e, cand in lg.conflict_edges.items():
-        comps[uf.find(e[0])].conflict_edges[e] = cand
-    for e in lg.stitch_edges:
-        comps[uf.find(e[0])].stitch_edges.add(e)
+    uf, comps = _group([s.id for s in lg.vertices], lg, _coupling_edges(anchors, eg), set())
+    slices = {
+        root: EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set()) for root in comps
+    }
     for p, q in eg.solid_edges:
         anchor = anchors.get(p) or anchors.get(q)
         if anchor is not None:
@@ -205,49 +224,20 @@ def split_bridges(
     end-cut coupling edges, so a conflict edge that is paralleled by a stitch
     path or an end-cut relation is never cut.
     """
+    vertices = sorted(pg.vertex_reps)
     conflict_keys = sorted(pg.conflict_edges)
-    edge_list: list[EdgeKey] = conflict_keys + sorted(pg.stitch_edges)
-    cand_anchor: dict[int, EdgeKey] = {}
-    for e, cand in pg.conflict_edges.items():
-        if cand is not None:
-            cand_anchor[cand] = e
-    for p, q in sorted(eg.solid_edges | eg.dash_edges):
-        if p in cand_anchor and q in cand_anchor:
-            a, b = cand_anchor[p][0], cand_anchor[q][0]
-            if a != b:
-                edge_list.append((a, b) if a < b else (b, a))
-
-    # edge_list starts with the conflict edges, so an index below their count
-    # is a conflict edge; a clean one carries no candidate
+    coupling = _coupling_edges(_candidate_anchor(pg), eg)
+    # the edge list starts with the conflict edges, so an index below their
+    # count is a conflict edge; a clean one carries no candidate
     clean = [
-        idx
-        for idx in find_bridges(sorted(pg.vertex_reps), edge_list)
+        conflict_keys[idx]
+        for idx in find_bridges(vertices, [*conflict_keys, *pg.stitch_edges, *coupling])
         if idx < len(conflict_keys) and pg.conflict_edges[conflict_keys[idx]] is None
     ]
     if not clean:
         return [pg], []
-
-    cut_idx = set(clean)
-    uf = _UnionFind(pg.vertex_reps)
-    for idx, (u, v) in enumerate(edge_list):
-        if idx not in cut_idx:
-            uf.union(u, v)
-    # a conflict edge that is not a cut bridge, and every stitch edge, joins
-    # vertices of one group
-    groups: dict[int, ProblemGraph] = {}
-    for v in sorted(pg.vertex_reps):
-        root = uf.find(v)
-        if root not in groups:
-            groups[root] = ProblemGraph()
-        groups[root].vertex_reps.add(v)
-    bridge_keys = [conflict_keys[idx] for idx in clean]
-    cut = set(bridge_keys)
-    for e, cand in pg.conflict_edges.items():
-        if e not in cut:
-            groups[uf.find(e[0])].conflict_edges[e] = cand
-    for e in pg.stitch_edges:
-        groups[uf.find(e[0])].stitch_edges.add(e)
-    return [groups[root] for root in sorted(groups)], bridge_keys
+    _, pieces = _group(vertices, pg, coupling, set(clean))
+    return [pieces[root] for root in sorted(pieces)], clean
 
 
 @dataclass
@@ -257,7 +247,7 @@ class PieceOutcome:
     stats: SolveStats
 
 
-def closed_form(piece: ProblemGraph, with_stitch: bool, alpha: Fraction) -> Decoded | None:
+def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
     """What `solve` returns for a cut-free piece that two masks colour at cost 0, else None.
 
     Without a cut candidate, and with alpha > 0 or no stitch edge, the cost-0
@@ -270,19 +260,18 @@ def closed_form(piece: ProblemGraph, with_stitch: bool, alpha: Fraction) -> Deco
     """
     if any(cand is not None for cand in piece.conflict_edges.values()):
         return None
-    stitches = piece.stitch_edges if with_stitch else set()
-    if stitches and not alpha > 0:
+    if piece.stitch_edges and not alpha > 0:
         return None
     # (neighbour, colour difference): 1 across a conflict edge, 0 across a stitch
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in piece.vertex_reps}
-    for edges, parity in ((piece.conflict_edges, 1), (stitches, 0)):
+    for edges, parity in ((piece.conflict_edges, 1), (piece.stitch_edges, 0)):
         for u, v in edges:
             adj[u].append((v, parity))
             adj[v].append((u, parity))
     colors: dict[int, int] = {}
     # graph_order is breadth-first over these edges: each vertex but the
     # first of its part gets its colour from an earlier neighbour
-    for u in graph_order(piece.vertex_reps, [*piece.conflict_edges, *stitches]):
+    for u in graph_order(piece.vertex_reps, [*piece.conflict_edges, *piece.stitch_edges]):
         color = colors.setdefault(u, 0)
         for w, parity in adj[u]:
             if colors.setdefault(w, color ^ parity) != color ^ parity:
@@ -431,23 +420,17 @@ def decompose_graphs(
     outcomes: list[PieceOutcome] = []
     for comp, comp_eg in split_components(g, eg):
         pieces, bridges = split_bridges(comp, comp_eg)
-        build = partial(
-            build_model_from_problem,
-            eg=comp_eg,
-            corrected=True,
-            with_stitch=cfg.enable_stitch,
-            alpha=cfg.alpha,
-        )
+        build = partial(build_model_from_problem, eg=comp_eg, alpha=cfg.alpha)
         solved = []
         for piece in pieces:
-            decoded = closed_form(piece, cfg.enable_stitch, cfg.alpha)
+            decoded = closed_form(piece, cfg.alpha)
             if decoded is not None:
                 solved.append(PieceOutcome(piece, decoded, SolveStats(0, Fraction(0), True, 0.0)))
                 continue
             solved.append(_solve_piece(piece, comp_eg, build, memo, start, time_limit))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
-    return _merge_outcomes(outcomes, g, eg, cfg.alpha if cfg.enable_stitch else Fraction(0))
+    return _merge_outcomes(outcomes, g, eg, cfg.alpha)
 
 
 def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompResult:
@@ -594,13 +577,7 @@ def solve_monolithic(
 ) -> tuple[DecompResult, IlpModel]:
     """Single whole-layout model with no decomposition speedups (oracle path)."""
     g, eg = build_graphs(features, cfg)
-    model = build_model_from_problem(
-        ProblemGraph.from_layout(g, eg),
-        eg,
-        corrected=True,
-        with_stitch=cfg.enable_stitch,
-        alpha=cfg.alpha,
-    )
+    model = build_model_from_problem(ProblemGraph.from_layout(g, eg), eg, alpha=cfg.alpha)
     assignment, stats = solve(model, time_limit)
     result = extract_result(model, assignment, g, eg)
     result.stats = {

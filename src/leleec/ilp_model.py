@@ -4,6 +4,8 @@ Variables per model: one color bit per vertex, one conflict bit per conflict
 edge, one selection bit per end-cut candidate, one merge bit per
 dash-connected candidate pair flanking a conflict edge, one stitch bit per
 stitch edge. Every constraint row is kept as integer-coefficient `sum <= rhs`.
+Stitch bits and rows exist exactly when the piece has stitch edges: the
+layout graph holds none when stitching is off, so the model needs no switch.
 
 The conflict rows carry the merge bits so that two dash-mergeable cuts around
 a common neighbor forgive the conflict between their outer features; without
@@ -249,30 +251,27 @@ def build_model_from_problem(
     eg: EndCutGraph,
     *,
     corrected: bool = True,
-    with_stitch: bool = False,
     alpha: Fraction = Fraction(1, 10),
 ) -> IlpModel:
-    m = IlpModel(alpha=alpha if with_stitch else Fraction(0), flip_symmetric=True)
-    dash = eg.dash_edges
-
-    for v in sorted(pg.vertex_reps):
-        m.add_var(f"x_{v}", "color", (v,))
-
+    """The leleec model of a piece; each of its stitch edges gets a bit charged alpha."""
+    m = IlpModel(alpha=alpha if pg.stitch_edges else Fraction(0), flip_symmetric=True)
+    x = {v: m.add_var(f"x_{v}", "color", (v,)) for v in sorted(pg.vertex_reps)}
     edge_list = sorted(pg.conflict_edges)
-    for u, v in edge_list:
-        cid = pg.conflict_edges[(u, v)]
+    ec: dict[int, int] = {}
+    for e in edge_list:
+        cid = pg.conflict_edges[e]
         if cid is not None:
-            m.add_var(f"ec_{cid}", "endcut", (cid,))
+            ec[cid] = m.add_var(f"ec_{cid}", "endcut", (cid,))
 
     # a conflict between u and v is forgiven only when cuts to one common
-    # neighbor w merge u, w and v into a single printed shape
-    adjacency: dict[int, set[int]] = {v: set() for v in pg.vertex_reps}
-    for u, v in edge_list:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-
-    gammas: dict[EdgeKey, list[int]] = {e: [] for e in edge_list}
+    # neighbor w merge u, w and v into a single printed shape;
+    # (merge bit, p, q) per conflict edge
+    gammas: dict[EdgeKey, list[tuple[int, int, int]]] = {e: [] for e in edge_list}
     if corrected:
+        adjacency: dict[int, set[int]] = {v: set() for v in pg.vertex_reps}
+        for u, v in edge_list:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
         for u, v in edge_list:
             for w in sorted(adjacency[u] & adjacency[v]):
                 eu = (u, w) if u < w else (w, u)
@@ -280,121 +279,75 @@ def build_model_from_problem(
                 p, q = pg.conflict_edges[eu], pg.conflict_edges[ev]
                 if p is None or q is None:
                     continue
-                pair = (p, q) if p < q else (q, p)
-                if pair in dash:
+                if ((p, q) if p < q else (q, p)) in eg.dash_edges:
                     g = m.add_var(f"g_{u}_{v}_w{w}_{p}_{q}", "merge", (u, v, w, p, q))
-                    gammas[(u, v)].append(g)
+                    gammas[(u, v)].append((g, p, q))
 
-    for u, v in edge_list:
-        m.add_var(f"c_{u}_{v}", "conflict", (u, v))
-    if with_stitch:
-        for u, v in sorted(pg.stitch_edges):
-            m.add_var(f"s_{u}_{v}", "stitch", (u, v))
+    conflict = {e: m.add_var(f"c_{e[0]}_{e[1]}", "conflict", e) for e in edge_list}
+    stitch = {e: m.add_var(f"s_{e[0]}_{e[1]}", "stitch", e) for e in sorted(pg.stitch_edges)}
 
     # the pair_costs edges, kept apart: the colour order must not move when
     # a caller clears pair_costs to turn the bound off
     coupled: list[EdgeKey] = []
     for u, v in edge_list:
-        xu = m.var("color", (u,))
-        xv = m.var("color", (v,))
-        c = m.var("conflict", (u, v))
-        assert xu is not None and xv is not None and c is not None
+        xu, xv, c = x[u], x[v], conflict[(u, v)]
         cid = pg.conflict_edges[(u, v)]
-        e = None if cid is None else m.var("endcut", (cid,))
-        relax = ([] if e is None else [(e, -1)]) + [(g, -1) for g in gammas[(u, v)]]
+        relax = ([] if cid is None else [(ec[cid], -1)]) + [(g, -1) for g, _, _ in gammas[(u, v)]]
         m.add_constraint(f"same_{u}_{v}", [(xu, 1), (xv, 1), (c, -1)] + relax, 1)
         m.add_constraint(f"diff_{u}_{v}", [(xu, -1), (xv, -1), (c, -1)] + relax, -1)
         if not relax:
             m.pair_costs.append((xu, xv, c, True))
             coupled.append((u, v))
-        if e is not None:
-            m.add_constraint(f"cut_lo_{cid}", [(e, 1), (xu, 1), (xv, -1)], 1)
-            m.add_constraint(f"cut_hi_{cid}", [(e, 1), (xv, 1), (xu, -1)], 1)
+        if cid is not None:
+            m.add_constraint(f"cut_lo_{cid}", [(ec[cid], 1), (xu, 1), (xv, -1)], 1)
+            m.add_constraint(f"cut_hi_{cid}", [(ec[cid], 1), (xv, 1), (xu, -1)], 1)
 
-    if corrected:
-        for u, v in edge_list:
-            for g in gammas[(u, v)]:
-                _, _, w, p, q = m.variables[g].key
-                ep = m.var("endcut", (p,))
-                eq = m.var("endcut", (q,))
-                assert ep is not None and eq is not None
-                name = m.variables[g].name
-                m.add_constraint(f"{name}_le_p", [(g, 1), (ep, -1)], 0)
-                m.add_constraint(f"{name}_le_q", [(g, 1), (eq, -1)], 0)
-                m.add_constraint(f"{name}_ge", [(ep, 1), (eq, 1), (g, -1)], 1)
+    for merges in gammas.values():
+        for g, p, q in merges:
+            name = m.variables[g].name
+            m.add_constraint(f"{name}_le_p", [(g, 1), (ec[p], -1)], 0)
+            m.add_constraint(f"{name}_le_q", [(g, 1), (ec[q], -1)], 0)
+            m.add_constraint(f"{name}_ge", [(ec[p], 1), (ec[q], 1), (g, -1)], 1)
 
     for p, q in sorted(eg.solid_edges):
-        ep = m.var("endcut", (p,))
-        eq = m.var("endcut", (q,))
-        if ep is not None and eq is not None:
-            m.add_constraint(f"excl_{p}_{q}", [(ep, 1), (eq, 1)], 1)
+        if p in ec and q in ec:
+            m.add_constraint(f"excl_{p}_{q}", [(ec[p], 1), (ec[q], 1)], 1)
 
-    for u, v in edge_list:
-        c = m.var("conflict", (u, v))
-        assert c is not None
+    for c in conflict.values():
         m.objective[c] = Fraction(1)
-    if with_stitch:
-        for u, v in sorted(pg.stitch_edges):
-            xu = m.var("color", (u,))
-            xv = m.var("color", (v,))
-            s = m.var("stitch", (u, v))
-            assert xu is not None and xv is not None and s is not None
-            m.add_constraint(f"st_lo_{u}_{v}", [(xu, 1), (xv, -1), (s, -1)], 0)
-            m.add_constraint(f"st_hi_{u}_{v}", [(xv, 1), (xu, -1), (s, -1)], 0)
-            m.objective[s] = alpha
-            m.pair_costs.append((xu, xv, s, False))
-            coupled.append((u, v))
-    m.colour_order = [m._index[("color", (v,))] for v in graph_order(pg.vertex_reps, coupled)]
+    for (u, v), s in stitch.items():
+        m.add_constraint(f"st_lo_{u}_{v}", [(x[u], 1), (x[v], -1), (s, -1)], 0)
+        m.add_constraint(f"st_hi_{u}_{v}", [(x[v], 1), (x[u], -1), (s, -1)], 0)
+        m.objective[s] = alpha
+        m.pair_costs.append((x[u], x[v], s, False))
+        coupled.append((u, v))
+    m.colour_order = [x[v] for v in graph_order(pg.vertex_reps, coupled)]
     return m
-
-
-def build_model_no_stitch(
-    lg: LayoutGraph, eg: EndCutGraph, *, corrected: bool = True
-) -> IlpModel:
-    """Conflict-minimization model over an unstitched layout graph."""
-    return build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, corrected=corrected)
-
-
-def build_model_with_stitch(
-    lg: LayoutGraph, eg: EndCutGraph, alpha: Fraction = Fraction(1, 10)
-) -> IlpModel:
-    """Conflict + alpha * stitch minimization over a stitched layout graph."""
-    return build_model_from_problem(
-        ProblemGraph.from_layout(lg, eg), eg, with_stitch=True, alpha=alpha
-    )
 
 
 def build_lelele_baseline(pg: ProblemGraph) -> IlpModel:
     """Plain three-mask coloring ILP, conflicts only; vertex v has bits (v, 0), (v, 1)."""
     m = IlpModel()
     vertices = sorted(pg.vertex_reps)
-    for v in vertices:
-        m.add_var(f"xa_{v}", "color", (v, 0))
-        m.add_var(f"xb_{v}", "color", (v, 1))
+    bits = {
+        v: (m.add_var(f"xa_{v}", "color", (v, 0)), m.add_var(f"xb_{v}", "color", (v, 1)))
+        for v in vertices
+    }
     edge_list = sorted(pg.conflict_edges)
-    for u, v in edge_list:
-        m.add_var(f"eq0_{u}_{v}", "aux", (u, v, 0))
-        m.add_var(f"eq1_{u}_{v}", "aux", (u, v, 1))
-    for u, v in edge_list:
-        m.add_var(f"c_{u}_{v}", "conflict", (u, v))
+    equal = {
+        e: tuple(m.add_var(f"eq{bit}_{e[0]}_{e[1]}", "aux", (*e, bit)) for bit in (0, 1))
+        for e in edge_list
+    }
+    conflict = {e: m.add_var(f"c_{e[0]}_{e[1]}", "conflict", e) for e in edge_list}
     for v in vertices:
-        xa = m.var("color", (v, 0))
-        xb = m.var("color", (v, 1))
-        assert xa is not None and xb is not None
-        m.add_constraint(f"threecolor_{v}", [(xa, 1), (xb, 1)], 1)
+        m.add_constraint(f"threecolor_{v}", [(bits[v][0], 1), (bits[v][1], 1)], 1)
     for u, v in edge_list:
-        c = m.var("conflict", (u, v))
-        assert c is not None
         for bit in (0, 1):
-            xu = m.var("color", (u, bit))
-            xv = m.var("color", (v, bit))
-            eq = m.var("aux", (u, v, bit))
-            assert xu is not None and xv is not None and eq is not None
+            xu, xv, eq = bits[u][bit], bits[v][bit], equal[(u, v)][bit]
             m.add_constraint(f"eq{bit}_same_{u}_{v}", [(xu, 1), (xv, 1), (eq, -1)], 1)
             m.add_constraint(f"eq{bit}_diff_{u}_{v}", [(xu, -1), (xv, -1), (eq, -1)], -1)
-        eq0 = m.var("aux", (u, v, 0))
-        eq1 = m.var("aux", (u, v, 1))
-        assert eq0 is not None and eq1 is not None
+        eq0, eq1 = equal[(u, v)]
+        c = conflict[(u, v)]
         m.add_constraint(f"both_eq_{u}_{v}", [(eq0, 1), (eq1, 1), (c, -1)], 1)
         m.objective[c] = Fraction(1)
     return m

@@ -91,7 +91,7 @@ def _pinned_triangle(corrected: bool):
     from leleec.endcut import EDGE_EDGE, EndCutCandidate, EndCutGraph
     from leleec.geometry import Polygon, Rect
     from leleec.layout_graph import LayoutGraph, Segment
-    from leleec.ilp_model import build_model_no_stitch
+    from leleec.ilp_model import ProblemGraph, build_model_from_problem
 
     vertices = [
         Segment(id=i, feature=i, shape=Polygon.of((200 * i, 0, 200 * i + 10, 40)))
@@ -108,7 +108,7 @@ def _pinned_triangle(corrected: bool):
         EndCutCandidate(2, 1, 2, Rect.of(40, 0, 50, 10), EDGE_EDGE),
     ]
     eg = EndCutGraph(nodes=cands, solid_edges={(0, 1), (0, 2)}, dash_edges={(1, 2)})
-    model = build_model_no_stitch(lg, eg, corrected=corrected)
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, corrected=corrected)
     x = [model.var("color", (i,)) for i in range(3)]
     for a, b in ((x[0], x[1]), (x[1], x[2])):
         model.add_constraint(f"pin_lo_{a}_{b}", [(a, 1), (b, -1)], 0)
@@ -156,12 +156,7 @@ def test_criterion_3_oracle_equivalence():
             continue
         cfg = random_config(rng)
         lg, eg = build_graphs(feats, cfg)
-        model = build_model_from_problem(
-            ProblemGraph.from_layout(lg, eg),
-            eg,
-            with_stitch=cfg.enable_stitch,
-            alpha=cfg.alpha,
-        )
+        model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=cfg.alpha)
         if not (0 < model.num_vars <= BRUTE_FORCE_CAP):
             continue
         _, stats = solve(model)
@@ -221,10 +216,10 @@ def test_criterion_5_stitch_benefit():
             cfg.w_min, cfg.s_min, dis_m=cfg.dis_m, dis_c=cfg.dis_c, w_th=cfg.w_th,
             alpha=Fraction(1, 10), merge_gap=cfg.merge_gap, enable_stitch=False,
         )
-        with_stitch = decompose(feats, cfg_s).cost
+        stitched = decompose(feats, cfg_s).cost
         without = decompose(feats, cfg_n).cost
-        assert with_stitch <= without, f"{name}: {with_stitch} > {without}"
-        if (without, with_stitch) == (1, Fraction(1, 10)):
+        assert stitched <= without, f"{name}: {stitched} > {without}"
+        if (without, stitched) == (1, Fraction(1, 10)):
             strict = True
     elapsed = time.monotonic() - start
     ok = strict and elapsed < 30.0

@@ -200,9 +200,9 @@ def test_stitch_flag_changes_cost(tmp_path):
     out_n = tmp_path / "n.json"
     assert run_cli(["decompose", str(layout), "--out", str(out_s)]) == 0
     assert run_cli(["decompose", str(layout), "--no-stitch", "--out", str(out_n)]) == 0
-    with_stitch = json.loads(out_s.read_text())
+    stitched = json.loads(out_s.read_text())
     without = json.loads(out_n.read_text())
-    assert Fraction(with_stitch["cost"]) == Fraction(1, 10)
+    assert Fraction(stitched["cost"]) == Fraction(1, 10)
     assert Fraction(without["cost"]) == 1
 
 
@@ -243,6 +243,18 @@ def test_baseline_time_limit_writes_one_mask_incumbent(tmp_path, capsys):
     assert res["conflicts"] == [list(e) for e in sorted(lg.conflict_edges)]
     assert res["cost"] == str(len(lg.conflict_edges))
     assert res["stats"]["proven_optimal"] is False
+
+
+def test_both_solvers_print_the_time_limit_notice(tmp_path, capsys):
+    feats, cfg = via_block(4, 4)
+    layout = tmp_path / "vias.json"
+    emit_layout(feats, cfg, layout)
+    for command in ("decompose", "baseline-lelele"):
+        capsys.readouterr()
+        argv = [command, str(layout), "--time-limit", "0", "--out", str(tmp_path / "r.json")]
+        assert run_cli(argv) == 3
+        notice = "time limit reached: result is an incumbent, not proven optimal\n"
+        assert capsys.readouterr().err == notice, command
 
 
 def test_baseline_solves_each_motif_on_its_own(tmp_path, capsys):
@@ -310,6 +322,22 @@ def test_lp_dump_written(tmp_path):
     assert run_cli(["decompose", str(layout), "--lp-dump", str(lp), "--out", str(tmp_path / "r.json")]) == 0
     text = lp.read_text()
     assert text.startswith("Minimize") and text.rstrip().endswith("End")
+
+
+def test_no_stitch_lp_dump_has_no_stitch_bits(tmp_path):
+    feats, cfg = stitch_ring()
+    layout = tmp_path / "ring.json"
+    emit_layout(feats, cfg, layout)
+
+    def binaries(*flags):
+        lp = tmp_path / "model.lp"
+        out = tmp_path / "r.json"
+        assert run_cli(["decompose", str(layout), *flags, "--lp-dump", str(lp), "--out", str(out)]) == 0
+        text = lp.read_text()
+        return text[text.index("Binary\n") :].split()
+
+    assert any(name.startswith("s_") for name in binaries())
+    assert not any(name.startswith("s_") for name in binaries("--no-stitch"))
 
 
 def test_report_text(tmp_path, capsys):

@@ -153,13 +153,93 @@ def test_sliced_endcut_graph_builds_the_full_graph_models():
             assert sorted(placed) == sorted(comp.conflict_edges)
             cut_bridges += len(bridges)
             for piece in pieces:
-                kw = dict(with_stitch=cfg.enable_stitch, alpha=cfg.alpha)
-                m_slice = build_model_from_problem(piece, comp_eg, **kw)
-                m_full = build_model_from_problem(piece, eg, **kw)
+                m_slice = build_model_from_problem(piece, comp_eg, alpha=cfg.alpha)
+                m_full = build_model_from_problem(piece, eg, alpha=cfg.alpha)
                 assert m_slice.variables == m_full.variables
                 assert m_slice.constraints == m_full.constraints
                 assert m_slice.objective == m_full.objective
     assert sliced_away > 0 and cut_bridges > 0
+
+
+def _reachable(start, edges):
+    """Every vertex joined to start by a path over the edge list (a multigraph)."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen, todo = {start}, [start]
+    while todo:
+        for w in adj.get(todo.pop(), []):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def _reference_parts(vertices, conflict_edges, stitch_edges, coupling):
+    """Vertex set -> (conflict edges, stitch edges) of each part of the union multigraph."""
+    edges = [*conflict_edges, *stitch_edges, *coupling]
+    parts, placed = {}, set()
+    for v in sorted(vertices):
+        if v not in placed:
+            part = frozenset(_reachable(v, edges) & set(vertices))
+            placed |= part
+            parts[part] = (
+                {e: c for e, c in conflict_edges.items() if e[0] in part},
+                {e for e in stitch_edges if e[0] in part},
+            )
+    return parts
+
+
+def _by_vertices(parts):
+    return {frozenset(p.vertex_reps): (p.conflict_edges, p.stitch_edges) for p in parts}
+
+
+def test_split_matches_a_brute_force_reference():
+    """Components and clean bridges against a search over the union multigraph.
+
+    A coupling edge joins the conflict edges of two candidates that share a
+    solid or dash edge; the reference joins their second ends, the split
+    their first ends. A clean bridge is a candidate-free conflict edge whose
+    removal leaves its ends unconnected.
+    """
+    seen = dict.fromkeys(("stitch", "coupling", "bridges", "pieces"), 0)
+    for seed in range(60):
+        rng = random.Random(9000 + seed)
+        feats = random_layout(rng, rng.randrange(4, 20), box=260)
+        cfg = random_config(rng)
+        for stitch in (True, False):
+            lg, eg = build_graphs(feats, replace(cfg, enable_stitch=stitch))
+            anchor = {c: e for e, c in lg.conflict_edges.items() if c is not None}
+            coupled = [e for e in eg.solid_edges | eg.dash_edges if e[0] in anchor and e[1] in anchor]
+            coupling = [(anchor[p][1], anchor[q][1]) for p, q in coupled]
+            vertices = [s.id for s in lg.vertices]
+            got = split_components(lg, eg)
+            assert _by_vertices(c for c, _ in got) == _reference_parts(
+                vertices, lg.conflict_edges, lg.stitch_edges, coupling
+            )
+            for comp, comp_eg in got:
+                own = {c for c in comp.conflict_edges.values() if c is not None}
+                assert comp_eg.solid_edges == {e for e in eg.solid_edges if own & set(e)}
+                assert comp_eg.dash_edges == {e for e in eg.dash_edges if own & set(e)}
+                comp_coupling = [(anchor[p][1], anchor[q][1]) for p, q in coupled if p in own]
+                union = [*comp.conflict_edges, *comp.stitch_edges, *comp_coupling]
+                bridges = sorted(
+                    e
+                    for i, (e, cand) in enumerate(comp.conflict_edges.items())
+                    if cand is None and e[1] not in _reachable(e[0], union[:i] + union[i + 1 :])
+                )
+                pieces, got_bridges = split_bridges(comp, comp_eg)
+                assert got_bridges == bridges
+                kept = {e: c for e, c in comp.conflict_edges.items() if e not in bridges}
+                assert _by_vertices(pieces) == _reference_parts(
+                    comp.vertex_reps, kept, comp.stitch_edges, comp_coupling
+                )
+                seen["bridges"] += len(bridges)
+                seen["pieces"] += len(pieces)
+            seen["stitch"] += len(lg.stitch_edges)
+            seen["coupling"] += len(coupling)
+    assert all(seen.values()), seen
 
 
 # ---- single-candidate layouts
@@ -229,7 +309,7 @@ def test_zero_time_limit_gives_valid_one_mask_pieces():
         res = decompose(feats, cfg, time_limit=0.0)
         lg, eg = build_graphs(feats, cfg)
         searched = any(
-            closed_form(piece, cfg.enable_stitch, cfg.alpha) is None
+            closed_form(piece, cfg.alpha) is None
             for comp, comp_eg in split_components(lg, eg)
             for piece in split_bridges(comp, comp_eg)[0]
         )
@@ -240,18 +320,18 @@ def test_zero_time_limit_gives_valid_one_mask_pieces():
     assert 0 < proven < 30
 
 
-def _closed_form_against_solver(piece, eg, with_stitch, alpha):
+def _closed_form_against_solver(piece, eg, alpha):
     """"accepted" or "rejected" once checked against the solver, else None.
 
     A piece the closed form settles must get the solver's own answer at
     cost 0; a cut-free piece it leaves to the solver while alpha > 0 must
     cost more than 0 there.
     """
-    fast = closed_form(piece, with_stitch, alpha)
+    fast = closed_form(piece, alpha)
     cut_free = all(cand is None for cand in piece.conflict_edges.values())
     if fast is None and not (cut_free and alpha > 0):
         return None
-    model = build_model_from_problem(piece, eg, with_stitch=with_stitch, alpha=alpha)
+    model = build_model_from_problem(piece, eg, alpha=alpha)
     assignment, stats = solve(model)
     if fast is None:
         assert stats.best_cost > 0, piece
@@ -267,14 +347,14 @@ def test_closed_form_on_order_sensitive_pieces():
     ladder = ProblemGraph(
         set(range(6)), dict.fromkeys([(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]), set()
     )
-    assert _closed_form_against_solver(ladder, empty, True, Fraction(1, 10)) == "accepted"
-    assert closed_form(ladder, True, Fraction(1, 10)).colors[0] == 1
+    assert _closed_form_against_solver(ladder, empty, Fraction(1, 10)) == "accepted"
+    assert closed_form(ladder, Fraction(1, 10)).colors[0] == 1
     # colour order 1, 2, 0, 3: parity gives 3 its neighbour 2's colour 1,
     # but at alpha = 0 the solver takes 3 = 0 and a free stitch
     tail = ProblemGraph({0, 1, 2, 3}, {(0, 1): None, (1, 2): None}, {(2, 3)})
-    assert _closed_form_against_solver(tail, empty, True, Fraction(1, 10)) == "accepted"
-    assert closed_form(tail, True, Fraction(0)) is None
-    model = build_model_from_problem(tail, empty, with_stitch=True, alpha=Fraction(0))
+    assert _closed_form_against_solver(tail, empty, Fraction(1, 10)) == "accepted"
+    assert closed_form(tail, Fraction(0)) is None
+    model = build_model_from_problem(tail, empty, alpha=Fraction(0))
     assert decode_assignment(model, solve(model)[0]).stitches == [(2, 3)]
 
 
@@ -297,7 +377,7 @@ def test_closed_form_pieces_match_the_solver():
         for comp, comp_eg in split_components(lg, eg):
             for piece in split_bridges(comp, comp_eg)[0]:
                 outcomes.append(
-                    _closed_form_against_solver(piece, comp_eg, cfg.enable_stitch, cfg.alpha)
+                    _closed_form_against_solver(piece, comp_eg, cfg.alpha)
                 )
     accepted, rejected = outcomes.count("accepted"), outcomes.count("rejected")
     assert accepted > 300 and rejected > 10, (accepted, rejected)
@@ -324,7 +404,7 @@ def _memo_layouts():
 
 
 def _piece_model(piece, eg, cfg):
-    return build_model_from_problem(piece, eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha)
+    return build_model_from_problem(piece, eg, alpha=cfg.alpha)
 
 
 def test_equal_piece_keys_give_equal_models():
@@ -333,7 +413,7 @@ def test_equal_piece_keys_give_equal_models():
         lg, eg = build_graphs(feats, cfg)
         for comp, comp_eg in split_components(lg, eg):
             for piece in split_bridges(comp, comp_eg)[0]:
-                if closed_form(piece, cfg.enable_stitch, cfg.alpha) is not None:
+                if closed_form(piece, cfg.alpha) is not None:
                     continue
                 key = (cfg.enable_stitch, cfg.alpha, decomposer._rank_space(piece, comp_eg)[0])
                 shape = model_shape(_piece_model(piece, comp_eg, cfg))

@@ -15,8 +15,6 @@ from leleec.ilp_model import (
     ProblemGraph,
     build_lelele_baseline,
     build_model_from_problem,
-    build_model_no_stitch,
-    build_model_with_stitch,
     decode_assignment,
     extract_result,
     graph_order,
@@ -53,7 +51,7 @@ def _empty_eg(cands=()):
 
 def test_single_edge_no_candidate():
     lg = _graph([0, 1], [(0, 1)])
-    model = build_model_no_stitch(lg, _empty_eg())
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, _empty_eg()), _empty_eg())
     assert sorted(v.kind for v in model.variables) == ["color", "color", "conflict"]
     assert len(model.constraints) == 2
     assignment, stats = solve(model)
@@ -76,7 +74,7 @@ def _fig6_triangle(corrected=True, pin_equal=False):
         [(0, 1), (0, 2), (1, 2)],
         annotations={(0, 1): 0, (0, 2): 1, (1, 2): 2},
     )
-    model = build_model_no_stitch(lg, eg, corrected=corrected)
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, corrected=corrected)
     if pin_equal:
         # surrounding-layout pressure: all three features share one mask
         x0 = model.var("color", (0,))
@@ -150,7 +148,7 @@ def test_gamma_equals_product_in_every_feasible_assignment():
 def test_color_flip_symmetry():
     feats, cfg = clique4_motif()
     lg, eg = build_graphs(feats, cfg)
-    model = build_model_no_stitch(lg, eg)
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
     assignment, stats = solve(model)
     flipped = list(assignment)
     for vid, var in enumerate(model.variables):
@@ -176,10 +174,30 @@ def test_pair_costs_are_the_rigid_conflict_and_stitch_edges():
     assert model.var("merge", (1, 2, 3, 0, 1)) is not None
     # stitch edges are charged when the colours differ
     lg, eg = build_graphs(*stitch_ring())
-    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, with_stitch=True)
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
     stitch_pairs = [(model.variables[c].key, eq) for _, _, c, eq in model.pair_costs if not eq]
     assert stitch_pairs == [(e, False) for e in sorted(lg.stitch_edges)] and stitch_pairs
     assert build_lelele_baseline(ProblemGraph.from_layout(lg, eg)).pair_costs == []
+
+
+def test_stitch_terms_come_from_the_piece():
+    # one stitch bit, two st_ rows and one pair cost per stitch edge of the
+    # piece, with no switch; a piece without stitch edges has none and alpha 0
+    lg, eg = build_graphs(*stitch_ring())
+    stitches = sorted(lg.stitch_edges)
+    pg = ProblemGraph.from_layout(lg, eg)
+    model = build_model_from_problem(pg, eg)
+    assert [v.key for v in model.variables if v.kind == "stitch"] == stitches
+    assert [c.label for c in model.constraints if c.label.startswith("st_")] == [
+        f"st_{side}_{u}_{v}" for u, v in stitches for side in ("lo", "hi")
+    ]
+    assert [model.variables[c].key for _, _, c, equal in model.pair_costs if not equal] == stitches
+    assert model.alpha == Fraction(1, 10) and stitches
+    pg.stitch_edges = set()
+    bare = build_model_from_problem(pg, eg)
+    assert not any(v.kind == "stitch" for v in bare.variables)
+    assert not any(c.label.startswith("st_") for c in bare.constraints)
+    assert all(equal for *_, equal in bare.pair_costs) and bare.alpha == 0
 
 
 def test_graph_order_is_breadth_first_from_the_highest_degree():
@@ -199,7 +217,7 @@ def test_colour_order_follows_the_pair_cost_edges():
     # conflict and stitch edges; the baseline keeps kind-then-id order
     lg, eg = build_graphs(*stitch_ring())
     pg = ProblemGraph.from_layout(lg, eg)
-    model = build_model_from_problem(pg, eg, with_stitch=True)
+    model = build_model_from_problem(pg, eg)
     coupled = [*lg.conflict_edges, *lg.stitch_edges]
     expected = [model.var("color", (v,)) for v in graph_order(pg.vertex_reps, coupled)]
     assert model.colour_order == expected and expected != sorted(expected)
@@ -214,7 +232,7 @@ def test_colour_order_follows_the_pair_cost_edges():
 def test_inconsistent_annotation_rejected():
     lg = _graph([0, 1], [(0, 1)], annotations={(0, 1): 5})
     with pytest.raises(InconsistentAnnotation):
-        build_model_no_stitch(lg, _empty_eg())
+        build_model_from_problem(ProblemGraph.from_layout(lg, _empty_eg()), _empty_eg())
 
 
 # ---- stitch models
@@ -222,7 +240,9 @@ def test_inconsistent_annotation_rejected():
 
 def test_stitch_forced_zero_on_equal_colors():
     lg = _graph([0, 0], [], stitch_edges=[(0, 1)])
-    model = build_model_with_stitch(lg, _empty_eg(), Fraction(1, 10))
+    model = build_model_from_problem(
+        ProblemGraph.from_layout(lg, _empty_eg()), _empty_eg(), alpha=Fraction(1, 10)
+    )
     assignment, stats = solve(model)
     assert stats.best_cost == 0
     s = model.var("stitch", (0, 1))
@@ -237,11 +257,15 @@ def test_synthetic_triangle_with_stitch_costs_alpha():
         [(0, 1), (0, 2), (1, 3)],
         stitch_edges=[(2, 3)],
     )
-    model = build_model_with_stitch(lg, _empty_eg(), Fraction(1, 10))
+    model = build_model_from_problem(
+        ProblemGraph.from_layout(lg, _empty_eg()), _empty_eg(), alpha=Fraction(1, 10)
+    )
     _, stats = solve(model)
     assert stats.best_cost == Fraction(1, 10)
     unstitched = _graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
-    _, s2 = solve(build_model_no_stitch(unstitched, _empty_eg()))
+    _, s2 = solve(
+        build_model_from_problem(ProblemGraph.from_layout(unstitched, _empty_eg()), _empty_eg())
+    )
     assert s2.best_cost == 1
 
 
@@ -257,8 +281,12 @@ def test_with_stitch_never_beats_no_stitch_bound():
         cfg_n = Config.from_rules(10, 10, w_th=10, enable_stitch=False)
         lg_s, eg_s = build_graphs(feats, cfg_s)
         lg_n, eg_n = build_graphs(feats, cfg_n)
-        _, st_s = solve(build_model_with_stitch(lg_s, eg_s, Fraction(1, 10)))
-        _, st_n = solve(build_model_no_stitch(lg_n, eg_n))
+        _, st_s = solve(
+            build_model_from_problem(
+                ProblemGraph.from_layout(lg_s, eg_s), eg_s, alpha=Fraction(1, 10)
+            )
+        )
+        _, st_n = solve(build_model_from_problem(ProblemGraph.from_layout(lg_n, eg_n), eg_n))
         assert st_s.best_cost <= st_n.best_cost
 
 
@@ -325,7 +353,7 @@ def test_baseline_random_graphs_match_enumeration():
 def test_extract_result_motif():
     feats, cfg = clique4_motif()
     lg, eg = build_graphs(feats, cfg)
-    model = build_model_no_stitch(lg, eg)
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
     assignment, _ = solve(model)
     res = extract_result(model, assignment, lg, eg)
     assert res.cost == 0 and res.conflicts == []
@@ -334,7 +362,7 @@ def test_extract_result_motif():
 
 def test_extract_result_empty():
     lg = LayoutGraph(vertices=[], conflict_edges={}, stitch_edges=set())
-    model = build_model_no_stitch(lg, _empty_eg())
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, _empty_eg()), _empty_eg())
     res = extract_result(model, [], lg, _empty_eg())
     assert res.cost == 0 and res.colors == {}
 
@@ -342,7 +370,7 @@ def test_extract_result_empty():
 def test_extract_result_rejects_cut_across_colors():
     lg = _graph([0, 1], [(0, 1)], annotations={(0, 1): 0})
     eg = _empty_eg([_cand(0, 0, 1)])
-    model = build_model_no_stitch(lg, eg)
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
     x0 = model.var("color", (0,))
     x1 = model.var("color", (1,))
     ec = model.var("endcut", (0,))
@@ -356,9 +384,9 @@ def test_extract_result_rejects_cut_across_colors():
 def test_lp_dump_deterministic_and_well_formed():
     feats, cfg = clique4_motif()
     lg, eg = build_graphs(feats, cfg)
-    model = build_model_with_stitch(lg, eg, Fraction(1, 10))
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=Fraction(1, 10))
     text1 = model.lp_dump()
-    model2 = build_model_with_stitch(lg, eg, Fraction(1, 10))
+    model2 = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=Fraction(1, 10))
     assert text1 == model2.lp_dump()
     assert text1.startswith("Minimize\n")
     assert "Subject To" in text1 and "Binary" in text1 and text1.endswith("End\n")

@@ -79,9 +79,7 @@ def test_traced_decompose_counts_the_pieces_and_models(tmp_path):
     ]
     distinct = {}
     for piece, comp_eg in pieces:
-        model = build_model_from_problem(
-            piece, comp_eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
-        )
+        model = build_model_from_problem(piece, comp_eg, alpha=cfg.alpha)
         distinct.setdefault(model_shape(model), (piece, model))
     assert len(pieces) == 3 and len(distinct) == 1
     assert tracer.counts["decomposer.pieces"] == len(distinct)

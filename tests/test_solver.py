@@ -75,9 +75,7 @@ def _random_model(seed: int):
         return None
     cfg = random_config(rng)
     lg, eg = build_graphs(feats, cfg)
-    return build_model_from_problem(
-        ProblemGraph.from_layout(lg, eg), eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
-    )
+    return build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=cfg.alpha)
 
 
 def test_solve_matches_brute_force_on_random_models():
@@ -192,9 +190,7 @@ def _kind_then_id(model: IlpModel, solve_fn):
 def test_via_block_work_count():
     feats, cfg = via_block(4, 4)
     lg, eg = build_graphs(feats, cfg)
-    model = build_model_from_problem(
-        ProblemGraph.from_layout(lg, eg), eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
-    )
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=cfg.alpha)
     (a_on, s_on), (a_off, s_off) = _kind_then_id(
         model, lambda m: _without_bound(m, _solve_both_halves)
     )
@@ -222,11 +218,7 @@ def _bound_models() -> list[IlpModel]:
     models = []
     for feats, cfg in (clique4_motif(), via_block(3, 4), via_block(4, 4)):
         lg, eg = build_graphs(feats, cfg)
-        models.append(
-            build_model_from_problem(
-                ProblemGraph.from_layout(lg, eg), eg, with_stitch=cfg.enable_stitch, alpha=cfg.alpha
-            )
-        )
+        models.append(build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=cfg.alpha))
     seed = 0
     while len(models) < 153:
         model = _random_model(seed)
