@@ -1,14 +1,20 @@
 """Pipeline orchestration and optimality-preserving problem decomposition.
 
-There is one exact path: independent components of the union graph
-(conflict, stitch and end-cut coupling edges), then clean-bridge splitting,
-then one model per piece. A clean bridge is a conflict edge that is a
-bridge of the union multigraph and carries no candidate; after solving both
-sides, the smaller side's colors are flipped when the bridge endpoints
-collide (color-flip symmetry keeps each side's cost). A piece with no cut
-candidate that two masks colour at cost 0 needs no model: `closed_form`
-gives the assignment the solver would return, with 0 nodes, even under a
-time limit.
+There is one exact path. First, free cuts leave the graph: a free cut is an
+annotated candidate with no solid and no dash edge, and its conflict edge
+never costs anything, since in every optimum its cut is selected exactly
+when both ends share a mask. Then come independent components of the union
+graph (conflict and stitch edges, and solid-edge coupling between
+candidates). A component with no cut candidate that two masks colour at
+cost 0 needs no model: `closed_form` gives the assignment the solver would
+return, with 0 nodes, even under a time limit, and the component is one
+outcome. Every other component is split at clean bridges into pieces, and
+each piece gets the closed form or one model. A clean bridge is a conflict
+edge that is a bridge of the union multigraph and carries no candidate;
+after solving both sides, the smaller side's colors are flipped when the
+bridge endpoints collide (color-flip symmetry keeps each side's cost).
+Last, the merge selects each free cut whose ends share a mask, and the
+result is checked against the full graphs.
 
 Components and pieces are `ilp_model.ProblemGraph`s, the type the model
 builder reads. The work per layout stays linear in its edges: conflict and
@@ -16,8 +22,10 @@ stitch edges are bucketed by component, and by piece after a bridge split,
 in one pass each. `split_components` hands every component its own slice
 of the end-cut graph in the same pass: the same nodes, but only its own
 solid and dash edges, which is exact because coupling edges joined the
-components. The bridge search and the piece models read the slice; the
-trim-rect merge and the result checker read the full graph.
+components (a dash edge joins two candidates on one feature, whose conflict
+edges that feature's segments already join). The bridge search and the
+piece models read the slice; the trim-rect merge and the result checker
+read the full graph.
 
 A searched piece that repeats an earlier piece of the same call is not
 solved again. Relabelling each vertex id to its rank among the piece's
@@ -41,8 +49,10 @@ flip.
 Under a time limit a searched piece keeps the solver's incumbent, and a
 repeat of a proven piece still takes the proven outcome. A piece whose
 search ends before its first leaf takes the one-mask assignment instead
-(no cut, merge or stitch, every conflict charged), which every model
-admits, so a time-limited result is still valid, with proven_optimal false.
+(no cut of its own, no merge or stitch, every conflict charged), which
+every model admits, so a time-limited result is still valid, with
+proven_optimal false. Free cuts lie outside every piece, so each one is
+still selected when its ends share a mask.
 """
 
 from __future__ import annotations
@@ -109,20 +119,37 @@ def _candidate_anchor(g: LayoutGraph | ProblemGraph) -> dict[int, EdgeKey]:
 
 
 def _coupling_edges(anchors: dict[int, EdgeKey], eg: EndCutGraph) -> list[EdgeKey]:
-    """One vertex pair per solid or dash edge between two anchored candidates:
-    the first ends of the conflict edges they annotate."""
+    """One vertex pair per solid edge between two anchored candidates: the
+    first ends of the conflict edges they annotate.
+
+    A dash edge needs none. Its two candidates share a feature, so their
+    conflict edges meet at that feature's segments, which stitch edges join;
+    both edges carry a candidate, so neither is a free or a clean-bridge cut.
+    """
     return [
         (anchors[p][0], anchors[q][0])
-        for p, q in eg.solid_edges | eg.dash_edges
+        for p, q in eg.solid_edges
         if p in anchors and q in anchors
     ]
+
+
+def _free_cuts(g: LayoutGraph, eg: EndCutGraph) -> dict[EdgeKey, int]:
+    """Conflict edge -> candidate, for each annotated candidate with no solid
+    and no dash edge.
+
+    Such an edge never costs anything: with its ends on one mask its cut is
+    selected, which no solid edge forbids, and no merge involves it. So it
+    constrains no optimum and stays out of every component.
+    """
+    partnered = {c for e in eg.solid_edges | eg.dash_edges for c in e}
+    return {e: c for e, c in g.conflict_edges.items() if c is not None and c not in partnered}
 
 
 def _group(
     vertices: list[int],
     g: LayoutGraph | ProblemGraph,
     coupling: list[EdgeKey],
-    cut: set[EdgeKey],
+    cut: frozenset[EdgeKey],
 ) -> tuple[_UnionFind, dict[int, ProblemGraph]]:
     """The parts of g's conflict, stitch and coupling edges less the cut conflict edges.
 
@@ -150,20 +177,22 @@ def _group(
 
 
 def split_components(
-    lg: LayoutGraph, eg: EndCutGraph
+    lg: LayoutGraph, eg: EndCutGraph, cut: frozenset[EdgeKey] = frozenset()
 ) -> list[tuple[ProblemGraph, EndCutGraph]]:
-    """Connected components of CE ∪ SE plus end-cut coupling links.
+    """Connected components of CE ∪ SE plus end-cut coupling links, less the
+    `cut` conflict edges, which no component holds.
 
     Each component comes with its slice of the end-cut graph: the slice
     shares `nodes` with eg and holds the solid and dash edges whose
-    candidates are annotated in that component. Coupling edges joined the
+    candidates are annotated in that component. Solid coupling edges, and
+    for a dash edge the feature both candidates share, joined the
     components, so an edge between two annotated candidates never spans two
     of them; an edge with one unannotated candidate goes with the other one.
     Every model and bridge search over a piece of a component reads the
     same edges from its slice as from eg.
     """
     anchors = _candidate_anchor(lg)
-    uf, comps = _group([s.id for s in lg.vertices], lg, _coupling_edges(anchors, eg), set())
+    uf, comps = _group([s.id for s in lg.vertices], lg, _coupling_edges(anchors, eg), cut)
     slices = {
         root: EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set()) for root in comps
     }
@@ -236,7 +265,7 @@ def split_bridges(
     ]
     if not clean:
         return [pg], []
-    _, pieces = _group(vertices, pg, coupling, set(clean))
+    _, pieces = _group(vertices, pg, coupling, frozenset(clean))
     return [pieces[root] for root in sorted(pieces)], clean
 
 
@@ -245,6 +274,14 @@ class PieceOutcome:
     piece: ProblemGraph
     decoded: Decoded
     stats: SolveStats
+
+
+def _closed_outcome(piece: ProblemGraph, alpha: Fraction) -> PieceOutcome | None:
+    """The `closed_form` outcome of a piece or component (0 nodes, proven), else None."""
+    decoded = closed_form(piece, alpha)
+    if decoded is None:
+        return None
+    return PieceOutcome(piece, decoded, SolveStats(0, Fraction(0), True, 0.0))
 
 
 def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
@@ -418,19 +455,22 @@ def decompose_graphs(
     start = time.monotonic()
     memo: PieceMemo = {}
     outcomes: list[PieceOutcome] = []
-    for comp, comp_eg in split_components(g, eg):
+    free = _free_cuts(g, eg)
+    for comp, comp_eg in split_components(g, eg, frozenset(free)):
+        whole = _closed_outcome(comp, cfg.alpha)
+        if whole is not None:
+            outcomes.append(whole)
+            continue
         pieces, bridges = split_bridges(comp, comp_eg)
         build = partial(build_model_from_problem, eg=comp_eg, alpha=cfg.alpha)
         solved = []
         for piece in pieces:
-            decoded = closed_form(piece, cfg.alpha)
-            if decoded is not None:
-                solved.append(PieceOutcome(piece, decoded, SolveStats(0, Fraction(0), True, 0.0)))
-                continue
-            solved.append(_solve_piece(piece, comp_eg, build, memo, start, time_limit))
+            # with no bridge cut, the one piece is the component the closed form refused
+            outcome = _closed_outcome(piece, cfg.alpha) if bridges else None
+            solved.append(outcome or _solve_piece(piece, comp_eg, build, memo, start, time_limit))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
-    return _merge_outcomes(outcomes, g, eg, cfg.alpha)
+    return _merge_outcomes(outcomes, g, eg, cfg.alpha, free)
 
 
 def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompResult:
@@ -445,13 +485,20 @@ def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompR
         _solve_piece(comp, eg, build_lelele_baseline, memo, start, time_limit)
         for comp, _ in split_components(lg, eg)
     ]
-    return _merge_outcomes(outcomes, lg, eg, Fraction(0))
+    return _merge_outcomes(outcomes, lg, eg, Fraction(0), {})
 
 
 def _merge_outcomes(
-    outcomes: list[PieceOutcome], g: LayoutGraph, eg: EndCutGraph, alpha: Fraction
+    outcomes: list[PieceOutcome],
+    g: LayoutGraph,
+    eg: EndCutGraph,
+    alpha: Fraction,
+    free: dict[EdgeKey, int],
 ) -> DecompResult:
-    """One result from the pieces' outcomes; its cost and rules are checked."""
+    """One result from the pieces' outcomes and the free cuts, which lie
+    outside every piece: each is selected when its ends share a mask, at no
+    cost. The result's cost and rules are checked against the full graphs.
+    """
     colors: dict[int, int] = {}
     selected: set[int] = set()
     conflicts: list[EdgeKey] = []
@@ -476,6 +523,7 @@ def _merge_outcomes(
                 "proven_optimal": o.stats.proven_optimal,
             }
         )
+    selected |= {c for (u, v), c in free.items() if colors[u] == colors[v]}
 
     result = DecompResult(
         colors={v: colors[v] for v in sorted(colors)},

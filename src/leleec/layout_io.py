@@ -44,7 +44,7 @@ class ValidationError(ValueError):
 def parse_frac(value: Any, where: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:

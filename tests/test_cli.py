@@ -126,6 +126,9 @@ def _respell_vertex_1(*spellings):
         (_add_cut(5), "selected_cuts: candidate 5 is listed twice"),
         (_set_config("enable_stitch", "false"), "enable_stitch: expected a boolean, got 'false'"),
         (_set_config("w_min", "10"), "violation: config: w_min: expected an integer"),
+        # the motif costs 0: read as a number, false would verify
+        (_set("cost", False), "cost: expected a rational number, got bool"),
+        (_set("cost", True), "cost: expected a rational number, got bool"),
     ],
 )
 def test_verify_reports_malformed_result_input(tmp_path, capsys, edit, expected):
@@ -356,6 +359,17 @@ def test_alpha_override(tmp_path):
     res = json.loads(out.read_text())
     assert Fraction(res["cost"]) == Fraction(1, 4)
     assert run_cli(["verify", str(layout), str(out)]) == 0
+
+
+def test_boolean_alpha_is_a_validation_error(tmp_path, capsys):
+    layout = _motif_file(tmp_path)
+    obj = json.loads(layout.read_text())
+    obj["alpha"] = True
+    layout.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    assert run_cli(["decompose", str(layout), "--out", str(out)]) == 2
+    assert "alpha: expected a rational number, got bool" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_does_not_load_numpy():

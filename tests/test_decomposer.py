@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -83,9 +84,13 @@ def test_unrelated_cut_components_do_split():
 
 def test_path_splits_into_clean_bridges():
     feats = make_features([(0, 0, 10, 40)], [(30, 0, 40, 40)], [(60, 0, 70, 40)])
+    lg, eg = build_graphs(feats, CFG_NS)
+    ((comp, comp_eg),) = split_components(lg, eg)
+    pieces, bridges = split_bridges(comp, comp_eg)
+    assert len(pieces) == 3 and len(bridges) == 2
+    # decompose settles the cost-0 path whole, before any bridge split
     res = decompose(feats, CFG_NS)
     assert res.cost == 0
-    assert res.stats["sub_problems"] >= 2
     assert res.colors[0] != res.colors[1] and res.colors[1] != res.colors[2]
 
 
@@ -203,20 +208,25 @@ def test_split_matches_a_brute_force_reference():
     their first ends. A clean bridge is a candidate-free conflict edge whose
     removal leaves its ends unconnected.
     """
-    seen = dict.fromkeys(("stitch", "coupling", "bridges", "pieces"), 0)
+    seen = dict.fromkeys(("stitch", "coupling", "dash", "free", "bridges", "pieces"), 0)
     for seed in range(60):
         rng = random.Random(9000 + seed)
         feats = random_layout(rng, rng.randrange(4, 20), box=260)
         cfg = random_config(rng)
-        for stitch in (True, False):
+        for stitch, with_free in itertools.product((True, False), repeat=2):
             lg, eg = build_graphs(feats, replace(cfg, enable_stitch=stitch))
             anchor = {c: e for e, c in lg.conflict_edges.items() if c is not None}
+            # the split couples over solid edges only; the reference over dash edges too
             coupled = [e for e in eg.solid_edges | eg.dash_edges if e[0] in anchor and e[1] in anchor]
             coupling = [(anchor[p][1], anchor[q][1]) for p, q in coupled]
             vertices = [s.id for s in lg.vertices]
-            got = split_components(lg, eg)
+            free = _free_edges(lg, eg) if with_free else {}
+            got = split_components(lg, eg, frozenset(free))
             assert _by_vertices(c for c, _ in got) == _reference_parts(
-                vertices, lg.conflict_edges, lg.stitch_edges, coupling
+                vertices,
+                {e: c for e, c in lg.conflict_edges.items() if e not in free},
+                lg.stitch_edges,
+                coupling,
             )
             for comp, comp_eg in got:
                 own = {c for c in comp.conflict_edges.values() if c is not None}
@@ -239,6 +249,8 @@ def test_split_matches_a_brute_force_reference():
                 seen["pieces"] += len(pieces)
             seen["stitch"] += len(lg.stitch_edges)
             seen["coupling"] += len(coupling)
+            seen["dash"] += len(eg.dash_edges)
+            seen["free"] += len(free)
     assert all(seen.values()), seen
 
 
@@ -295,11 +307,26 @@ def test_speedups_preserve_optimality_on_random_layouts():
         assert fast.cost == mono.cost, f"seed {seed}"
 
 
+def _free_edges(lg, eg):
+    """Conflict edge -> candidate, for each annotated candidate on no solid or dash edge."""
+    cut_edges = [*eg.solid_edges, *eg.dash_edges]
+    return {
+        e: c
+        for e, c in lg.conflict_edges.items()
+        if c is not None and not any(c in pair for pair in cut_edges)
+    }
+
+
+def _same_mask_cuts(res, free):
+    return {c for (u, v), c in free.items() if res.colors[u] == res.colors[v]}
+
+
 def test_zero_time_limit_gives_valid_one_mask_pieces():
     # every searched piece times out before its first leaf and falls back to
-    # one mask with every conflict charged; closed-form pieces stay exact;
-    # decompose validates the merged result
-    proven = 0
+    # one mask with every conflict charged; closed-form components and pieces
+    # stay exact; free cuts lie outside every piece, so each one is selected
+    # when its ends share a mask; decompose validates the merged result
+    proven = free_selected = 0
     for seed in range(30):
         rng = random.Random(seed)
         feats = random_layout(rng, rng.randrange(2, 10), box=220)
@@ -308,16 +335,43 @@ def test_zero_time_limit_gives_valid_one_mask_pieces():
         cfg = random_config(rng)
         res = decompose(feats, cfg, time_limit=0.0)
         lg, eg = build_graphs(feats, cfg)
+        free = _free_edges(lg, eg)
         searched = any(
-            closed_form(piece, cfg.alpha) is None
-            for comp, comp_eg in split_components(lg, eg)
-            for piece in split_bridges(comp, comp_eg)[0]
+            closed_form(comp, cfg.alpha) is None
+            and any(closed_form(piece, cfg.alpha) is None for piece in split_bridges(comp, comp_eg)[0])
+            for comp, comp_eg in split_components(lg, eg, frozenset(free))
         )
         assert res.stats["proven_optimal"] is not searched, f"seed {seed}"
-        assert res.selected_cuts == set() and res.stitches == []
+        assert res.selected_cuts == _same_mask_cuts(res, free) and res.stitches == []
         assert res.cost == len(res.conflicts)
         proven += not searched
-    assert 0 < proven < 30
+        free_selected += len(res.selected_cuts)
+    assert 0 < proven < 30 and free_selected > 0
+
+
+def test_free_cuts_match_the_monolithic_solve():
+    """Free-cut edges stay out of the split, yet decompose costs what one
+    whole-layout model costs, and selects exactly the free cuts whose ends
+    share a mask."""
+    holding = free_edges = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        feats = random_layout(rng, rng.randrange(2, 10), box=220)
+        if not feats:
+            continue
+        cfg = random_config(rng)
+        for stitch in (True, False):
+            c = replace(cfg, enable_stitch=stitch)
+            fast = decompose(feats, c)
+            mono, _ = solve_monolithic(feats, c)
+            assert fast.cost == mono.cost, f"seed {seed}"
+            lg, eg = build_graphs(feats, c)
+            free = _free_edges(lg, eg)
+            assert fast.selected_cuts & set(free.values()) == _same_mask_cuts(fast, free), f"seed {seed}"
+            if stitch:
+                holding += bool(free)
+                free_edges += len(free)
+    assert (holding, free_edges) == (25, 32)
 
 
 def _closed_form_against_solver(piece, eg, alpha):
@@ -358,7 +412,9 @@ def test_closed_form_on_order_sensitive_pieces():
     assert decode_assignment(model, solve(model)[0]).stitches == [(2, 3)]
 
 
-def test_closed_form_pieces_match_the_solver():
+def _closed_form_layouts():
+    """The 60 seeded random layouts and the gen kinds (n <= 3, seeds 0-2),
+    each with its own settings and at alpha 0."""
     layouts = []
     for seed in range(60):
         rng = random.Random(seed)
@@ -371,8 +427,12 @@ def test_closed_form_pieces_match_the_solver():
             for seed in (0, 1, 2):
                 feats, cfg = gen_synthetic(kind, n, seed, Config.from_rules(10, 10))
                 layouts += [(feats, cfg), (feats, replace(cfg, alpha=Fraction(0)))]
+    return layouts
+
+
+def test_closed_form_pieces_match_the_solver():
     outcomes = []
-    for feats, cfg in layouts:
+    for feats, cfg in _closed_form_layouts():
         lg, eg = build_graphs(feats, cfg)
         for comp, comp_eg in split_components(lg, eg):
             for piece in split_bridges(comp, comp_eg)[0]:
@@ -381,6 +441,19 @@ def test_closed_form_pieces_match_the_solver():
                 )
     accepted, rejected = outcomes.count("accepted"), outcomes.count("rejected")
     assert accepted > 300 and rejected > 10, (accepted, rejected)
+
+
+def test_closed_form_components_match_the_solver():
+    # decompose settles these components whole, with no bridge split
+    settled = bridged = 0
+    for feats, cfg in _closed_form_layouts():
+        lg, eg = build_graphs(feats, cfg)
+        for comp, comp_eg in split_components(lg, eg, frozenset(_free_edges(lg, eg))):
+            if closed_form(comp, cfg.alpha) is not None:
+                assert _closed_form_against_solver(comp, comp_eg, cfg.alpha) == "accepted"
+                settled += 1
+                bridged += bool(split_bridges(comp, comp_eg)[1])
+    assert settled > 300 and bridged > 50, (settled, bridged)
 
 
 def _memo_layouts():
