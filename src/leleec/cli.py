@@ -30,7 +30,7 @@ from .layout_io import (
     result_to_obj,
     verify_result,
 )
-from .svg import emit_svg
+from .svg import render_svg
 from .synth import KINDS, gen_synthetic
 
 EXIT_OK = 0
@@ -96,10 +96,14 @@ def _build_parser() -> _Parser:
 
 
 def _write_out(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout; an unwritable path exits 2."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _exit_code(stats: dict) -> int:
@@ -119,15 +123,10 @@ def _cmd_decompose(args) -> int:
 
     if args.lp_dump:
         model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=cfg.alpha)
-        Path(args.lp_dump).write_text(model.lp_dump(), encoding="utf-8")
+        _write_out(model.lp_dump(), args.lp_dump)
     if args.svg:
-        emit_svg(
-            lg,
-            {v: c + 1 for v, c in result.colors.items()},
-            result.trim_rects,
-            result.conflicts,
-            args.svg,
-        )
+        colors = {v: c + 1 for v, c in result.colors.items()}
+        _write_out(render_svg(lg, colors, result.trim_rects, result.conflicts), args.svg)
 
     obj = result_to_obj(result, lg, eg, cfg)
     if args.report == "json":
@@ -153,7 +152,8 @@ def _cmd_baseline(args) -> int:
     result = lelele_baseline(lg, args.time_limit)
 
     if args.svg:
-        emit_svg(lg, {v: c + 1 for v, c in result.colors.items()}, [], result.conflicts, args.svg)
+        colors = {v: c + 1 for v, c in result.colors.items()}
+        _write_out(render_svg(lg, colors, [], result.conflicts), args.svg)
     if args.report == "json":
         _write_out(dump_json(baseline_result_to_obj(result, cfg)), args.out)
     else:

@@ -7,15 +7,15 @@ shapes. Candidates closer than dis_c exclude each other (solid edges) unless
 they share a feature and sit close enough to merge into one larger cut
 (dash edges).
 
-Both stages look things up in the uniform bucket index of
-`geometry.GridIndex` instead of scanning everything. They share the
-layout's one `feature_index`, which the conflict build also walks, and
-take it as an argument. Every cut of a pair lies within max(dis_m, w_th)
-of the bbox of the pair's first feature, so only the features filed near
-that feature are tested as obstacles. Cuts are bucketed at
-max(dis_c, merge_gap), so only cuts in neighbouring cells are classified,
-and the merged bbox of a dash pair is tested against the features filed
-near it. The tests keep the all-pairs, all-obstacle forms as references.
+Both stages read the sweep of `geometry.near_pairs` instead of scanning
+everything. They share the layout's one `feature_index`, whose pairs the
+conflict build also walks, and take it as an argument. Every cut of a pair
+lies within max(dis_m, w_th) of the bbox of each of the pair's features,
+so only the features on the first feature's neighbour list are tested as
+obstacles, and the merged bbox of a dash pair only against the list of
+the feature its two cuts share. A second sweep pairs the cut rects at
+max(dis_c, merge_gap), and only those pairs are classified. The tests
+keep the all-pairs, all-obstacle forms as references.
 """
 
 from __future__ import annotations
@@ -26,15 +26,15 @@ from typing import Iterable, Sequence
 from .geometry import (
     HORIZONTAL,
     VERTICAL,
-    GridIndex,
     Point,
     Rect,
+    near_pairs,
     projection_interval,
     rect_distance,
     rect_overlaps_polygon,
     rect_union_bbox,
 )
-from .layout_graph import Config, EdgeKey, Feature
+from .layout_graph import Config, EdgeKey, Feature, FeatureIndex
 
 EDGE_EDGE = "edge_edge"
 CORNER_CORNER = "corner_corner"
@@ -177,22 +177,20 @@ def gen_corner_corner(
 
 
 def generate_candidates(
-    features: list[Feature], pairs: Iterable[EdgeKey], cfg: Config, index: GridIndex
+    features: list[Feature], pairs: Iterable[EdgeKey], cfg: Config, index: FeatureIndex
 ) -> list[EndCutCandidate]:
     """One candidate per conflicting feature pair (edge-edge first), ids dense.
 
-    `index` is the layout's `feature_index`; obstacles are looked up in it.
+    `index` is the layout's `feature_index`; the obstacles of a pair
+    (fa, fb) are the features on fa's neighbour list.
     """
-    # along each axis, every cut of a pair (fa, *) either spans less than
-    # dis_m from fa's bbox or is w_th long around a corner of fa
-    margin = max(cfg.dis_m, cfg.w_th)
     out: list[EndCutCandidate] = []
     corners: dict[int, list[Point]] = {}  # one corner list per feature per call
     near_of, near = None, []
     for fa, fb in sorted(pairs):
         a, b = features[fa], features[fb]
         if fa != near_of:
-            near_of, near = fa, [features[k] for k in index.query(a.shape.bbox, margin)]
+            near_of, near = fa, [features[k] for k in index.near[fa]]
         rect = gen_edge_edge(a, b, cfg, near)
         kind = EDGE_EDGE
         if rect is None:
@@ -207,29 +205,29 @@ def generate_candidates(
 
 
 def build_endcut_graph(
-    candidates: list[EndCutCandidate], features: list[Feature], cfg: Config, obstacles: GridIndex
+    candidates: list[EndCutCandidate], features: list[Feature], cfg: Config, index: FeatureIndex
 ) -> EndCutGraph:
     """Classify candidate pairs as dash (mergeable), solid (exclusive), or unrelated.
 
-    Pairs are keyed (p.id, q.id) with p listed before q. Only pairs in
-    neighbouring cells of a cut index at max(dis_c, merge_gap) can be within
-    either distance, so no other pair is examined. `obstacles` is the
-    layout's `feature_index`; a dash pair's merged bbox is tested against
-    the features that index files near the bbox.
+    Pairs are keyed (p.id, q.id) with p listed before q. Only cut rects at
+    most max(dis_c, merge_gap) apart along each axis can be within either
+    distance, so the pairs of one sweep at that gap are the only ones
+    examined. `index` is the layout's `feature_index`; a dash pair's merged
+    bbox is tested against the neighbour list of the feature both cuts share.
     """
     solid: set[EdgeKey] = set()
     dash: set[EdgeKey] = set()
     merge_sq = cfg.merge_gap * cfg.merge_gap
     disc_sq = cfg.dis_c * cfg.dis_c
-    cuts = GridIndex([c.cut_rect for c in candidates], max(cfg.dis_c, cfg.merge_gap))
-    for i, j in cuts.near_pairs():
+    rects = [c.cut_rect.as_tuple() for c in candidates]
+    for i, j in near_pairs(rects, max(cfg.dis_c, cfg.merge_gap)):
         p, q = candidates[i], candidates[j]
         d = rect_distance(p.cut_rect, q.cut_rect)
         participants = {p.feature_a, p.feature_b, q.feature_a, q.feature_b}
-        shares = len(participants) < 4
-        if shares and d <= merge_sq:
+        if len(participants) < 4 and d <= merge_sq:
+            shared = p.feature_a if p.feature_a in (q.feature_a, q.feature_b) else p.feature_b
             bbox = rect_union_bbox(p.cut_rect, q.cut_rect)
-            others = (features[k] for k in obstacles.query(bbox) if k not in participants)
+            others = (features[k] for k in index.near[shared] if k not in participants)
             if not _overlaps_any(bbox, others):
                 dash.add((p.id, q.id))
                 continue

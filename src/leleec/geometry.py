@@ -2,16 +2,19 @@
 
 All coordinates are integer nanometers and every predicate is decided in
 integer arithmetic; distances are carried around *squared* so that
-threshold comparisons stay bit-exact.
+threshold comparisons stay bit-exact. Every neighbour search of the front
+end reads `near_pairs`, one banded sweep over integer boxes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 Interval = tuple[int, int]
+Box = tuple[int, int, int, int]
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -238,56 +241,36 @@ def subtract_intervals(extent: Interval, covered: list[Interval]) -> list[Interv
     return out
 
 
-class GridIndex:
-    """Uniform bucket index over rectangles, with square cells of side `cell`.
+def near_pairs(boxes: Sequence[Box], gap: int) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of boxes at most `gap` apart along each axis.
 
-    Every rectangle is filed under each cell its closed extent meets. Two
-    rectangles whose gap is at most `cell` along each axis therefore sit in
-    the same or in neighbouring cells, and a rectangle whose interior meets a
-    region shares a cell with that region. Items are the positions of the
-    rectangles in the input sequence.
+    Boxes are (x_lo, y_lo, x_hi, y_hi); boxes that overlap along an axis are
+    a negative gap apart there. This is sweep-and-prune run in horizontal
+    bands, each the tallest box + gap + 1 high: a box sits in the band of
+    its low y, so two near boxes share a band or sit in adjacent ones. Each
+    band is swept by low x together with the band above it, and a pair is
+    reported only from the band of its lower box, so none is repeated. The
+    boxes compared grow with the boxes near each other, not with the square
+    of the layout, as one global sweep would.
     """
-
-    def __init__(self, rects: Sequence[Rect], cell: int) -> None:
-        self.cell = cell
-        self.buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for i, r in enumerate(rects):
-            for key in self._cells(r.lo.x, r.lo.y, r.hi.x, r.hi.y):
-                self.buckets[key].append(i)
-
-    def _cells(self, x_lo: int, y_lo: int, x_hi: int, y_hi: int) -> list[tuple[int, int]]:
-        c = self.cell
-        ys = range(y_lo // c, y_hi // c + 1)
-        return [(cx, cy) for cx in range(x_lo // c, x_hi // c + 1) for cy in ys]
-
-    def near_pairs(self) -> list[tuple[int, int]]:
-        """Sorted item pairs (i, j), i < j, filed in the same or neighbouring cells.
-
-        This is a superset of the pairs whose gap is at most `cell` along
-        each axis, so of every pair within squared distance cell**2.
-        """
-        buckets = self.buckets
-        pairs: set[tuple[int, int]] = set()
-        for (cx, cy), ids in buckets.items():
-            for i in ids:
-                for j in ids:
-                    if i < j:
-                        pairs.add((i, j))
-            # each unordered pair of neighbouring cells is visited once
-            for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-                for i in ids:
-                    for j in buckets.get(key, ()):
-                        if i != j:
-                            pairs.add((i, j) if i < j else (j, i))
-        return sorted(pairs)
-
-    def query(self, r: Rect, margin: int = 0) -> list[int]:
-        """Sorted items filed in a cell that r, grown by margin on every side, meets.
-
-        A superset of the items whose rectangle's interior meets that grown
-        region.
-        """
-        found: set[int] = set()
-        for key in self._cells(r.lo.x - margin, r.lo.y - margin, r.hi.x + margin, r.hi.y + margin):
-            found.update(self.buckets.get(key, ()))
-        return sorted(found)
+    if not boxes:
+        return []
+    x_lo, y_lo, x_hi, y_hi = (list(c) for c in zip(*boxes))
+    height = max(hi - lo for lo, hi in zip(y_lo, y_hi)) + gap + 1
+    band = [y // height for y in y_lo]
+    rows: dict[int, list[int]] = defaultdict(list)
+    for i, row in enumerate(band):
+        rows[row].append(i)
+    pairs = []
+    for row, own in rows.items():
+        col = sorted(own + rows.get(row + 1, []), key=x_lo.__getitem__)
+        xs = [x_lo[i] for i in col]
+        for k, i in enumerate(col):
+            end = bisect_right(xs, x_hi[i] + gap, k + 1)
+            mine, top, bottom = band[i] == row, y_hi[i] + gap, y_lo[i] - gap
+            for j in col[k + 1 : end]:
+                # two boxes of the band above meet again in their own band
+                if y_lo[j] <= top and y_hi[j] >= bottom and (mine or band[j] == row):
+                    pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs

@@ -5,10 +5,12 @@ Conflict edges join segments of different features whose squared distance is
 strictly below dis_m**2; stitch edges join consecutive segments of one
 feature.
 
-`feature_index` is built once per layout and shared: the conflict build
-walks its near pairs, and the end-cut stages query it for obstacles. The
-one near-pair walk of `build_conflict_edges` is also the input check: it
-rejects the first id-ordered pair of features that touch or overlap.
+`feature_index` is built once per layout and shared: one sweep
+(`geometry.near_pairs`) pairs the feature bboxes at max(dis_m, w_th). The
+conflict build walks the pairs within dis_m, and the end-cut stages take
+obstacles from each feature's neighbour list. The one walk of
+`build_conflict_edges` is also the input check: it rejects the first
+id-ordered pair of features that touch or overlap.
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import (
     HORIZONTAL,
     VERTICAL,
     GeometryError,
-    GridIndex,
     Polygon,
+    near_pairs,
     polygon_distance,
+    rect_distance,
     split_polygon,
     subtract_intervals,
 )
@@ -121,23 +125,48 @@ def _check_features(features: list[Feature]) -> None:
         raise LayoutError(f"feature ids must be dense from 0, got {ids}")
 
 
-def feature_index(features: list[Feature], cfg: Config) -> GridIndex:
-    """Feature bounding boxes bucketed at dis_m: near_pairs covers every conflict."""
-    return GridIndex([f.shape.bbox for f in features], cfg.dis_m)
+class FeatureIndex(NamedTuple):
+    """The near feature pairs of one layout, from one sweep over the bboxes.
+
+    `pairs` are the sorted id pairs whose bboxes are at most max(dis_m, w_th)
+    apart along each axis; `near[k]` lists feature k, then every feature
+    paired with it in id order.
+    """
+
+    pairs: list[EdgeKey]
+    near: list[list[int]]
 
 
-def build_conflict_edges(features: list[Feature], cfg: Config, index: GridIndex) -> LayoutGraph:
+def feature_index(features: list[Feature], cfg: Config) -> FeatureIndex:
+    """The layout's near pairs at max(dis_m, w_th): every conflict, every obstacle.
+
+    Every end-cut candidate lies within max(dis_m, w_th) of the bbox of
+    each of its features along each axis, so each feature's list holds
+    every feature a cut at it, or a merge of two such cuts, can overlap.
+    """
+    pairs = near_pairs([f.shape.bbox.as_tuple() for f in features], max(cfg.dis_m, cfg.w_th))
+    near = [[k] for k in range(len(features))]
+    for i, j in pairs:
+        near[i].append(j)
+        near[j].append(i)
+    return FeatureIndex(pairs, near)
+
+
+def build_conflict_edges(features: list[Feature], cfg: Config, index: FeatureIndex) -> LayoutGraph:
     """Layout graph with one vertex per feature and conflict edges within dis_m.
 
-    `index` is `feature_index(features, cfg)`. Its near pairs are walked in
-    id order, so OverlappingInput names the first id-ordered pair of
-    features that touch or overlap.
+    `index` is `feature_index(features, cfg)`. Its pairs within dis_m are
+    walked in id order, so OverlappingInput names the first id-ordered pair
+    of features that touch or overlap.
     """
     _check_features(features)
     limit = cfg.dis_m * cfg.dis_m
     edges: dict[EdgeKey, int | None] = {}
-    for i, j in index.near_pairs():
-        d = polygon_distance(features[i].shape, features[j].shape)
+    for i, j in index.pairs:
+        a, b = features[i].shape, features[j].shape
+        if rect_distance(a.bbox, b.bbox) >= limit:
+            continue  # the bboxes alone are dis_m or more apart
+        d = polygon_distance(a, b)
         if d == 0:
             raise OverlappingInput(f"features {i} and {j} overlap or touch")
         if d < limit:

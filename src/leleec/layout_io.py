@@ -41,12 +41,32 @@ class ValidationError(ValueError):
     """Schema-valid file with semantically invalid content."""
 
 
+# Python's own limit on int-string digits; Fraction("1e999999999") would
+# build a 10**999999999 integer and never return
+MAX_EXPONENT = 4300
+
+
+def _exponent_in_range(text: str) -> bool:
+    """False for a decimal whose exponent is beyond +-MAX_EXPONENT; text
+    that is no decimal passes, for Fraction to reject."""
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    return not digits.isdigit() or (len(digits) <= 4 and int(digits) <= MAX_EXPONENT)
+
+
+def _json_decimal(text: str) -> Fraction | str:
+    """A JSON float as an exact Fraction; out-of-range exponents stay text,
+    which the field that reads them rejects by name."""
+    return Fraction(text) if _exponent_in_range(text) else text
+
+
 def parse_frac(value: Any, where: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
+        if not _exponent_in_range(value):
+            raise ValidationError(f"{where}: exponent beyond +-{MAX_EXPONENT} in {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -61,7 +81,7 @@ def _load_json(path: str | Path) -> Any:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         # floats parse through Fraction('0.1') so decimals stay exact
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=_json_decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 

@@ -8,8 +8,6 @@ is emitted in sorted order with integer or half-integer coordinates.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .geometry import Rect
 from .layout_graph import LayoutGraph
 
@@ -91,13 +89,3 @@ def render_svg(
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def emit_svg(
-    lg: LayoutGraph,
-    colors: dict[int, int],
-    trim_rects: list[Rect],
-    conflicts: list[tuple[int, int]],
-    path: str | Path,
-) -> None:
-    Path(path).write_text(render_svg(lg, colors, trim_rects, conflicts), encoding="utf-8")

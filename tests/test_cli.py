@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,7 +14,7 @@ import pytest
 import leleec.cli
 from leleec.cli import run_cli
 from leleec.decomposer import build_graphs
-from leleec.geometry import GridIndex, Polygon, polygon_distance, rects_overlap
+from leleec.geometry import Polygon, near_pairs, polygon_distance, rects_overlap
 from leleec.layout_io import config_to_obj, dump_json, emit_layout
 from leleec.layout_graph import Config, Feature
 from leleec.synth import KINDS, gen_synthetic
@@ -372,6 +373,90 @@ def test_boolean_alpha_is_a_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "{layout}", "--out", "{bad}"],
+        ["decompose", "{layout}", "--out", "{ok}", "--svg", "{bad}"],
+        ["decompose", "{layout}", "--out", "{ok}", "--lp-dump", "{bad}"],
+        ["decompose", "{layout}", "--report", "text", "--out", "{bad}"],
+        ["baseline-lelele", "{layout}", "--out", "{bad}"],
+        ["baseline-lelele", "{layout}", "--out", "{ok}", "--svg", "{bad}"],
+        ["gen", "grid", "2", "--out", "{bad}"],
+    ],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    layout, bad = _motif_file(tmp_path), tmp_path / "missing" / "out"
+    paths = {"layout": layout, "bad": bad, "ok": tmp_path / "ok.json"}
+    assert run_cli([a.format(**paths) for a in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {bad}: "), lines
+
+
+def _bare_numbers(text):
+    """JSON text with each string "@N@" written as the bare number N."""
+    return re.sub(r'"@([^"@]*)@"', r"\1", text)
+
+
+def _huge_exponent_cases(layout, result):
+    """(argv, edited file, edit, expected message) for each place a decimal is read."""
+
+    def set_alpha(obj):
+        obj["alpha"] = "@1e999999999@"
+
+    def set_coordinate(obj):
+        obj["features"][0]["rects"][0][2] = "@1e999999999@"
+
+    def set_cost(obj):
+        obj["cost"] = "@1e-999999999@"
+
+    def set_cost_text(obj):
+        obj["cost"] = "1e-999999999"
+
+    def set_config_alpha(obj):
+        obj["config"]["alpha"] = "@1E+00999999999@"
+
+    decompose = ["decompose", str(layout)]
+    verify = ["verify", str(layout), str(result)]
+    return [
+        (decompose, layout, set_alpha, "alpha: exponent beyond +-4300"),
+        (verify, layout, set_alpha, "alpha: exponent beyond +-4300"),
+        (decompose, layout, set_coordinate, "rect coordinate: expected an integer"),
+        (verify, result, set_cost, "cost: exponent beyond +-4300"),
+        (verify, result, set_cost_text, "cost: exponent beyond +-4300"),
+        (verify, result, set_config_alpha, "config: alpha: exponent beyond +-4300"),
+        (decompose + ["--alpha", "1e999999999"], None, None, "--alpha: exponent beyond +-4300"),
+        (decompose + ["--alpha", "1e-1_000_000_000"], None, None, "--alpha: exponent beyond +-4300"),
+    ]
+
+
+def test_huge_exponents_exit_2_at_once(tmp_path, capsys):
+    """Fraction("1e999999999") never returns; each reader rejects it first, by name."""
+    layout, result = _motif_file(tmp_path), tmp_path / "res.json"
+    assert run_cli(["decompose", str(layout), "--out", str(result)]) == 0
+    originals = {layout: layout.read_text(), result: result.read_text()}
+    for argv, path, edit, expected in _huge_exponent_cases(layout, result):
+        for p, text in originals.items():
+            p.write_text(text)
+        if path is not None:
+            obj = json.loads(originals[path])
+            edit(obj)
+            path.write_text(_bare_numbers(json.dumps(obj)))
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv
+        assert expected in capsys.readouterr().err, (argv, expected)
+
+
+def test_decimal_exponents_within_the_bound_still_parse(tmp_path):
+    layout = _motif_file(tmp_path)
+    obj = json.loads(layout.read_text())
+    obj["alpha"] = "@25e-4300@"
+    layout.write_text(_bare_numbers(json.dumps(obj)))
+    out = tmp_path / "r.json"
+    assert run_cli(["decompose", str(layout), "--out", str(out)]) == 0
+    assert run_cli(["decompose", str(layout), "--alpha", "0.5e+0004300", "--out", str(out)]) == 0
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy serves only the brute-force oracle; every CLI call pays for its import
     src = str(Path(leleec.cli.__file__).resolve().parent.parent)
@@ -435,33 +520,32 @@ def test_overlapping_features_exit_2_naming_the_first_pair(tmp_path, capsys):
 def test_one_feature_index_and_one_near_pair_walk_per_call(tmp_path, monkeypatch):
     layout, result, base = tmp_path / "motif.json", tmp_path / "res.json", tmp_path / "base.json"
     assert run_cli(["gen", "clique4_array", "4", "--out", str(layout)]) == 0
-    boxes = [f.shape.bbox for f in gen_synthetic("clique4_array", 4, 0, Config.from_rules(10, 10))[0]]
-    built, walked = [], []
-    init, near_pairs = GridIndex.__init__, GridIndex.near_pairs
+    feats, cfg = gen_synthetic("clique4_array", 4, 0, Config.from_rules(10, 10))
+    over_features = ([f.shape.bbox.as_tuple() for f in feats], max(cfg.dis_m, cfg.w_th))
+    cuts = [c.cut_rect.as_tuple() for c in build_graphs(feats, cfg)[1].nodes]
+    over_cuts = (cuts, max(cfg.dis_c, cfg.merge_gap))
+    swept = []
 
-    def counted_init(self, rects, cell):
-        built.append((self, list(rects)))
-        init(self, rects, cell)
+    def counted(boxes, gap):
+        swept.append((list(boxes), gap))
+        return near_pairs(boxes, gap)
 
-    def counted_near_pairs(self):
-        walked.append(self)
-        return near_pairs(self)
-
-    monkeypatch.setattr(GridIndex, "__init__", counted_init)
-    monkeypatch.setattr(GridIndex, "near_pairs", counted_near_pairs)
+    # every module that imported the sweep by name, so no other sweep goes uncounted
+    for name, module in list(sys.modules.items()):
+        if name == "leleec" or name.startswith("leleec."):
+            for attr, value in list(vars(module).items()):
+                if value is near_pairs:
+                    monkeypatch.setattr(module, attr, counted)
     calls = (
-        (["decompose", str(layout), "--out", str(result)], 2),
-        (["verify", str(layout), str(result)], 2),
-        (["baseline-lelele", str(layout), "--out", str(base)], 1),
-        (["verify", str(layout), str(base)], 1),
+        (["decompose", str(layout), "--out", str(result)], [over_features, over_cuts]),
+        (["verify", str(layout), str(result)], [over_features, over_cuts]),
+        (["baseline-lelele", str(layout), "--out", str(base)], [over_features]),
+        (["verify", str(layout), str(base)], [over_features]),
     )
-    for argv, indexes in calls:
-        built.clear()
-        walked.clear()
+    assert cuts
+    for argv, sweeps in calls:
+        swept.clear()
         assert run_cli(argv) == 0
-        over_features = [index for index, rects in built if rects == boxes]
-        assert len(over_features) == 1, argv
-        # decompose and a leleec verify also build the cut index, over candidates
-        assert len(built) == indexes, argv
-        assert [index is over_features[0] for index in walked].count(True) == 1, argv
-        assert len(walked) == indexes, argv
+        # one sweep over the feature boxes; decompose and a leleec verify
+        # also sweep the cut rects once
+        assert swept == sweeps, argv

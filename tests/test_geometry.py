@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+import leleec.geometry
 from leleec.geometry import (
     HORIZONTAL,
     VERTICAL,
     GeometryError,
     Polygon,
     Rect,
+    near_pairs,
     polygon_distance,
     projection_interval,
     rect_distance,
@@ -182,3 +184,89 @@ def test_subtract_intervals():
     assert subtract_intervals((0, 100), [(-10, 20), (40, 60)]) == [(20, 40), (60, 100)]
     assert subtract_intervals((0, 100), []) == [(0, 100)]
     assert subtract_intervals((0, 100), [(-5, 200)]) == []
+
+
+# ---- the banded sweep against its all-pairs reference
+
+
+def all_near_pairs(boxes, gap):
+    """Every pair (i, j), i < j, at most gap apart along each axis, by brute force."""
+    return [
+        (i, j)
+        for i, a in enumerate(boxes)
+        for j in range(i + 1, len(boxes))
+        if max(boxes[j][0] - a[2], a[0] - boxes[j][2]) <= gap
+        and max(boxes[j][1] - a[3], a[1] - boxes[j][3]) <= gap
+    ]
+
+
+def _random_boxes(rng, n, span):
+    boxes = []
+    for _ in range(n):
+        x, y = rng.randrange(-span, span), rng.randrange(-span, span)
+        boxes.append((x, y, x + rng.randrange(1, 60), y + rng.randrange(1, 60)))
+    return boxes
+
+
+def test_near_pairs_matches_all_pairs_reference():
+    found = 0
+    for seed in range(60):
+        rng = random.Random(1300 + seed)
+        boxes = _random_boxes(rng, rng.randrange(0, 80), rng.choice([50, 200, 800]))
+        if boxes and rng.random() < 0.3:
+            boxes[rng.randrange(len(boxes))] = (0, -400, 8, 400)  # sets the band height
+        for gap in (0, 1, 7, 50):
+            pairs = near_pairs(boxes, gap)
+            assert pairs == all_near_pairs(boxes, gap), (seed, gap)
+            found += len(pairs)
+    assert found > 1000
+
+
+def test_near_pairs_edge_cases():
+    assert near_pairs([], 5) == []
+    assert near_pairs([(0, 0, 10, 10)], 5) == []
+    # touching at gap 0, exactly gap apart kept, gap + 1 dropped, on either axis
+    assert near_pairs([(0, 0, 10, 10), (10, 0, 20, 10)], 0) == [(0, 1)]
+    assert near_pairs([(0, 0, 10, 10), (0, 15, 10, 20)], 5) == [(0, 1)]
+    assert near_pairs([(0, 0, 10, 10), (0, 16, 10, 20)], 5) == []
+    assert near_pairs([(16, 0, 20, 10), (0, 0, 10, 10)], 5) == []
+    assert near_pairs([(15, 15, 20, 20), (0, 0, 10, 10)], 5) == [(0, 1)]
+    # negative coordinates, equal low x, and one tall box that sets the band height
+    boxes = [(-30, -30, -20, -20), (-30, -14, -25, -10), (-30, 500, -20, 510), (-18, -900, -16, 900)]
+    assert near_pairs(boxes, 6) == [(0, 1), (0, 3), (2, 3)] == all_near_pairs(boxes, 6)
+
+
+def _wires(rng, n, window):
+    """n random 10-12 nm wide, 40-240 nm long wires in a square window."""
+    boxes = []
+    for _ in range(n):
+        w, length = rng.randint(10, 12), rng.randint(40, 240)
+        dx, dy = (length, w) if rng.random() < 0.5 else (w, length)
+        x, y = rng.randrange(window - dx), rng.randrange(window - dy)
+        boxes.append((x, y, x + dx, y + dy))
+    return boxes
+
+
+def test_near_pairs_work_grows_linearly(monkeypatch):
+    """Boxes compared, read off the sweep windows: linear at fixed density.
+
+    One global x-sweep compares about n**1.5 boxes here (8.7x for 4x the
+    wires); the banded sweep about as many as there are wires.
+    """
+    compared = [0]
+    bisect_right = leleec.geometry.bisect_right
+
+    def counted(xs, x, lo):
+        end = bisect_right(xs, x, lo)
+        compared[0] += end - lo
+        return end
+
+    monkeypatch.setattr(leleec.geometry, "bisect_right", counted)
+    counts = []
+    for wires, window in ((250, 2750), (1000, 5500)):
+        compared[0] = 0
+        boxes = _wires(random.Random(wires), wires, window)
+        pairs = near_pairs(boxes, 50)
+        assert len(pairs) <= compared[0] < 10 * wires
+        counts.append(compared[0])
+    assert counts[1] <= 4.5 * counts[0], counts
