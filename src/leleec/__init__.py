@@ -1,6 +1,6 @@
 """Exact two-mask-plus-trim (LELE end-cutting) layout decomposition."""
 
-from .geometry import Point, Polygon, Rect, polygon_distance, rect_distance
+from .geometry import Polygon, Rect, polygon_distance, rect_distance
 from .layout_graph import Config, Feature, LayoutGraph, Segment
 from .endcut import EndCutCandidate, EndCutGraph
 from .ilp_model import DecompResult, IlpModel
@@ -15,7 +15,6 @@ __all__ = [
     "Feature",
     "IlpModel",
     "LayoutGraph",
-    "Point",
     "Polygon",
     "Rect",
     "Segment",

@@ -24,6 +24,7 @@ from .layout_io import (
     baseline_result_to_obj,
     dump_json,
     frac_str,
+    layout_to_obj,
     parse_frac,
     parse_layout,
     parse_result,
@@ -164,10 +165,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_gen(args) -> int:
     base = Config.from_rules(args.w_min, args.s_min)
     features, cfg = gen_synthetic(args.kind, args.n, args.seed, base)
-    from .layout_io import layout_to_obj
-
-    text = dump_json(layout_to_obj(features, cfg))
-    _write_out(text, args.out)
+    _write_out(dump_json(layout_to_obj(features, cfg)), args.out)
     return EXIT_OK
 
 

@@ -73,6 +73,7 @@ from .ilp_model import (
     build_model_from_problem,
     decode_assignment,
     extract_result,
+    frac_str,
     graph_order,
     merged_trim_rects,
 )
@@ -519,7 +520,7 @@ def _merge_outcomes(
             {
                 "vertices": len(o.piece.vertex_reps),
                 "nodes_explored": o.stats.nodes_explored,
-                "cost": str(o.stats.best_cost),
+                "cost": frac_str(o.stats.best_cost),
                 "proven_optimal": o.stats.proven_optimal,
             }
         )

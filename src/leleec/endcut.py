@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 from .geometry import (
     HORIZONTAL,
     VERTICAL,
-    Point,
     Rect,
     near_pairs,
     projection_interval,
@@ -64,7 +63,7 @@ def _overlaps_any(rect: Rect, obstacles: Iterable[Feature]) -> bool:
 
 
 def _candidate_rank(rect: Rect) -> tuple[int, int, int]:
-    return (rect.area(), rect.lo.x, rect.lo.y)
+    return (rect.area(), rect.x_lo, rect.y_lo)
 
 
 def gen_edge_edge(
@@ -95,9 +94,9 @@ def gen_edge_edge(
                 if proj is None or proj[1] - proj[0] < cfg.w_th:
                     continue
                 if gap_axis == HORIZONTAL:
-                    cut = Rect(Point(lo_end, proj[0]), Point(hi_start, proj[1]))
+                    cut = Rect(lo_end, proj[0], hi_start, proj[1])
                 else:
-                    cut = Rect(Point(proj[0], lo_end), Point(proj[1], hi_start))
+                    cut = Rect(proj[0], lo_end, proj[1], hi_start)
                 if _overlaps_any(cut, obstacles):
                     continue
                 if best is None or _candidate_rank(cut) < _candidate_rank(best):
@@ -105,7 +104,7 @@ def gen_edge_edge(
     return best
 
 
-def _polygon_corners(f: Feature) -> list[Point]:
+def _polygon_corners(f: Feature) -> list[tuple[int, int]]:
     pts = []
     for r in f.shape.rects:
         pts.extend(r.corners())
@@ -117,7 +116,7 @@ def gen_corner_corner(
     b: Feature,
     cfg: Config,
     obstacles: Sequence[Feature] = (),
-    corners: dict[int, list[Point]] | None = None,
+    corners: dict[int, list[tuple[int, int]]] | None = None,
 ) -> Rect | None:
     """Minimal-area of the four corner-bridging shapes, or None.
 
@@ -136,11 +135,11 @@ def gen_corner_corner(
     for f in (a, b):
         if f.id not in corners:
             corners[f.id] = _polygon_corners(f)
-    best_pair: tuple[Point, Point] | None = None
+    best_pair: tuple[tuple[int, int], tuple[int, int]] | None = None
     best_d: int | None = None
     for pa in corners[a.id]:
         for pb in corners[b.id]:
-            d = (pa.x - pb.x) ** 2 + (pa.y - pb.y) ** 2
+            d = (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
             if best_d is None or (d, pa, pb) < (best_d, *best_pair):
                 best_d, best_pair = d, (pa, pb)
     assert best_pair is not None and best_d is not None
@@ -148,31 +147,26 @@ def gen_corner_corner(
         # a cut bridging a gap wider than the coloring distance is meaningless
         return None
 
-    pa, pb = best_pair
-    x_lo, x_hi = min(pa.x, pb.x), max(pa.x, pb.x)
-    y_lo, y_hi = min(pa.y, pb.y), max(pa.y, pb.y)
-    shapes: list[Rect] = []
+    (ax, ay), (bx, by) = best_pair
+    x_lo, x_hi = min(ax, bx), max(ax, bx)
+    y_lo, y_hi = min(ay, by), max(ay, by)
+    best: Rect | None = None
     for axis in (HORIZONTAL, VERTICAL):
         lo, hi = (x_lo, x_hi) if axis == HORIZONTAL else (y_lo, y_hi)
         grow = cfg.w_th - (hi - lo)
         sides = [(lo, hi)] if grow <= 0 else [(lo - grow, hi), (lo, hi + grow)]
         for s_lo, s_hi in sides:
             if axis == HORIZONTAL:
-                coords = (s_lo, y_lo, s_hi, y_hi)
+                cut = Rect(s_lo, y_lo, s_hi, y_hi)
             else:
-                coords = (x_lo, s_lo, x_hi, s_hi)
-            if coords[0] >= coords[2] or coords[1] >= coords[3]:
+                cut = Rect(x_lo, s_lo, x_hi, s_hi)
+            # w_th > 0, so this also drops a flat shape off a collinear corner pair
+            if min(cut.width, cut.height) < cfg.w_th:
                 continue
-            shapes.append(Rect.of(*coords))
-
-    best: Rect | None = None
-    for cut in shapes:
-        if min(cut.width, cut.height) < cfg.w_th:
-            continue
-        if _overlaps_any(cut, obstacles):
-            continue
-        if best is None or _candidate_rank(cut) < _candidate_rank(best):
-            best = cut
+            if _overlaps_any(cut, obstacles):
+                continue
+            if best is None or _candidate_rank(cut) < _candidate_rank(best):
+                best = cut
     return best
 
 
@@ -185,7 +179,7 @@ def generate_candidates(
     (fa, fb) are the features on fa's neighbour list.
     """
     out: list[EndCutCandidate] = []
-    corners: dict[int, list[Point]] = {}  # one corner list per feature per call
+    corners: dict[int, list[tuple[int, int]]] = {}  # one corner list per feature per call
     near_of, near = None, []
     for fa, fb in sorted(pairs):
         a, b = features[fa], features[fb]
@@ -219,7 +213,7 @@ def build_endcut_graph(
     dash: set[EdgeKey] = set()
     merge_sq = cfg.merge_gap * cfg.merge_gap
     disc_sq = cfg.dis_c * cfg.dis_c
-    rects = [c.cut_rect.as_tuple() for c in candidates]
+    rects = [c.cut_rect for c in candidates]
     for i, j in near_pairs(rects, max(cfg.dis_c, cfg.merge_gap)):
         p, q = candidates[i], candidates[j]
         d = rect_distance(p.cut_rect, q.cut_rect)

@@ -2,8 +2,13 @@
 
 All coordinates are integer nanometers and every predicate is decided in
 integer arithmetic; distances are carried around *squared* so that
-threshold comparisons stay bit-exact. Every neighbour search of the front
-end reads `near_pairs`, one banded sweep over integer boxes.
+threshold comparisons stay bit-exact. A `Rect` is a named tuple of four
+ints, so it sorts, compares and serialises as (x_lo, y_lo, x_hi, y_hi).
+Shapes are checked once, where they enter: `Polygon` rejects rects without
+positive area, overlapping rects and rects that are not edge-connected.
+Every rect the program derives from them (split halves, cut rects, merged
+bboxes) has positive area by construction. Every neighbour search of the
+front end reads `near_pairs`, one banded sweep over rects.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 Interval = tuple[int, int]
-Box = tuple[int, int, int, int]
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -24,41 +29,21 @@ class GeometryError(ValueError):
     """Raised for degenerate or malformed geometric inputs."""
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    x: int
-    y: int
+class Rect(NamedTuple):
+    """Axis-aligned rectangle; (x_lo, y_lo) is lower-left, (x_hi, y_hi) upper-right."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
-            raise GeometryError(f"point coordinates must be integers, got {self!r}")
-
-
-@dataclass(frozen=True, order=True)
-class Rect:
-    """Axis-aligned rectangle with positive area; lo is lower-left, hi upper-right."""
-
-    lo: Point
-    hi: Point
-
-    def __post_init__(self) -> None:
-        if self.lo.x >= self.hi.x or self.lo.y >= self.hi.y:
-            raise GeometryError(f"degenerate rectangle {self.as_tuple()}")
-
-    @staticmethod
-    def of(x_lo: int, y_lo: int, x_hi: int, y_hi: int) -> "Rect":
-        return Rect(Point(x_lo, y_lo), Point(x_hi, y_hi))
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.lo.x, self.lo.y, self.hi.x, self.hi.y)
+    x_lo: int
+    y_lo: int
+    x_hi: int
+    y_hi: int
 
     @property
     def width(self) -> int:
-        return self.hi.x - self.lo.x
+        return self.x_hi - self.x_lo
 
     @property
     def height(self) -> int:
-        return self.hi.y - self.lo.y
+        return self.y_hi - self.y_lo
 
     def area(self) -> int:
         return self.width * self.height
@@ -66,48 +51,45 @@ class Rect:
     def extent(self, axis: str) -> Interval:
         """Extent along HORIZONTAL (x) or VERTICAL (y)."""
         if axis == HORIZONTAL:
-            return (self.lo.x, self.hi.x)
+            return (self.x_lo, self.x_hi)
         if axis == VERTICAL:
-            return (self.lo.y, self.hi.y)
+            return (self.y_lo, self.y_hi)
         raise GeometryError(f"unknown axis {axis!r}")
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        return (
-            self.lo,
-            Point(self.hi.x, self.lo.y),
-            Point(self.lo.x, self.hi.y),
-            self.hi,
-        )
+    def corners(self) -> tuple[tuple[int, int], ...]:
+        """The four (x, y) corners: lower-left, lower-right, upper-left, upper-right."""
+        x_lo, y_lo, x_hi, y_hi = self
+        return ((x_lo, y_lo), (x_hi, y_lo), (x_lo, y_hi), (x_hi, y_hi))
 
     def translated(self, dx: int, dy: int) -> "Rect":
-        return Rect(Point(self.lo.x + dx, self.lo.y + dy), Point(self.hi.x + dx, self.hi.y + dy))
+        return Rect(self.x_lo + dx, self.y_lo + dy, self.x_hi + dx, self.y_hi + dy)
 
 
 def rect_union_bbox(a: Rect, b: Rect) -> Rect:
-    return Rect(
-        Point(min(a.lo.x, b.lo.x), min(a.lo.y, b.lo.y)),
-        Point(max(a.hi.x, b.hi.x), max(a.hi.y, b.hi.y)),
-    )
+    return Rect(min(a.x_lo, b.x_lo), min(a.y_lo, b.y_lo), max(a.x_hi, b.x_hi), max(a.y_hi, b.y_hi))
 
 
 def rects_overlap(a: Rect, b: Rect) -> bool:
     """True iff interiors intersect; shared boundaries do not count."""
-    return a.lo.x < b.hi.x and b.lo.x < a.hi.x and a.lo.y < b.hi.y and b.lo.y < a.hi.y
+    # field reads, not unpacking: most calls stop at the first comparison
+    return a.x_lo < b.x_hi and b.x_lo < a.x_hi and a.y_lo < b.y_hi and b.y_lo < a.y_hi
 
 
 def rect_distance(a: Rect, b: Rect) -> int:
     """Squared Euclidean distance between closest boundary points (0 iff touch/overlap)."""
-    dx = max(b.lo.x - a.hi.x, a.lo.x - b.hi.x, 0)
-    dy = max(b.lo.y - a.hi.y, a.lo.y - b.hi.y, 0)
+    ax_lo, ay_lo, ax_hi, ay_hi = a
+    bx_lo, by_lo, bx_hi, by_hi = b
+    dx = max(bx_lo - ax_hi, ax_lo - bx_hi, 0)
+    dy = max(by_lo - ay_hi, ay_lo - by_hi, 0)
     return dx * dx + dy * dy
 
 
 def _edge_contact_length(a: Rect, b: Rect) -> int:
     """Length of shared boundary between two touching, non-overlapping rects."""
-    if a.hi.x == b.lo.x or b.hi.x == a.lo.x:
-        return max(0, min(a.hi.y, b.hi.y) - max(a.lo.y, b.lo.y))
-    if a.hi.y == b.lo.y or b.hi.y == a.lo.y:
-        return max(0, min(a.hi.x, b.hi.x) - max(a.lo.x, b.lo.x))
+    if a.x_hi == b.x_lo or b.x_hi == a.x_lo:
+        return max(0, min(a.y_hi, b.y_hi) - max(a.y_lo, b.y_lo))
+    if a.y_hi == b.y_lo or b.y_hi == a.y_lo:
+        return max(0, min(a.x_hi, b.x_hi) - max(a.x_lo, b.x_lo))
     return 0
 
 
@@ -123,7 +105,8 @@ def projection_interval(a: Rect, b: Rect, axis: str) -> Interval | None:
 
 @dataclass(frozen=True)
 class Polygon:
-    """A rectilinear polygon stored as pairwise interior-disjoint, edge-connected rects."""
+    """A rectilinear polygon stored as positive-area, pairwise interior-disjoint,
+    edge-connected rects."""
 
     rects: tuple[Rect, ...]
     _bbox: Rect = field(init=False, repr=False, compare=False)
@@ -134,11 +117,14 @@ class Polygon:
         if not isinstance(self.rects, tuple):
             object.__setattr__(self, "rects", tuple(self.rects))
         rs = self.rects
+        for r in rs:
+            if r.x_lo >= r.x_hi or r.y_lo >= r.y_hi:
+                raise GeometryError(f"degenerate rect {list(r)}")
         for i in range(len(rs)):
             for j in range(i + 1, len(rs)):
                 if rects_overlap(rs[i], rs[j]):
                     raise GeometryError(
-                        f"polygon rects overlap: {rs[i].as_tuple()} and {rs[j].as_tuple()}"
+                        f"polygon rects overlap: {tuple(rs[i])} and {tuple(rs[j])}"
                     )
         if not _edge_connected(rs):
             raise GeometryError("polygon rects are not edge-connected")
@@ -149,7 +135,7 @@ class Polygon:
 
     @staticmethod
     def of(*rects: tuple[int, int, int, int]) -> "Polygon":
-        return Polygon(tuple(Rect.of(*r) for r in rects))
+        return Polygon(tuple(Rect(*r) for r in rects))
 
     @property
     def bbox(self) -> Rect:
@@ -215,12 +201,13 @@ def split_polygon(p: Polygon, axis: str, coord: int) -> tuple[Polygon | None, Po
         elif lo >= coord:
             high.append(r)
         else:
+            x_lo, y_lo, x_hi, y_hi = r
             if axis == HORIZONTAL:
-                low.append(Rect(r.lo, Point(coord, r.hi.y)))
-                high.append(Rect(Point(coord, r.lo.y), r.hi))
+                low.append(Rect(x_lo, y_lo, coord, y_hi))
+                high.append(Rect(coord, y_lo, x_hi, y_hi))
             else:
-                low.append(Rect(r.lo, Point(r.hi.x, coord)))
-                high.append(Rect(Point(r.lo.x, coord), r.hi))
+                low.append(Rect(x_lo, y_lo, x_hi, coord))
+                high.append(Rect(x_lo, coord, x_hi, y_hi))
     low_poly = Polygon(tuple(low)) if low else None
     high_poly = Polygon(tuple(high)) if high else None
     return low_poly, high_poly
@@ -241,21 +228,21 @@ def subtract_intervals(extent: Interval, covered: list[Interval]) -> list[Interv
     return out
 
 
-def near_pairs(boxes: Sequence[Box], gap: int) -> list[tuple[int, int]]:
-    """Sorted index pairs (i, j), i < j, of boxes at most `gap` apart along each axis.
+def near_pairs(rects: Sequence[Rect], gap: int) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of rects at most `gap` apart along each axis.
 
-    Boxes are (x_lo, y_lo, x_hi, y_hi); boxes that overlap along an axis are
-    a negative gap apart there. This is sweep-and-prune run in horizontal
-    bands, each the tallest box + gap + 1 high: a box sits in the band of
-    its low y, so two near boxes share a band or sit in adjacent ones. Each
-    band is swept by low x together with the band above it, and a pair is
-    reported only from the band of its lower box, so none is repeated. The
-    boxes compared grow with the boxes near each other, not with the square
-    of the layout, as one global sweep would.
+    Rects that overlap along an axis are a negative gap apart there. This is
+    sweep-and-prune run in horizontal bands, each the tallest rect + gap + 1
+    high: a rect sits in the band of its low y, so two near rects share a
+    band or sit in adjacent ones. Each band is swept by low x together with
+    the band above it, and a pair is reported only from the band of its
+    lower rect, so none is repeated. The rects compared grow with the rects
+    near each other, not with the square of the layout, as one global sweep
+    would.
     """
-    if not boxes:
+    if not rects:
         return []
-    x_lo, y_lo, x_hi, y_hi = (list(c) for c in zip(*boxes))
+    x_lo, y_lo, x_hi, y_hi = (list(c) for c in zip(*rects))
     height = max(hi - lo for lo, hi in zip(y_lo, y_hi)) + gap + 1
     band = [y // height for y in y_lo]
     rows: dict[int, list[int]] = defaultdict(list)
@@ -269,7 +256,7 @@ def near_pairs(boxes: Sequence[Box], gap: int) -> list[tuple[int, int]]:
             end = bisect_right(xs, x_hi[i] + gap, k + 1)
             mine, top, bottom = band[i] == row, y_hi[i] + gap, y_lo[i] - gap
             for j in col[k + 1 : end]:
-                # two boxes of the band above meet again in their own band
+                # two rects of the band above meet again in their own band
                 if y_lo[j] <= top and y_hi[j] >= bottom and (mine or band[j] == row):
                     pairs.append((i, j) if i < j else (j, i))
     pairs.sort()

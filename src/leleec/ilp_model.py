@@ -85,16 +85,10 @@ class IlpModel:
     pair_costs: list[tuple[int, int, int, bool]] = field(default_factory=list)
     # every colour var in branching order; empty keeps ascending id
     colour_order: list[int] = field(default_factory=list)
-    _index: dict[tuple[str, tuple], int] = field(default_factory=dict)
 
     def add_var(self, name: str, kind: str, key: tuple) -> int:
-        vid = len(self.variables)
         self.variables.append(Var(name=name, kind=kind, key=key))
-        self._index[(kind, key)] = vid
-        return vid
-
-    def var(self, kind: str, key: tuple) -> int | None:
-        return self._index.get((kind, key))
+        return len(self.variables) - 1
 
     def add_constraint(self, label: str, terms: list[tuple[int, int]], rhs: int) -> None:
         merged: dict[int, int] = {}
@@ -389,7 +383,7 @@ def merged_trim_rects(selected: set[int], eg: EndCutGraph) -> list[Rect]:
         root = find(i)
         rect = eg.nodes[i].cut_rect
         groups[root] = rect if root not in groups else rect_union_bbox(groups[root], rect)
-    return sorted(groups.values(), key=lambda r: r.as_tuple())
+    return sorted(groups.values())
 
 
 @dataclass

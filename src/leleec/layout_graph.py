@@ -144,7 +144,7 @@ def feature_index(features: list[Feature], cfg: Config) -> FeatureIndex:
     each of its features along each axis, so each feature's list holds
     every feature a cut at it, or a merge of two such cuts, can overlap.
     """
-    pairs = near_pairs([f.shape.bbox.as_tuple() for f in features], max(cfg.dis_m, cfg.w_th))
+    pairs = near_pairs([f.shape.bbox for f in features], max(cfg.dis_m, cfg.w_th))
     near = [[k] for k in range(len(features))]
     for i, j in pairs:
         near[i].append(j)

@@ -84,6 +84,8 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(text, parse_float=_json_decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's int-string digit limit
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _is_int(value: Any) -> bool:
@@ -149,10 +151,7 @@ def layout_from_obj(data: Any, where: str = "layout") -> tuple[list[Feature], Co
         for r in rects:
             if not (isinstance(r, list) and len(r) == 4):
                 raise ValidationError(f"{wherek}: each rect must be [x_lo, y_lo, x_hi, y_hi]")
-            coords = [_expect_int(c, f"{wherek}: rect coordinate") for c in r]
-            if not (coords[0] < coords[2] and coords[1] < coords[3]):
-                raise ValidationError(f"{wherek}: degenerate rect {r}")
-            parsed.append(tuple(coords))
+            parsed.append(tuple(_expect_int(c, f"{wherek}: rect coordinate") for c in r))
         try:
             shape = Polygon.of(*parsed)
         except GeometryError as exc:
@@ -164,10 +163,9 @@ def layout_from_obj(data: Any, where: str = "layout") -> tuple[list[Feature], Co
     return features, cfg
 
 
-def layout_to_obj(features: list[Feature], cfg: Config) -> dict:
+def _rules_to_obj(cfg: Config) -> dict:
+    """The design rules and alpha of a config, as both file formats order them."""
     return {
-        "format": FORMAT_VERSION,
-        "units": "nm",
         "w_min": cfg.w_min,
         "s_min": cfg.s_min,
         "dis_m": cfg.dis_m,
@@ -175,10 +173,15 @@ def layout_to_obj(features: list[Feature], cfg: Config) -> dict:
         "w_th": cfg.w_th,
         "alpha": frac_str(cfg.alpha),
         "merge_gap": cfg.merge_gap,
-        "features": [
-            {"id": f.id, "rects": [list(r.as_tuple()) for r in f.shape.rects]}
-            for f in features
-        ],
+    }
+
+
+def layout_to_obj(features: list[Feature], cfg: Config) -> dict:
+    return {
+        "format": FORMAT_VERSION,
+        "units": "nm",
+        **_rules_to_obj(cfg),
+        "features": [{"id": f.id, "rects": [list(r) for r in f.shape.rects]} for f in features],
     }
 
 
@@ -199,13 +202,7 @@ def emit_layout(features: list[Feature], cfg: Config, path: str | Path) -> None:
 
 def config_to_obj(cfg: Config) -> dict:
     return {
-        "w_min": cfg.w_min,
-        "s_min": cfg.s_min,
-        "dis_m": cfg.dis_m,
-        "dis_c": cfg.dis_c,
-        "w_th": cfg.w_th,
-        "alpha": frac_str(cfg.alpha),
-        "merge_gap": cfg.merge_gap,
+        **_rules_to_obj(cfg),
         "enable_stitch": cfg.enable_stitch,
         # constant echoes of removed options, kept so result files stay
         # byte-identical; config_from_obj ignores them
@@ -254,11 +251,11 @@ def result_to_obj(
             {
                 "id": cid,
                 "features": list(eg.nodes[cid].features()),
-                "rect": list(eg.nodes[cid].cut_rect.as_tuple()),
+                "rect": list(eg.nodes[cid].cut_rect),
             }
             for cid in sorted(result.selected_cuts)
         ],
-        "trim_cuts": [list(r.as_tuple()) for r in result.trim_rects],
+        "trim_cuts": [list(r) for r in result.trim_rects],
         "conflicts": [list(e) for e in result.conflicts],
         "stitches": stitches,
         "cost": frac_str(result.cost),
@@ -373,9 +370,7 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
             problems.append(f"selected_cuts: unknown candidate id {cid!r}")
             continue
         node = eg.nodes[cid]
-        if list(node.features()) != item.get("features") or list(
-            node.cut_rect.as_tuple()
-        ) != item.get("rect"):
+        if list(node.features()) != item.get("features") or list(node.cut_rect) != item.get("rect"):
             problems.append(f"selected_cuts: candidate {cid} does not match regenerated geometry")
         selected.add(cid)
 
@@ -389,7 +384,7 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
         conflicts[edge] = None
     problems += result_problems(lg, eg, colors, selected, list(conflicts))
 
-    expected_trim = [list(r.as_tuple()) for r in merged_trim_rects(selected, eg)]
+    expected_trim = [list(r) for r in merged_trim_rects(selected, eg)]
     if not lelele and result.get("trim_cuts") != expected_trim:
         problems.append("trim_cuts: do not equal the dash-merged union rects of selected cuts")
 

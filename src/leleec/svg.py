@@ -28,10 +28,10 @@ def render_svg(
     """SVG document for a layout graph with 1-based mask colors."""
     boxes = [s.shape.bbox for s in lg.vertices] + list(trim_rects)
     if boxes:
-        x_lo = min(b.lo.x for b in boxes) - MARGIN
-        y_lo = min(b.lo.y for b in boxes) - MARGIN
-        x_hi = max(b.hi.x for b in boxes) + MARGIN
-        y_hi = max(b.hi.y for b in boxes) + MARGIN
+        x_lo = min(b.x_lo for b in boxes) - MARGIN
+        y_lo = min(b.y_lo for b in boxes) - MARGIN
+        x_hi = max(b.x_hi for b in boxes) + MARGIN
+        y_hi = max(b.y_hi for b in boxes) + MARGIN
     else:
         x_lo = y_lo = 0
         x_hi = y_hi = 100
@@ -63,21 +63,21 @@ def render_svg(
         fill = MASK_FILLS.get(colors.get(seg.id, 1), "#999999")
         for r in seg.shape.rects:
             out.append(
-                f'<rect x="{_fmt(tx(r.lo.x))}" y="{_fmt(ty(r.hi.y))}" '
+                f'<rect x="{_fmt(tx(r.x_lo))}" y="{_fmt(ty(r.y_hi))}" '
                 f'width="{r.width}" height="{r.height}" fill="{fill}" '
                 f'stroke="#333333" stroke-width="1"/>'
             )
     for r in trim_rects:
         out.append(
-            f'<rect x="{_fmt(tx(r.lo.x))}" y="{_fmt(ty(r.hi.y))}" '
+            f'<rect x="{_fmt(tx(r.x_lo))}" y="{_fmt(ty(r.y_hi))}" '
             f'width="{r.width}" height="{r.height}" fill="url(#trim)" '
             f'stroke="#555555" stroke-width="1" stroke-dasharray="3,2"/>'
         )
     for u, v in sorted(conflicts):
         bu = lg.vertices[u].shape.bbox
         bv = lg.vertices[v].shape.bbox
-        ux, uy = (bu.lo.x + bu.hi.x) / 2, (bu.lo.y + bu.hi.y) / 2
-        vx, vy = (bv.lo.x + bv.hi.x) / 2, (bv.lo.y + bv.hi.y) / 2
+        ux, uy = (bu.x_lo + bu.x_hi) / 2, (bu.y_lo + bu.y_hi) / 2
+        vx, vy = (bv.x_lo + bv.x_hi) / 2, (bv.y_lo + bv.y_hi) / 2
         out.append(
             f'<line x1="{_fmt(tx(ux))}" y1="{_fmt(ty(uy))}" '
             f'x2="{_fmt(tx(vx))}" y2="{_fmt(ty(vy))}" '

@@ -122,6 +122,11 @@ def random_config(rng: random.Random) -> Config:
     )
 
 
+def var(model: IlpModel, kind: str, key: tuple) -> int | None:
+    """The id of the model's variable of this kind and key, or None."""
+    return next((i for i, v in enumerate(model.variables) if (v.kind, v.key) == (kind, key)), None)
+
+
 def model_shape(model: IlpModel) -> tuple:
     """Everything of a model the solver reads, without its variable names and keys:
     two models with equal shapes get the same assignment and node count."""

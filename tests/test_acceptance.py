@@ -25,6 +25,7 @@ from conftest import (
     random_config,
     random_layout,
     stitch_ring,
+    var,
 )
 
 
@@ -103,13 +104,13 @@ def _pinned_triangle(corrected: bool):
         stitch_edges=set(),
     )
     cands = [
-        EndCutCandidate(0, 0, 1, Rect.of(0, 0, 10, 10), EDGE_EDGE),
-        EndCutCandidate(1, 0, 2, Rect.of(20, 0, 30, 10), EDGE_EDGE),
-        EndCutCandidate(2, 1, 2, Rect.of(40, 0, 50, 10), EDGE_EDGE),
+        EndCutCandidate(0, 0, 1, Rect(0, 0, 10, 10), EDGE_EDGE),
+        EndCutCandidate(1, 0, 2, Rect(20, 0, 30, 10), EDGE_EDGE),
+        EndCutCandidate(2, 1, 2, Rect(40, 0, 50, 10), EDGE_EDGE),
     ]
     eg = EndCutGraph(nodes=cands, solid_edges={(0, 1), (0, 2)}, dash_edges={(1, 2)})
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, corrected=corrected)
-    x = [model.var("color", (i,)) for i in range(3)]
+    x = [var(model, "color", (i,)) for i in range(3)]
     for a, b in ((x[0], x[1]), (x[1], x[2])):
         model.add_constraint(f"pin_lo_{a}_{b}", [(a, 1), (b, -1)], 0)
         model.add_constraint(f"pin_hi_{a}_{b}", [(b, 1), (a, -1)], 0)

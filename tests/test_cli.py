@@ -457,6 +457,31 @@ def test_decimal_exponents_within_the_bound_still_parse(tmp_path):
     assert run_cli(["decompose", str(layout), "--alpha", "0.5e+0004300", "--out", str(out)]) == 0
 
 
+def test_long_integer_literals_exit_2_naming_the_file(tmp_path, capsys):
+    """json.loads refuses an integer literal of more than 4,300 digits; the
+    error names the file, and no result is written."""
+    layout = _motif_file(tmp_path)
+    result, out = tmp_path / "res.json", tmp_path / "out.json"
+    assert run_cli(["decompose", str(layout), "--out", str(result)]) == 0
+    long_int = "1" + "0" * 5000
+    long_layout, long_result = tmp_path / "long-layout.json", tmp_path / "long-res.json"
+    long_layout.write_text(re.sub(r'"w_min": \d+', f'"w_min": {long_int}', layout.read_text()))
+    long_result.write_text(
+        re.sub(r'"nodes_explored": \d+', f'"nodes_explored": {long_int}', result.read_text(), count=1)
+    )
+    cases = (
+        (["decompose", str(long_layout), "--out", str(out)], long_layout),
+        (["baseline-lelele", str(long_layout), "--out", str(out)], long_layout),
+        (["verify", str(long_layout), str(result)], long_layout),
+        (["verify", str(layout), str(long_result)], long_result),
+    )
+    for argv, named in cases:
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {named}: "), argv
+        assert not out.exists()
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy serves only the brute-force oracle; every CLI call pays for its import
     src = str(Path(leleec.cli.__file__).resolve().parent.parent)
@@ -521,8 +546,8 @@ def test_one_feature_index_and_one_near_pair_walk_per_call(tmp_path, monkeypatch
     layout, result, base = tmp_path / "motif.json", tmp_path / "res.json", tmp_path / "base.json"
     assert run_cli(["gen", "clique4_array", "4", "--out", str(layout)]) == 0
     feats, cfg = gen_synthetic("clique4_array", 4, 0, Config.from_rules(10, 10))
-    over_features = ([f.shape.bbox.as_tuple() for f in feats], max(cfg.dis_m, cfg.w_th))
-    cuts = [c.cut_rect.as_tuple() for c in build_graphs(feats, cfg)[1].nodes]
+    over_features = ([f.shape.bbox for f in feats], max(cfg.dis_m, cfg.w_th))
+    cuts = [c.cut_rect for c in build_graphs(feats, cfg)[1].nodes]
     over_cuts = (cuts, max(cfg.dis_c, cfg.merge_gap))
     swept = []
 

@@ -515,7 +515,7 @@ def _masked(res):
     return (
         res.colors,
         res.selected_cuts,
-        [r.as_tuple() for r in res.trim_rects],
+        [tuple(r) for r in res.trim_rects],
         res.conflicts,
         res.stitches,
         res.cost,
@@ -560,7 +560,7 @@ def _wires(rng, n, window, cfg):
         width, length = rng.randint(10, 12), rng.randint(40, 240)
         dx, dy = (length, width) if rng.random() < 0.5 else (width, length)
         x, y = rng.randrange(window - dx), rng.randrange(window - dy)
-        r = Rect.of(x, y, x + dx, y + dy)
+        r = Rect(x, y, x + dx, y + dy)
         if all(rect_distance(r, o) >= cfg.s_min**2 for o in rects):
             rects.append(r)
     return [Feature(i, Polygon((r,))) for i, r in enumerate(rects)]
@@ -596,7 +596,7 @@ def test_pipeline_determinism():
     assert a.selected_cuts == b.selected_cuts
     assert a.conflicts == b.conflicts and a.stitches == b.stitches
     assert a.cost == b.cost
-    assert [r.as_tuple() for r in a.trim_rects] == [r.as_tuple() for r in b.trim_rects]
+    assert [tuple(r) for r in a.trim_rects] == [tuple(r) for r in b.trim_rects]
 
 
 def test_stitch_ring_costs():
@@ -614,7 +614,7 @@ def test_gamma_quad_through_pipeline():
     res = decompose(feats, cfg)
     assert res.cost == 0
     assert res.selected_cuts == {0, 1}
-    assert [r.as_tuple() for r in res.trim_rects] == [(10, 8, 28, 100)]
+    assert [tuple(r) for r in res.trim_rects] == [(10, 8, 28, 100)]
 
 
 def _baseline_matches_whole_model(feats, cfg, where):

@@ -35,7 +35,7 @@ def test_edge_edge_projection_cut():
     cfg = Config.from_rules(10, 10, w_th=20)
     a, b = F(0, (0, 0, 10, 40)), F(1, (16, 10, 26, 50))
     cut = gen_edge_edge(a, b, cfg, [a, b])
-    assert cut is not None and cut.as_tuple() == (10, 10, 16, 40)
+    assert cut is not None and tuple(cut) == (10, 10, 16, 40)
 
 
 def test_edge_edge_narrow_projection_forbidden():
@@ -57,7 +57,7 @@ def test_corner_corner_four_placements_minimal_area():
     cfg = Config.from_rules(10, 10, w_th=4)
     a, b = F(0, (0, 0, 10, 10)), F(1, (14, 14, 24, 24))
     cut = gen_corner_corner(a, b, cfg, [a, b])
-    assert cut is not None and cut.as_tuple() == (10, 10, 14, 14)
+    assert cut is not None and tuple(cut) == (10, 10, 14, 14)
 
 
 def test_corner_corner_all_placements_blocked():
@@ -74,7 +74,7 @@ def test_corner_corner_symmetric_tie_breaks_to_smallest_lo():
     a, b = F(0, (0, 0, 10, 10)), F(1, (12, 16, 22, 26))
     cut = gen_corner_corner(a, b, cfg, [a, b])
     assert cut is not None
-    assert cut.as_tuple() == (8, 10, 12, 16)
+    assert tuple(cut) == (8, 10, 12, 16)
 
 
 def test_corner_corner_far_corners_rejected():
@@ -133,7 +133,7 @@ def test_candidate_generation_translation_invariant():
 def _mk_cand(cid, fa, fb, rect):
     from leleec.endcut import EndCutCandidate
 
-    return EndCutCandidate(id=cid, feature_a=fa, feature_b=fb, cut_rect=Rect.of(*rect), kind=EDGE_EDGE)
+    return EndCutCandidate(id=cid, feature_a=fa, feature_b=fb, cut_rect=Rect(*rect), kind=EDGE_EDGE)
 
 
 def test_far_cuts_unrelated():
@@ -157,8 +157,8 @@ def test_abutting_cuts_sharing_feature_are_dash():
     cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
     eg = build_endcut_graph(cands, feats, cfg, index)
     assert [(c.feature_a, c.feature_b) for c in cands] == [(1, 3), (2, 3)]
-    assert cands[0].cut_rect.as_tuple() == (10, 8, 14, 100)
-    assert cands[1].cut_rect.as_tuple() == (24, 8, 28, 100)
+    assert tuple(cands[0].cut_rect) == (10, 8, 14, 100)
+    assert tuple(cands[1].cut_rect) == (24, 8, 28, 100)
     # ten apart flanking the shared middle wire: mergeable, not exclusive
     assert eg.dash_edges == {(0, 1)}
     assert eg.solid_edges == set()
@@ -342,24 +342,26 @@ def corner_corner_without_shortcut(a, b, cfg, obstacles=(), corners=None):
     """gen_corner_corner without its early return for w_th >= dis_m or its corner memo."""
     corners = leleec.endcut._polygon_corners
     pairs = [(pa, pb) for pa in corners(a) for pb in corners(b)]
-    pa, pb = min(pairs, key=lambda p: ((p[0].x - p[1].x) ** 2 + (p[0].y - p[1].y) ** 2, *p))
-    if (pa.x - pb.x) ** 2 + (pa.y - pb.y) ** 2 >= cfg.dis_m**2:
+    (ax, ay), (bx, by) = min(
+        pairs, key=lambda p: ((p[0][0] - p[1][0]) ** 2 + (p[0][1] - p[1][1]) ** 2, *p)
+    )
+    if (ax - bx) ** 2 + (ay - by) ** 2 >= cfg.dis_m**2:
         return None
-    x_lo, x_hi, y_lo, y_hi = min(pa.x, pb.x), max(pa.x, pb.x), min(pa.y, pb.y), max(pa.y, pb.y)
+    x_lo, x_hi, y_lo, y_hi = min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)
     shapes = []
     for horizontal, (lo, hi) in ((True, (x_lo, x_hi)), (False, (y_lo, y_hi))):
         grow = cfg.w_th - (hi - lo)
         for s_lo, s_hi in [(lo, hi)] if grow <= 0 else [(lo - grow, hi), (lo, hi + grow)]:
             coords = (s_lo, y_lo, s_hi, y_hi) if horizontal else (x_lo, s_lo, x_hi, s_hi)
             if coords[0] < coords[2] and coords[1] < coords[3]:
-                shapes.append(Rect.of(*coords))
+                shapes.append(Rect(*coords))
     fits = [
         cut
         for cut in shapes
         if min(cut.width, cut.height) >= cfg.w_th
         and not any(rect_overlaps_polygon(cut, f.shape) for f in obstacles)
     ]
-    return min(fits, key=lambda r: (r.area(), r.lo.x, r.lo.y), default=None)
+    return min(fits, key=lambda r: (r.area(), r.x_lo, r.y_lo), default=None)
 
 
 def _corner_layouts(w_ths):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
 import pytest
 
@@ -20,10 +22,10 @@ from leleec.geometry import (
     split_polygon,
     subtract_intervals,
 )
+from leleec.layout_io import ValidationError, parse_layout
 
 
-def R(*coords):
-    return Rect.of(*coords)
+R = Rect
 
 
 def test_rect_distance_axis_gap():
@@ -53,7 +55,7 @@ def test_rect_distance_zero_iff_touch_or_overlap():
         b = R(rng.randrange(30), rng.randrange(30), rng.randrange(31, 60), rng.randrange(31, 60))
         d = rect_distance(a, b)
         touches_or_overlaps = (
-            a.lo.x <= b.hi.x and b.lo.x <= a.hi.x and a.lo.y <= b.hi.y and b.lo.y <= a.hi.y
+            a.x_lo <= b.x_hi and b.x_lo <= a.x_hi and a.y_lo <= b.y_hi and b.y_lo <= a.y_hi
         )
         assert (d == 0) == touches_or_overlaps
 
@@ -72,8 +74,8 @@ def test_rect_distance_matches_float_oracle_on_axis_overlap():
 
 
 def _float_distance(a: Rect, b: Rect) -> float:
-    dx = max(b.lo.x - a.hi.x, a.lo.x - b.hi.x, 0)
-    dy = max(b.lo.y - a.hi.y, a.lo.y - b.hi.y, 0)
+    dx = max(b.x_lo - a.x_hi, a.x_lo - b.x_hi, 0)
+    dy = max(b.y_lo - a.y_hi, a.y_lo - b.y_hi, 0)
     return math.hypot(dx, dy)
 
 
@@ -137,21 +139,32 @@ def test_rect_overlaps_polygon_notch():
     probe = R(12, 12, 18, 28)
     assert not rect_overlaps_polygon(probe, u_shape)
     # point-sampling oracle on the integer grid
-    for x in range(probe.lo.x, probe.hi.x):
-        for y in range(probe.lo.y, probe.hi.y):
+    for x in range(probe.x_lo, probe.x_hi):
+        for y in range(probe.y_lo, probe.y_hi):
             inside = any(
-                r.lo.x < x + 1 and x < r.hi.x and r.lo.y < y + 1 and y < r.hi.y
+                r.x_lo < x + 1 and x < r.x_hi and r.y_lo < y + 1 and y < r.y_hi
                 for r in u_shape.rects
             )
             assert not inside
     assert rect_overlaps_polygon(R(5, 5, 25, 15), u_shape)
 
 
-def test_degenerate_rect_rejected():
-    with pytest.raises(GeometryError):
-        Rect.of(0, 0, 0, 10)
-    with pytest.raises(GeometryError):
-        Rect.of(0, 10, 10, 10)
+def test_degenerate_rect_rejected(tmp_path):
+    """Positive area is checked once, by Polygon, which the layout parser calls."""
+    # zero width, zero height, inverted
+    for rect in ((0, 0, 0, 10), (0, 10, 10, 10), (10, 0, 0, 40)):
+        message = f"degenerate rect {list(rect)}"
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            Polygon.of(rect)
+        # after a valid rect that it would touch, too
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            Polygon.of((-10, 0, 0, 10), rect)
+        path = tmp_path / "layout.json"
+        feature = {"id": 0, "rects": [list(rect)]}
+        path.write_text(json.dumps({"format": 1, "w_min": 10, "s_min": 10, "features": [feature]}))
+        with pytest.raises(ValidationError) as exc:
+            parse_layout(path)
+        assert str(exc.value) == f"{path}: features[0]: {message}"
 
 
 def test_polygon_rejects_overlapping_rects():

@@ -22,7 +22,7 @@ from leleec.ilp_model import (
 from leleec.layout_graph import Config, LayoutGraph, Segment
 from leleec.solver import brute_force, solve
 
-from conftest import clique4_motif, gamma_quad, stitch_ring, via_block
+from conftest import clique4_motif, gamma_quad, stitch_ring, var, via_block
 
 
 def _graph(vertex_features, conflict_edges, stitch_edges=(), annotations=None):
@@ -42,7 +42,7 @@ def _graph(vertex_features, conflict_edges, stitch_edges=(), annotations=None):
 
 
 def _cand(cid, fa, fb, rect=(0, 0, 10, 10)):
-    return EndCutCandidate(id=cid, feature_a=fa, feature_b=fb, cut_rect=Rect.of(*rect), kind=EDGE_EDGE)
+    return EndCutCandidate(id=cid, feature_a=fa, feature_b=fb, cut_rect=Rect(*rect), kind=EDGE_EDGE)
 
 
 def _empty_eg(cands=()):
@@ -77,9 +77,9 @@ def _fig6_triangle(corrected=True, pin_equal=False):
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, corrected=corrected)
     if pin_equal:
         # surrounding-layout pressure: all three features share one mask
-        x0 = model.var("color", (0,))
-        x1 = model.var("color", (1,))
-        x2 = model.var("color", (2,))
+        x0 = var(model, "color", (0,))
+        x1 = var(model, "color", (1,))
+        x2 = var(model, "color", (2,))
         for a, b in ((x0, x1), (x1, x2)):
             model.add_constraint(f"pin_{a}_{b}_lo", [(a, 1), (b, -1)], 0)
             model.add_constraint(f"pin_{a}_{b}_hi", [(b, 1), (a, -1)], 0)
@@ -94,7 +94,7 @@ def test_fig6_corrected_merge_is_free():
     assert res.selected_cuts == {1, 2}
     gamma = [v for v in model.variables if v.kind == "merge"]
     assert len(gamma) == 1
-    assert assignment[model.var("merge", gamma[0].key)] == 1
+    assert assignment[var(model, "merge", gamma[0].key)] == 1
 
 
 def test_fig6_uncorrected_charges_spurious_conflict():
@@ -132,9 +132,9 @@ def test_gamma_quad_geometric_contrast():
 
 def test_gamma_equals_product_in_every_feasible_assignment():
     model, _, _ = _fig6_triangle(corrected=True)
-    g = model.var("merge", next(v.key for v in model.variables if v.kind == "merge"))
-    p = model.var("endcut", (1,))
-    q = model.var("endcut", (2,))
+    g = var(model, "merge", next(v.key for v in model.variables if v.kind == "merge"))
+    p = var(model, "endcut", (1,))
+    q = var(model, "endcut", (2,))
     n = model.num_vars
     for code in range(1 << n):
         assignment = [(code >> k) & 1 for k in range(n)]
@@ -171,7 +171,7 @@ def test_pair_costs_are_the_rigid_conflict_and_stitch_edges():
     lg, eg = build_graphs(*gamma_quad())
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
     assert [model.variables[c].key for _, _, c, _ in model.pair_costs] == [(0, 1), (0, 2), (0, 3)]
-    assert model.var("merge", (1, 2, 3, 0, 1)) is not None
+    assert var(model, "merge", (1, 2, 3, 0, 1)) is not None
     # stitch edges are charged when the colours differ
     lg, eg = build_graphs(*stitch_ring())
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
@@ -219,7 +219,7 @@ def test_colour_order_follows_the_pair_cost_edges():
     pg = ProblemGraph.from_layout(lg, eg)
     model = build_model_from_problem(pg, eg)
     coupled = [*lg.conflict_edges, *lg.stitch_edges]
-    expected = [model.var("color", (v,)) for v in graph_order(pg.vertex_reps, coupled)]
+    expected = [var(model, "color", (v,)) for v in graph_order(pg.vertex_reps, coupled)]
     assert model.colour_order == expected and expected != sorted(expected)
     assert model.search_order()[: len(expected)] == expected
     baseline = build_lelele_baseline(pg)
@@ -245,7 +245,7 @@ def test_stitch_forced_zero_on_equal_colors():
     )
     assignment, stats = solve(model)
     assert stats.best_cost == 0
-    s = model.var("stitch", (0, 1))
+    s = var(model, "stitch", (0, 1))
     assert assignment[s] == 0
 
 
@@ -371,9 +371,9 @@ def test_extract_result_rejects_cut_across_colors():
     lg = _graph([0, 1], [(0, 1)], annotations={(0, 1): 0})
     eg = _empty_eg([_cand(0, 0, 1)])
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
-    x0 = model.var("color", (0,))
-    x1 = model.var("color", (1,))
-    ec = model.var("endcut", (0,))
+    x0 = var(model, "color", (0,))
+    x1 = var(model, "color", (1,))
+    ec = var(model, "endcut", (0,))
     bad = [0] * model.num_vars
     bad[x1] = 1
     bad[ec] = 1  # cut applied across different colors violates the cut rows
@@ -398,4 +398,4 @@ def test_merged_trim_rects_union_of_dash_pairs():
     cands = [_cand(0, 0, 1, (0, 0, 10, 10)), _cand(1, 1, 2, (10, 0, 20, 10)), _cand(2, 3, 4, (50, 0, 60, 10))]
     eg = EndCutGraph(nodes=cands, solid_edges=set(), dash_edges={(0, 1)})
     rects = merged_trim_rects({0, 1, 2}, eg)
-    assert [r.as_tuple() for r in rects] == [(0, 0, 20, 10), (50, 0, 60, 10)]
+    assert [tuple(r) for r in rects] == [(0, 0, 20, 10), (50, 0, 60, 10)]

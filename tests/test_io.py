@@ -195,6 +195,14 @@ def test_frac_str_exactness():
 # ---- synthetic generators
 
 
+def test_per_sub_costs_use_the_one_decimal_formatter():
+    feats, cfg = stitch_ring()
+    lg, eg = build_graphs(feats, cfg)
+    obj = result_to_obj(decompose_graphs(lg, eg, cfg), lg, eg, cfg)
+    assert obj["cost"] == "0.1"
+    assert [sub["cost"] for sub in obj["stats"]["per_sub"]] == ["0.1"]
+
+
 def test_grid_rows_are_independent_paths():
     cfg = Config.from_rules(10, 10)
     feats, out_cfg = gen_synthetic("grid", 4, 0, cfg)

@@ -142,7 +142,7 @@ def test_left_half_conflict_splits_at_projection_boundary():
     # neighbor extent [0,40] dilated by dis_m covers [-50,90]; the uncovered
     # tail [90,100] is one w_min-wide slot, stitched at its midpoint
     assert len(wire_segments) == 2
-    bounds = sorted(s.shape.bbox.as_tuple() for s in wire_segments)
+    bounds = sorted(tuple(s.shape.bbox) for s in wire_segments)
     assert bounds == [(0, 0, 95, 10), (95, 0, 100, 10)]
     assert len(g.stitch_edges) == 1
     (u, v) = next(iter(g.stitch_edges))
@@ -242,7 +242,7 @@ def test_golden_annotation():
     cands = generate_candidates(GOLDEN_FEATURES, sorted(g.conflict_edges), cfg, index)
     g = annotate_end_cuts(g, cands)
     by_pair = {
-        (cands[c.id].feature_a, cands[c.id].feature_b): c.cut_rect.as_tuple() for c in cands
+        (cands[c.id].feature_a, cands[c.id].feature_b): tuple(c.cut_rect) for c in cands
     }
     # every golden edge gets a candidate at w_th = w_min; spot-check geometry
     assert {e for e, c in g.conflict_edges.items() if c is not None} == GOLDEN_EDGES

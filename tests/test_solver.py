@@ -16,7 +16,7 @@ from leleec.solver import (
     solve,
 )
 
-from conftest import clique4_motif, random_config, random_layout, stitch_ring, via_block
+from conftest import clique4_motif, random_config, random_layout, stitch_ring, var, via_block
 
 
 def test_empty_model_all_zeros():
@@ -52,7 +52,7 @@ def test_four_clique_with_unconstrained_cuts_costs_zero():
         for i in range(4)
     ]
     cands = [
-        EndCutCandidate(k, u, v, Rect.of(50 * k, 100, 50 * k + 10, 110), EDGE_EDGE)
+        EndCutCandidate(k, u, v, Rect(50 * k, 100, 50 * k + 10, 110), EDGE_EDGE)
         for k, (u, v) in enumerate(edges)
     ]
     lg = LayoutGraph(
@@ -115,9 +115,9 @@ def test_solve_tie_break_on_via_blocks():
     colour_bits = model.colour_order
     assert colour_bits != sorted(colour_bits)
     conflicts = [
-        (vid, model.var("color", var.key[:1]), model.var("color", var.key[1:]))
-        for vid, var in enumerate(model.variables)
-        if var.kind == "conflict"
+        (vid, var(model, "color", v.key[:1]), var(model, "color", v.key[1:]))
+        for vid, v in enumerate(model.variables)
+        if v.kind == "conflict"
     ]
     best = None
     for code in range(1 << len(colour_bits)):  # first colour in order = most significant
