@@ -40,6 +40,9 @@ never outlives the call: each CLI call does the same work.
 
 `result_problems` is the one result checker: `validate_result` raises on
 its findings, and `layout_io.verify_result` reports them for a file.
+`_merge_outcomes` recounts the cost and runs `validate_result` once on
+every result: decompose, the baseline, and the oracle `solve_monolithic`,
+which wraps its one whole-layout solve as a single outcome.
 
 `lelele_baseline` runs the three-mask baseline through the same component
 split (with an empty end-cut graph), per-piece solve with its memo, and
@@ -72,7 +75,6 @@ from .ilp_model import (
     build_lelele_baseline,
     build_model_from_problem,
     decode_assignment,
-    extract_result,
     frac_str,
     graph_order,
     merged_trim_rects,
@@ -282,7 +284,7 @@ def _closed_outcome(piece: ProblemGraph, alpha: Fraction) -> PieceOutcome | None
     decoded = closed_form(piece, alpha)
     if decoded is None:
         return None
-    return PieceOutcome(piece, decoded, SolveStats(0, Fraction(0), True, 0.0))
+    return PieceOutcome(piece, decoded, SolveStats(0, Fraction(0), True))
 
 
 def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
@@ -386,7 +388,7 @@ def _solve_piece(
         decoded, cost = memo[key]
         # a rank map's keys, in order, are the ids by rank
         back = _relabel(decoded, list(vrank), list(crank))
-        return PieceOutcome(piece, back, SolveStats(0, cost, True, 0.0))
+        return PieceOutcome(piece, back, SolveStats(0, cost, True))
     model = build(piece)
     remaining = None
     if time_limit is not None:
@@ -624,15 +626,14 @@ def validate_result(result: DecompResult, lg: LayoutGraph, eg: EndCutGraph) -> N
 def solve_monolithic(
     features: list[Feature], cfg: Config, time_limit: float | None = None
 ) -> tuple[DecompResult, IlpModel]:
-    """Single whole-layout model with no decomposition speedups (oracle path)."""
+    """Single whole-layout model with no decomposition speedups (oracle path).
+
+    Its one outcome goes through the merge, like every piece of `decompose`,
+    so the result is checked the same way and its stats hold one `per_sub` entry.
+    """
     g, eg = build_graphs(features, cfg)
-    model = build_model_from_problem(ProblemGraph.from_layout(g, eg), eg, alpha=cfg.alpha)
+    whole = ProblemGraph.from_layout(g, eg)
+    model = build_model_from_problem(whole, eg, alpha=cfg.alpha)
     assignment, stats = solve(model, time_limit)
-    result = extract_result(model, assignment, g, eg)
-    result.stats = {
-        "sub_problems": 1,
-        "nodes_explored": stats.nodes_explored,
-        "proven_optimal": stats.proven_optimal,
-    }
-    validate_result(result, g, eg)
-    return result, model
+    outcome = PieceOutcome(whole, decode_assignment(model, assignment), stats)
+    return _merge_outcomes([outcome], g, eg, cfg.alpha, {}), model

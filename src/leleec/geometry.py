@@ -4,11 +4,13 @@ All coordinates are integer nanometers and every predicate is decided in
 integer arithmetic; distances are carried around *squared* so that
 threshold comparisons stay bit-exact. A `Rect` is a named tuple of four
 ints, so it sorts, compares and serialises as (x_lo, y_lo, x_hi, y_hi).
-Shapes are checked once, where they enter: `Polygon` rejects rects without
-positive area, overlapping rects and rects that are not edge-connected.
-Every rect the program derives from them (split halves, cut rects, merged
-bboxes) has positive area by construction. Every neighbour search of the
-front end reads `near_pairs`, one banded sweep over rects.
+Shapes are checked once, where they enter: `Polygon.of` rejects rects
+without positive area, overlapping rects and rects that are not
+edge-connected. `Polygon(rects)` trusts its caller; only `split_polygon`
+calls it, and checks its halves for connectivity alone. Every rect the
+program derives (split halves, cut rects, merged bboxes) has positive area
+by construction. Every neighbour search of the front end reads
+`near_pairs`, one banded sweep over rects.
 """
 
 from __future__ import annotations
@@ -61,9 +63,6 @@ class Rect(NamedTuple):
         x_lo, y_lo, x_hi, y_hi = self
         return ((x_lo, y_lo), (x_hi, y_lo), (x_lo, y_hi), (x_hi, y_hi))
 
-    def translated(self, dx: int, dy: int) -> "Rect":
-        return Rect(self.x_lo + dx, self.y_lo + dy, self.x_hi + dx, self.y_hi + dy)
-
 
 def rect_union_bbox(a: Rect, b: Rect) -> Rect:
     return Rect(min(a.x_lo, b.x_lo), min(a.y_lo, b.y_lo), max(a.x_hi, b.x_hi), max(a.y_hi, b.y_hi))
@@ -106,17 +105,24 @@ def projection_interval(a: Rect, b: Rect, axis: str) -> Interval | None:
 @dataclass(frozen=True)
 class Polygon:
     """A rectilinear polygon stored as positive-area, pairwise interior-disjoint,
-    edge-connected rects."""
+    edge-connected rects; `Polygon.of` checks them, the constructor does not."""
 
     rects: tuple[Rect, ...]
     _bbox: Rect = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.rects:
-            raise GeometryError("polygon needs at least one rectangle")
-        if not isinstance(self.rects, tuple):
-            object.__setattr__(self, "rects", tuple(self.rects))
         rs = self.rects
+        bbox = rs[0]
+        for r in rs[1:]:
+            bbox = rect_union_bbox(bbox, r)
+        object.__setattr__(self, "_bbox", bbox)
+
+    @staticmethod
+    def of(*rects: Sequence[int]) -> "Polygon":
+        """The polygon of (x_lo, y_lo, x_hi, y_hi) rects; GeometryError names the first fault."""
+        if not rects:
+            raise GeometryError("polygon needs at least one rectangle")
+        rs = tuple(Rect(*r) for r in rects)
         for r in rs:
             if r.x_lo >= r.x_hi or r.y_lo >= r.y_hi:
                 raise GeometryError(f"degenerate rect {list(r)}")
@@ -126,16 +132,8 @@ class Polygon:
                     raise GeometryError(
                         f"polygon rects overlap: {tuple(rs[i])} and {tuple(rs[j])}"
                     )
-        if not _edge_connected(rs):
-            raise GeometryError("polygon rects are not edge-connected")
-        bbox = rs[0]
-        for r in rs[1:]:
-            bbox = rect_union_bbox(bbox, r)
-        object.__setattr__(self, "_bbox", bbox)
-
-    @staticmethod
-    def of(*rects: tuple[int, int, int, int]) -> "Polygon":
-        return Polygon(tuple(Rect(*r) for r in rects))
+        _check_connected(rs)
+        return Polygon(rs)
 
     @property
     def bbox(self) -> Rect:
@@ -144,14 +142,12 @@ class Polygon:
     def area(self) -> int:
         return sum(r.area() for r in self.rects)
 
-    def translated(self, dx: int, dy: int) -> "Polygon":
-        return Polygon(tuple(r.translated(dx, dy) for r in self.rects))
 
-
-def _edge_connected(rects: tuple[Rect, ...]) -> bool:
+def _check_connected(rects: Sequence[Rect]) -> None:
+    """Raise GeometryError unless the rects (none or more) are edge-connected."""
     n = len(rects)
-    if n == 1:
-        return True
+    if n <= 1:
+        return
     seen = {0}
     stack = [0]
     while stack:
@@ -162,7 +158,8 @@ def _edge_connected(rects: tuple[Rect, ...]) -> bool:
             if rect_distance(rects[i], rects[j]) == 0 and _edge_contact_length(rects[i], rects[j]) > 0:
                 seen.add(j)
                 stack.append(j)
-    return len(seen) == n
+    if len(seen) != n:
+        raise GeometryError("polygon rects are not edge-connected")
 
 
 def polygon_distance(a: Polygon, b: Polygon) -> int:
@@ -189,8 +186,9 @@ def rect_overlaps_polygon(r: Rect, p: Polygon) -> bool:
 def split_polygon(p: Polygon, axis: str, coord: int) -> tuple[Polygon | None, Polygon | None]:
     """Cut p with the line {axis-coordinate == coord} into (low side, high side).
 
-    A side is None when empty. Raises GeometryError when a nonempty side is
-    not a valid polygon (e.g. the cut disconnects it).
+    A side is None when empty. Parts of p's positive-area, disjoint rects
+    are positive-area and disjoint too, so a side is checked only for edge
+    connectivity: GeometryError is raised when the cut disconnects one.
     """
     low: list[Rect] = []
     high: list[Rect] = []
@@ -208,9 +206,9 @@ def split_polygon(p: Polygon, axis: str, coord: int) -> tuple[Polygon | None, Po
             else:
                 low.append(Rect(x_lo, y_lo, x_hi, coord))
                 high.append(Rect(x_lo, coord, x_hi, y_hi))
-    low_poly = Polygon(tuple(low)) if low else None
-    high_poly = Polygon(tuple(high)) if high else None
-    return low_poly, high_poly
+    for side in (low, high):
+        _check_connected(side)
+    return (Polygon(tuple(low)) if low else None, Polygon(tuple(high)) if high else None)
 
 
 def subtract_intervals(extent: Interval, covered: list[Interval]) -> list[Interval]:

@@ -50,10 +50,6 @@ class InfeasibleAssignment(ModelError):
     """An assignment violates a constraint row."""
 
 
-class CostMismatch(ModelError):
-    """Recomputed cost disagrees with the model objective value."""
-
-
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -414,27 +410,3 @@ def decode_assignment(model: IlpModel, assignment: list[int]) -> Decoded:
     d.conflicts.sort()
     d.stitches.sort()
     return d
-
-
-def extract_result(
-    model: IlpModel, assignment: list[int], lg: LayoutGraph, eg: EndCutGraph
-) -> DecompResult:
-    """Validated result from a full-graph model assignment.
-
-    Raises InfeasibleAssignment on any violated row and CostMismatch when the
-    recomputed conflict/stitch cost disagrees with the objective value.
-    """
-    model.check_assignment(assignment)
-    d = decode_assignment(model, assignment)
-    result = DecompResult(
-        colors=d.colors,
-        selected_cuts=d.selected,
-        trim_rects=merged_trim_rects(d.selected, eg),
-        conflicts=d.conflicts,
-        stitches=d.stitches,
-        cost=model.objective_value(assignment),
-        alpha=model.alpha,
-    )
-    if result.recompute_cost() != result.cost:
-        raise CostMismatch(f"recomputed {result.recompute_cost()} != objective {result.cost}")
-    return result

@@ -51,8 +51,9 @@ class DuplicateCandidate(LayoutError):
 class Config:
     """Design rules, stitch switch and stitch weight; distances in integer nm.
 
-    dis_m defaults to 2*w_min + 3*s_min; w_th and dis_c default to dis_m;
-    merge_gap defaults to s_min; alpha defaults to 1/10.
+    Every field is required; `from_rules` is the one place that holds the
+    defaults: dis_m = 2*w_min + 3*s_min; w_th and dis_c = dis_m;
+    merge_gap = s_min; alpha = 1/10; stitching on.
     """
 
     w_min: int
@@ -60,9 +61,9 @@ class Config:
     dis_m: int
     dis_c: int
     w_th: int
-    alpha: Fraction = Fraction(1, 10)
-    merge_gap: int = 0
-    enable_stitch: bool = True
+    alpha: Fraction
+    merge_gap: int
+    enable_stitch: bool
 
     def __post_init__(self) -> None:
         for name in ("w_min", "s_min", "dis_m", "dis_c", "w_th", "merge_gap"):

@@ -84,7 +84,9 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(text, parse_float=_json_decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond Python's int-string digit limit
+    # an integer literal beyond Python's int-string digit limit, or arrays
+    # and objects nested past the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -137,30 +139,35 @@ def layout_from_obj(data: Any, where: str = "layout") -> tuple[list[Feature], Co
     features: list[Feature] = []
     seen = set()
     for k, item in enumerate(raw):
-        wherek = f"{where}: features[{k}]"
-        if not isinstance(item, dict):
-            raise ValidationError(f"{wherek}: must be an object")
-        fid = _expect_int(item.get("id"), f"{wherek}: id")
-        if fid in seen:
-            raise ValidationError(f"{wherek}: duplicate feature id {fid}")
-        seen.add(fid)
-        rects = item.get("rects")
-        if not isinstance(rects, list) or not rects:
-            raise ValidationError(f"{wherek}: rects must be a non-empty list")
-        parsed = []
-        for r in rects:
-            if not (isinstance(r, list) and len(r) == 4):
-                raise ValidationError(f"{wherek}: each rect must be [x_lo, y_lo, x_hi, y_hi]")
-            parsed.append(tuple(_expect_int(c, f"{wherek}: rect coordinate") for c in r))
         try:
-            shape = Polygon.of(*parsed)
-        except GeometryError as exc:
-            raise ValidationError(f"{wherek}: {exc}") from exc
-        features.append(Feature(id=fid, shape=shape))
+            features.append(_read_feature(item, seen))
+        except (ValidationError, GeometryError) as exc:
+            raise ValidationError(f"{where}: features[{k}]: {exc}") from exc
     features.sort(key=lambda f: f.id)
     if [f.id for f in features] != list(range(len(features))):
         raise ValidationError(f"{where}: feature ids must be dense from 0")
     return features, cfg
+
+
+def _read_feature(item: Any, seen: set[int]) -> Feature:
+    """One feature, its id added to `seen`; errors name only the field, and
+    every coordinate is read before `Polygon.of` checks the shape."""
+    if not isinstance(item, dict):
+        raise ValidationError("must be an object")
+    fid = _expect_int(item.get("id"), "id")
+    if fid in seen:
+        raise ValidationError(f"duplicate feature id {fid}")
+    seen.add(fid)
+    rects = item.get("rects")
+    if not isinstance(rects, list) or not rects:
+        raise ValidationError("rects must be a non-empty list")
+    for r in rects:
+        if not (isinstance(r, list) and len(r) == 4):
+            raise ValidationError("each rect must be [x_lo, y_lo, x_hi, y_hi]")
+        if not all(map(_is_int, r)):
+            for c in r:
+                _expect_int(c, "rect coordinate")
+    return Feature(id=fid, shape=Polygon.of(*rects))
 
 
 def _rules_to_obj(cfg: Config) -> dict:

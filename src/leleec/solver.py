@@ -68,10 +68,9 @@ class Infeasible(SolverError):
 class TimeLimit(SolverError):
     """Time budget exhausted before any feasible assignment was found."""
 
-    def __init__(self, message: str, nodes_explored: int = 0, elapsed: float = 0.0):
+    def __init__(self, message: str, nodes_explored: int = 0):
         super().__init__(message)
         self.nodes_explored = nodes_explored
-        self.elapsed = elapsed
 
 
 class TooLarge(SolverError):
@@ -86,7 +85,6 @@ class SolveStats:
     nodes_explored: int
     best_cost: Fraction
     proven_optimal: bool
-    elapsed: float
 
 
 def _scaled_objective(model: IlpModel) -> tuple[list[int], int]:
@@ -106,8 +104,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     On time limit the incumbent is returned with proven_optimal=False;
     TimeLimit is raised only when no incumbent exists yet.
     """
-    start = time.monotonic()
-    deadline = start + time_limit if time_limit is not None else None
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     n = model.num_vars
     costs, denom = _scaled_objective(model)
     order = model.search_order()
@@ -300,15 +297,12 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
 
     if best_assignment is None:
         if timed_out:
-            raise TimeLimit(
-                "time limit reached before any feasible assignment", nodes, time.monotonic() - start
-            )
+            raise TimeLimit("time limit reached before any feasible assignment", nodes)
         raise Infeasible("constraints admit no assignment")
     stats = SolveStats(
         nodes_explored=nodes,
         best_cost=Fraction(best_cost, denom),
         proven_optimal=not timed_out,
-        elapsed=time.monotonic() - start,
     )
     model.check_assignment(best_assignment)
     return best_assignment, stats
@@ -322,7 +316,6 @@ def one_mask_incumbent(model: IlpModel, exc: TimeLimit) -> tuple[list[int], Solv
         nodes_explored=exc.nodes_explored,
         best_cost=model.objective_value(assignment),
         proven_optimal=False,
-        elapsed=exc.elapsed,
     )
 
 

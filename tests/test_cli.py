@@ -482,6 +482,27 @@ def test_long_integer_literals_exit_2_naming_the_file(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
+    """Arrays nested past json.loads' recursion limit are a parse error that
+    names the file, in a layout and in a result, and no result is written."""
+    layout = _motif_file(tmp_path)
+    result, out = tmp_path / "res.json", tmp_path / "out.json"
+    assert run_cli(["decompose", str(layout), "--out", str(result)]) == 0
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    cases = (
+        ["decompose", str(nested), "--out", str(out)],
+        ["baseline-lelele", str(nested), "--out", str(out)],
+        ["verify", str(nested), str(result)],
+        ["verify", str(layout), str(nested)],
+    )
+    for argv in cases:
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {nested}: "), argv
+        assert not out.exists()
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy serves only the brute-force oracle; every CLI call pays for its import
     src = str(Path(leleec.cli.__file__).resolve().parent.parent)

@@ -307,6 +307,22 @@ def test_speedups_preserve_optimality_on_random_layouts():
         assert fast.cost == mono.cost, f"seed {seed}"
 
 
+def test_monolithic_solve_is_one_merged_outcome():
+    """The oracle's one solve goes through the merge: its stats hold one
+    `per_sub` entry for the whole layout, and its cost is the model's."""
+    feats, cfg = clique4_motif()
+    mono, model = solve_monolithic(feats, cfg)
+    (entry,) = mono.stats["per_sub"]
+    assert mono.stats["sub_problems"] == 1 and mono.stats["proven_optimal"]
+    assert entry == {
+        "vertices": len(mono.colors),
+        "nodes_explored": mono.stats["nodes_explored"],
+        "cost": "0",
+        "proven_optimal": True,
+    }
+    assert mono.cost == 0 and model.num_vars > len(mono.colors)
+
+
 def _free_edges(lg, eg):
     """Conflict edge -> candidate, for each annotated candidate on no solid or dash edge."""
     cut_edges = [*eg.solid_edges, *eg.dash_edges]
@@ -563,7 +579,7 @@ def _wires(rng, n, window, cfg):
         r = Rect(x, y, x + dx, y + dy)
         if all(rect_distance(r, o) >= cfg.s_min**2 for o in rects):
             rects.append(r)
-    return [Feature(i, Polygon((r,))) for i, r in enumerate(rects)]
+    return [Feature(i, Polygon.of(r)) for i, r in enumerate(rects)]
 
 
 def test_shared_index_front_end_matches_stage_by_stage():

@@ -110,6 +110,10 @@ def test_candidate_interiors_clear_of_features():
                 assert not rect_overlaps_polygon(cand.cut_rect, f.shape)
 
 
+def _translated(r: Rect, dx: int, dy: int) -> Rect:
+    return Rect(r.x_lo + dx, r.y_lo + dy, r.x_hi + dx, r.y_hi + dy)
+
+
 def test_candidate_generation_translation_invariant():
     rng = random.Random(42)
     feats = random_layout(rng, 8, box=200)
@@ -118,12 +122,12 @@ def test_candidate_generation_translation_invariant():
     g = build_conflict_edges(feats, cfg, index)
     cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
     dx, dy = 137, -59
-    moved = [Feature(f.id, f.shape.translated(dx, dy)) for f in feats]
+    moved = [F(f.id, *(_translated(r, dx, dy) for r in f.shape.rects)) for f in feats]
     g2 = build_conflict_edges(moved, cfg, feature_index(moved, cfg))
     cands2 = generate_candidates(moved, sorted(g2.conflict_edges), cfg, feature_index(moved, cfg))
     assert len(cands) == len(cands2)
     for c1, c2 in zip(cands, cands2):
-        assert c1.cut_rect.translated(dx, dy) == c2.cut_rect
+        assert _translated(c1.cut_rect, dx, dy) == c2.cut_rect
         assert (c1.feature_a, c1.feature_b, c1.kind) == (c2.feature_a, c2.feature_b, c2.kind)
 
 

@@ -193,6 +193,19 @@ def test_split_polygon_outside_gives_empty_side():
     assert high is None and low is not None and low.area() == p.area()
 
 
+def test_split_polygon_rejects_a_cut_that_disconnects_a_side():
+    """The one check a split keeps: the halves of a checked shape have positive
+    area and are disjoint, but a cut can leave a side in two parts."""
+    u_shape = Polygon.of((0, 0, 30, 10), (0, 10, 10, 30), (20, 10, 30, 30))
+    # across both arms: the arm tops on the high side do not touch
+    with pytest.raises(GeometryError, match="^polygon rects are not edge-connected$"):
+        split_polygon(u_shape, VERTICAL, 20)
+    # through the base: both sides stay whole
+    low, high = split_polygon(u_shape, VERTICAL, 5)
+    assert low == Polygon.of((0, 0, 30, 5))
+    assert high == Polygon.of((0, 5, 30, 10), (0, 10, 10, 30), (20, 10, 30, 30))
+
+
 def test_subtract_intervals():
     assert subtract_intervals((0, 100), [(-10, 20), (40, 60)]) == [(20, 40), (60, 100)]
     assert subtract_intervals((0, 100), []) == [(0, 100)]

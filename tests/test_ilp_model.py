@@ -16,7 +16,6 @@ from leleec.ilp_model import (
     build_lelele_baseline,
     build_model_from_problem,
     decode_assignment,
-    extract_result,
     graph_order,
 )
 from leleec.layout_graph import Config, LayoutGraph, Segment
@@ -49,6 +48,15 @@ def _empty_eg(cands=()):
     return EndCutGraph(nodes=list(cands), solid_edges=set(), dash_edges=set())
 
 
+def _decode_checked(model, assignment):
+    """The decoded assignment, after the row check of `solve` and the cost
+    recount of the decomposer's merge."""
+    model.check_assignment(assignment)
+    d = decode_assignment(model, assignment)
+    assert model.objective_value(assignment) == len(d.conflicts) + model.alpha * len(d.stitches)
+    return d
+
+
 def test_single_edge_no_candidate():
     lg = _graph([0, 1], [(0, 1)])
     model = build_model_from_problem(ProblemGraph.from_layout(lg, _empty_eg()), _empty_eg())
@@ -56,8 +64,8 @@ def test_single_edge_no_candidate():
     assert len(model.constraints) == 2
     assignment, stats = solve(model)
     assert stats.best_cost == 0  # opposite colors
-    res = extract_result(model, assignment, lg, _empty_eg())
-    assert res.colors[0] != res.colors[1]
+    d = _decode_checked(model, assignment)
+    assert d.colors[0] != d.colors[1]
 
 
 def _fig6_triangle(corrected=True, pin_equal=False):
@@ -90,8 +98,7 @@ def test_fig6_corrected_merge_is_free():
     model, lg, eg = _fig6_triangle(corrected=True, pin_equal=True)
     assignment, stats = solve(model)
     assert stats.best_cost == 0
-    res = extract_result(model, assignment, lg, eg)
-    assert res.selected_cuts == {1, 2}
+    assert _decode_checked(model, assignment).selected == {1, 2}
     gamma = [v for v in model.variables if v.kind == "merge"]
     assert len(gamma) == 1
     assert assignment[var(model, "merge", gamma[0].key)] == 1
@@ -347,27 +354,27 @@ def test_baseline_random_graphs_match_enumeration():
         assert stats.best_cost == _min_conflicts_three_colors(n, edges)
 
 
-# ---- result extraction
+# ---- decoding
 
 
-def test_extract_result_motif():
+def test_decode_motif():
     feats, cfg = clique4_motif()
     lg, eg = build_graphs(feats, cfg)
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
     assignment, _ = solve(model)
-    res = extract_result(model, assignment, lg, eg)
-    assert res.cost == 0 and res.conflicts == []
-    assert len(res.selected_cuts) >= 2
+    d = _decode_checked(model, assignment)
+    assert model.objective_value(assignment) == 0 and d.conflicts == []
+    assert len(d.selected) >= 2
 
 
-def test_extract_result_empty():
+def test_decode_empty():
     lg = LayoutGraph(vertices=[], conflict_edges={}, stitch_edges=set())
     model = build_model_from_problem(ProblemGraph.from_layout(lg, _empty_eg()), _empty_eg())
-    res = extract_result(model, [], lg, _empty_eg())
-    assert res.cost == 0 and res.colors == {}
+    d = _decode_checked(model, [])
+    assert model.objective_value([]) == 0 and d.colors == {}
 
 
-def test_extract_result_rejects_cut_across_colors():
+def test_check_assignment_rejects_cut_across_colors():
     lg = _graph([0, 1], [(0, 1)], annotations={(0, 1): 0})
     eg = _empty_eg([_cand(0, 0, 1)])
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
@@ -378,7 +385,7 @@ def test_extract_result_rejects_cut_across_colors():
     bad[x1] = 1
     bad[ec] = 1  # cut applied across different colors violates the cut rows
     with pytest.raises(InfeasibleAssignment):
-        extract_result(model, bad, lg, eg)
+        model.check_assignment(bad)
 
 
 def test_lp_dump_deterministic_and_well_formed():

@@ -86,6 +86,47 @@ def test_parse_rejects_non_integer_coordinates(tmp_path):
         parse_layout(path)
 
 
+@pytest.mark.parametrize(
+    "feature, message",
+    [
+        (5, "must be an object"),
+        ({"id": "1", "rects": [[30, 0, 40, 40]]}, "id: expected an integer, got '1'"),
+        ({"id": True, "rects": [[30, 0, 40, 40]]}, "id: expected an integer, got True"),
+        ({"id": 0, "rects": [[30, 0, 40, 40]]}, "duplicate feature id 0"),
+        ({"id": 1, "rects": []}, "rects must be a non-empty list"),
+        ({"id": 1, "rects": [[30, 0, 40]]}, "each rect must be [x_lo, y_lo, x_hi, y_hi]"),
+        ({"id": 1, "rects": [[30, 0, True, 40]]}, "rect coordinate: expected an integer, got True"),
+        (
+            {"id": 1, "rects": [[30, 0, 40.5, 40]]},
+            "rect coordinate: expected an integer, got Fraction(81, 2)",
+        ),
+        ({"id": 1, "rects": [[40, 0, 30, 40]]}, "degenerate rect [40, 0, 30, 40]"),
+        (
+            {"id": 1, "rects": [[30, 0, 40, 40], [35, 0, 45, 40]]},
+            "polygon rects overlap: (30, 0, 40, 40) and (35, 0, 45, 40)",
+        ),
+        (
+            {"id": 1, "rects": [[30, 0, 40, 40], [50, 0, 60, 40]]},
+            "polygon rects are not edge-connected",
+        ),
+        # the duplicate id is found before the rects are read
+        ({"id": 0, "rects": [[30, 0, 40]]}, "duplicate feature id 0"),
+        # every coordinate is read before any shape is checked
+        (
+            {"id": 1, "rects": [[40, 0, 30, 40], [30, 0, "x", 40]]},
+            "rect coordinate: expected an integer, got 'x'",
+        ),
+    ],
+)
+def test_parse_feature_errors_name_path_feature_and_field(tmp_path, feature, message):
+    obj = dict(MINIMAL, features=[MINIMAL["features"][0], feature])
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        parse_layout(path)
+    assert str(err.value) == f"{path}: features[1]: {message}"
+
+
 def test_parse_error_on_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

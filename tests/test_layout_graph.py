@@ -5,7 +5,7 @@ import random
 import pytest
 
 from leleec.endcut import generate_candidates
-from leleec.geometry import Polygon, polygon_distance
+from leleec.geometry import VERTICAL, GeometryError, Polygon, polygon_distance, split_polygon
 from leleec.layout_graph import (
     Config,
     Feature,
@@ -160,6 +160,24 @@ def test_fully_covered_feature_is_one_segment():
 def _stitched(features, cfg=CFG):
     g0 = build_conflict_edges(features, cfg, feature_index(features, cfg))
     return g0, generate_stitch_candidates(features, g0, cfg)
+
+
+def test_stitch_position_that_disconnects_a_piece_is_skipped():
+    # an upside-down U, taller than wide, so its spine is vertical; the
+    # neighbour's extent y 170-180, dilated by dis_m, leaves the gaps [0, 120]
+    # and [230, 300]: stitch positions y = 60, across both arms, and y = 265,
+    # through the top bar
+    arms_and_bar = [(0, 0, 10, 200), (20, 0, 30, 200), (0, 200, 30, 300)]
+    feats = make_features(arms_and_bar, [(40, 170, 50, 180)])
+    with pytest.raises(GeometryError):
+        split_polygon(feats[0].shape, VERTICAL, 60)
+    _, g = _stitched(feats)
+    # y = 60 is skipped, and y = 265 still splits the feature
+    assert [s.shape for s in g.vertices if s.feature == 0] == [
+        Polygon.of((0, 0, 10, 200), (20, 0, 30, 200), (0, 200, 30, 265)),
+        Polygon.of((0, 265, 30, 300)),
+    ]
+    assert [stitch_coordinate(g, u, v) for u, v in g.stitch_edges] == [("vertical", 265)]
 
 
 def test_segments_tile_features():
