@@ -24,8 +24,9 @@ of the end-cut graph in the same pass: the same nodes, but only its own
 solid and dash edges, which is exact because coupling edges joined the
 components (a dash edge joins two candidates on one feature, whose conflict
 edges that feature's segments already join). The bridge search and the
-piece models read the slice; the trim-rect merge and the result checker
-read the full graph.
+piece models read the slice; the trim-rect merge (`merged_trim_rects`,
+on the same union-find as the component split) and the result checker read
+the full graph.
 
 A searched piece that repeats an earlier piece of the same call is not
 solved again. Relabelling each vertex id to its rank among the piece's
@@ -67,6 +68,7 @@ from fractions import Fraction
 from functools import partial
 
 from .endcut import EndCutGraph, generate_candidates, build_endcut_graph
+from .geometry import Rect, rect_union_bbox
 from .ilp_model import (
     DecompResult,
     Decoded,
@@ -77,7 +79,6 @@ from .ilp_model import (
     decode_assignment,
     frac_str,
     graph_order,
-    merged_trim_rects,
 )
 from .layout_graph import (
     Config,
@@ -489,6 +490,19 @@ def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompR
         for comp, _ in split_components(lg, eg)
     ]
     return _merge_outcomes(outcomes, lg, eg, Fraction(0), {})
+
+
+def merged_trim_rects(selected: set[int], eg: EndCutGraph) -> list[Rect]:
+    """Trim-mask rectangles: dash-connected selected cuts emit one union rect."""
+    uf = _UnionFind(selected)
+    for p, q in eg.dash_edges:
+        if p in selected and q in selected:
+            uf.union(p, q)
+    groups: dict[int, Rect] = {}
+    for i in selected:
+        root, rect = uf.find(i), eg.nodes[i].cut_rect
+        groups[root] = rect_union_bbox(groups[root], rect) if root in groups else rect
+    return sorted(groups.values())
 
 
 def _merge_outcomes(

@@ -22,7 +22,8 @@ edges, which `search_order` branches on first. Neither is in `lp_dump`.
 comparison over the same `ProblemGraph`: two color bits per vertex and a
 conflict bit per edge; it records no pair costs and no colour order, so it
 branches in kind-then-id order. `decode_assignment` reads
-either kind of model.
+either kind of model. A `DecompResult` holds the merged trim rects of its
+selected cuts, which `decomposer.merged_trim_rects` builds.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .endcut import EndCutGraph
-from .geometry import Rect, rect_union_bbox
+from .geometry import Rect
 from .layout_graph import EdgeKey, LayoutGraph
 
 KIND_RANK = {"color": 0, "endcut": 1, "merge": 2, "aux": 2, "conflict": 3, "stitch": 4}
@@ -358,28 +359,6 @@ class DecompResult:
 
     def recompute_cost(self) -> Fraction:
         return Fraction(len(self.conflicts)) + self.alpha * len(self.stitches)
-
-
-def merged_trim_rects(selected: set[int], eg: EndCutGraph) -> list[Rect]:
-    """Trim-mask rectangles: dash-connected selected cuts emit one union rect."""
-    ids = sorted(selected)
-    parent = {i: i for i in ids}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p, q in sorted(eg.dash_edges):
-        if p in parent and q in parent:
-            parent[find(p)] = find(q)
-    groups: dict[int, Rect] = {}
-    for i in ids:
-        root = find(i)
-        rect = eg.nodes[i].cut_rect
-        groups[root] = rect if root not in groups else rect_union_bbox(groups[root], rect)
-    return sorted(groups.values())
 
 
 @dataclass

@@ -5,6 +5,13 @@ Conflict edges join segments of different features whose squared distance is
 strictly below dis_m**2; stitch edges join consecutive segments of one
 feature.
 
+Stitch segmentation is a projection: a feature is cut along its spine only
+where no conflicting neighbour's bbox extent, dilated by dis_m, reaches.
+So the part of a feature within dis_m of one neighbour sits in one segment,
+and each feature conflict edge becomes exactly one segment edge, found by
+position; `annotate_end_cuts` then puts each candidate on the one edge of
+its feature pair, at either level.
+
 `feature_index` is built once per layout and shared: one sweep
 (`geometry.near_pairs`) pairs the feature bboxes at max(dis_m, w_th). The
 conflict build walks the pairs within dis_m, and the end-cut stages take
@@ -15,7 +22,7 @@ id-ordered pair of features that touch or overlap.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -181,78 +188,73 @@ def _spine_axis(shape: Polygon) -> str:
     return HORIZONTAL if bb.width >= bb.height else VERTICAL
 
 
-def stitch_positions(feature: Feature, neighbors: list[Feature], cfg: Config) -> tuple[str, list[int]]:
-    """Legal stitch coordinates along the feature's spine axis.
-
-    Every conflicting neighbor's extent, dilated by dis_m, is projected onto
-    the spine; each maximal uncovered interval of length >= w_min yields one
-    stitch at its floor midpoint.
-    """
-    axis = _spine_axis(feature.shape)
-    lo, hi = feature.shape.bbox.extent(axis)
-    covered = []
-    for n in neighbors:
-        for r in n.shape.rects:
-            a, b = r.extent(axis)
-            covered.append((a - cfg.dis_m, b + cfg.dis_m))
-    gaps = subtract_intervals((lo, hi), covered)
-    positions = [(a + b) // 2 for a, b in gaps if b - a >= cfg.w_min]
-    return axis, positions
-
-
 def generate_stitch_candidates(
     features: list[Feature], graph: LayoutGraph, cfg: Config
 ) -> LayoutGraph:
     """Split features at legal stitch positions; re-express CE over segments.
 
     `graph` must be the feature-level conflict graph (one vertex per feature).
+    A feature with conflicting neighbours is cut along its spine axis: each
+    neighbour's bbox extent, dilated by dis_m, is covered, and each maximal
+    uncovered interval of length >= w_min yields one cut at its floor
+    midpoint, unless the cut is the feature's own low edge or would
+    disconnect a piece. A neighbour is edge-connected, so its rects project
+    onto its whole bbox extent: the bbox covers what its rects cover.
+
+    Each feature conflict edge becomes exactly one segment edge, at the
+    feature pair's distance. Every point of f within dis_m of a neighbour g
+    lies strictly inside g's dilated extent on f's spine, where no cut
+    falls, and a segment is the part of f between two cuts. So those points
+    lie in one segment of f, the one after the cuts below the low end of
+    g's bbox, and likewise for g; every other pair of their segments is
+    dis_m or more apart.
     """
-    neighbor_ids: dict[int, list[int]] = {f.id: [] for f in features}
+    neighbor_ids: list[list[int]] = [[] for _ in features]
     for u, v in graph.conflict_edges:
         neighbor_ids[u].append(v)
         neighbor_ids[v].append(u)
 
     vertices: list[Segment] = []
-    segments_of: dict[int, list[int]] = {}
+    segments_of: list[list[int]] = []
+    cuts_of: list[tuple[str, list[int]]] = []
     for f in features:
-        if neighbor_ids[f.id]:
-            axis, positions = stitch_positions(
-                f, [features[n] for n in sorted(neighbor_ids[f.id])], cfg
-            )
-        else:
-            axis, positions = _spine_axis(f.shape), []  # conflict-free: never split
+        axis = _spine_axis(f.shape)
+        lo, hi = f.shape.bbox.extent(axis)
+        covered = []
+        for n in neighbor_ids[f.id]:
+            a, b = features[n].shape.bbox.extent(axis)
+            covered.append((a - cfg.dis_m, b + cfg.dis_m))
+        # conflict-free features are never split
+        gaps = subtract_intervals((lo, hi), covered) if covered else []
         pieces = [f.shape]
-        for pos in positions:
-            for k, piece in enumerate(pieces):
-                p_lo, p_hi = piece.bbox.extent(axis)
-                if p_lo < pos < p_hi:
-                    try:
-                        low, high = split_polygon(piece, axis, pos)
-                    except GeometryError:
-                        break  # cut would disconnect the piece; skip this position
-                    if low is not None and high is not None:
-                        pieces[k : k + 1] = [low, high]
-                    break
+        cuts: list[int] = []
+        for a, b in gaps:
+            pos = (a + b) // 2
+            if b - a < cfg.w_min or pos <= lo:
+                continue  # too narrow, or the gap [lo, lo + 1] gives pos == lo
+            # positions ascend, so only the last piece spans pos
+            try:
+                low, high = split_polygon(pieces[-1], axis, pos)
+            except GeometryError:
+                continue  # cut would disconnect the piece; skip this position
+            pieces[-1:] = [low, high]
+            cuts.append(pos)
         ids = []
         for piece in pieces:
-            sid = len(vertices)
-            vertices.append(Segment(id=sid, feature=f.id, shape=piece))
-            ids.append(sid)
-        segments_of[f.id] = ids
+            ids.append(len(vertices))
+            vertices.append(Segment(id=len(vertices), feature=f.id, shape=piece))
+        segments_of.append(ids)
+        cuts_of.append((axis, cuts))
 
-    limit = cfg.dis_m * cfg.dis_m
-    edges: dict[EdgeKey, int | None] = {}
-    for fu, fv in sorted(graph.conflict_edges):
-        for su in segments_of[fu]:
-            for sv in segments_of[fv]:
-                d = polygon_distance(vertices[su].shape, vertices[sv].shape)
-                if 0 < d < limit:
-                    edges[(su, sv) if su < sv else (sv, su)] = None
+    def segment_near(f: int, g: int) -> int:
+        axis, cuts = cuts_of[f]
+        return segments_of[f][bisect_right(cuts, features[g].shape.bbox.extent(axis)[0])]
 
-    stitches: set[EdgeKey] = set()
-    for ids in segments_of.values():
-        for a, b in zip(ids, ids[1:]):
-            stitches.add((a, b))
+    # fu < fv, so its segment ids are the smaller ones
+    edges: dict[EdgeKey, int | None] = {
+        (segment_near(fu, fv), segment_near(fv, fu)): None for fu, fv in sorted(graph.conflict_edges)
+    }
+    stitches = {(a, b) for ids in segments_of for a, b in zip(ids, ids[1:])}
     return LayoutGraph(vertices=vertices, conflict_edges=edges, stitch_edges=stitches)
 
 
@@ -270,32 +272,19 @@ def stitch_coordinate(graph: LayoutGraph, u: int, v: int) -> tuple[str, int]:
 
 
 def annotate_end_cuts(graph: LayoutGraph, candidates: list) -> LayoutGraph:
-    """Attach each candidate to the nearest segment-level conflict edge of its pair.
+    """Attach each candidate to the one conflict edge of its feature pair.
 
-    Raises DuplicateCandidate when two candidates land on one edge.
+    A conflicting feature pair has one edge at feature level and, by
+    `generate_stitch_candidates`, one at segment level; every candidate's
+    pair is a conflict edge. Raises DuplicateCandidate when two candidates
+    land on one edge.
     """
-    by_feature_pair: dict[EdgeKey, list[EdgeKey]] = defaultdict(list)
-    for u, v in graph.conflict_edges:
-        fu, fv = graph.vertices[u].feature, graph.vertices[v].feature
-        key = (fu, fv) if fu < fv else (fv, fu)
-        by_feature_pair[key].append((u, v))
-
+    vs = graph.vertices
+    edge_of = {(vs[u].feature, vs[v].feature): (u, v) for u, v in graph.conflict_edges}
     edges = dict(graph.conflict_edges)
     for cand in candidates:
-        key = (cand.feature_a, cand.feature_b)
-        options = by_feature_pair.get(key, [])
-        if not options:
-            continue
-        best = min(
-            options,
-            key=lambda e: (
-                polygon_distance(graph.vertices[e[0]].shape, graph.vertices[e[1]].shape),
-                e,
-            ),
-        )
-        if edges[best] is not None:
-            raise DuplicateCandidate(
-                f"conflict edge {best} already annotated with candidate {edges[best]}"
-            )
-        edges[best] = cand.id
+        e = edge_of[cand.features()]
+        if edges[e] is not None:
+            raise DuplicateCandidate(f"conflict edge {e} already annotated with candidate {edges[e]}")
+        edges[e] = cand.id
     return LayoutGraph(vertices=graph.vertices, conflict_edges=edges, stitch_edges=set(graph.stitch_edges))

@@ -13,10 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .decomposer import build_graphs, result_problems
+from .decomposer import build_graphs, merged_trim_rects, result_problems
 from .endcut import EndCutGraph
 from .geometry import GeometryError, Polygon
-from .ilp_model import DecompResult, frac_str, merged_trim_rects
+from .ilp_model import DecompResult, frac_str
 from .layout_graph import (
     Config,
     EdgeKey,
@@ -239,15 +239,20 @@ def config_from_obj(obj: Any, where: str = "config") -> Config:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
+def _stitch_entries(lg: LayoutGraph, edges: list[EdgeKey]) -> list[dict]:
+    """Result-file entries of stitch edges, sorted by (feature, coord)."""
+    entries = []
+    for u, v in edges:
+        axis, coord = stitch_coordinate(lg, u, v)
+        entries.append({"feature": lg.vertices[u].feature, "axis": axis, "coord": coord})
+    entries.sort(key=lambda s: (s["feature"], s["coord"]))
+    return entries
+
+
 def result_to_obj(
     result: DecompResult, lg: LayoutGraph, eg: EndCutGraph, cfg: Config
 ) -> dict:
     """Deterministic result-file object (mask ids are 1-based)."""
-    stitches = []
-    for u, v in result.stitches:
-        axis, coord = stitch_coordinate(lg, u, v)
-        stitches.append({"feature": lg.vertices[u].feature, "axis": axis, "coord": coord})
-    stitches.sort(key=lambda s: (s["feature"], s["coord"]))
     stats = dict(result.stats or {})
     return {
         "format": FORMAT_VERSION,
@@ -264,7 +269,7 @@ def result_to_obj(
         ],
         "trim_cuts": [list(r) for r in result.trim_rects],
         "conflicts": [list(e) for e in result.conflicts],
-        "stitches": stitches,
+        "stitches": _stitch_entries(lg, result.stitches),
         "cost": frac_str(result.cost),
         "stats": stats,
     }
@@ -395,15 +400,8 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
     if not lelele and result.get("trim_cuts") != expected_trim:
         problems.append("trim_cuts: do not equal the dash-merged union rects of selected cuts")
 
-    expected_stitches = []
-    for u, v in sorted(lg.stitch_edges):
-        if colors[u] != colors[v]:
-            axis, coord = stitch_coordinate(lg, u, v)
-            expected_stitches.append(
-                {"feature": lg.vertices[u].feature, "axis": axis, "coord": coord}
-            )
-    expected_stitches.sort(key=lambda s: (s["feature"], s["coord"]))
-    if got_stitches != expected_stitches:
+    active = [(u, v) for u, v in lg.stitch_edges if colors[u] != colors[v]]
+    if got_stitches != _stitch_entries(lg, active):
         problems.append("stitches: do not match the stitch edges whose endpoints differ in mask")
 
     try:

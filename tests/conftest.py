@@ -113,6 +113,54 @@ def random_layout(rng: random.Random, n: int, box: int = 150) -> list[Feature]:
     return [Feature(i, p) for i, p in enumerate(shapes)]
 
 
+def _shape_rects(rng: random.Random, unit: int) -> list[tuple[int, int, int, int]]:
+    """One bar, L, T, U or staircase of abutting rects, at the origin, in
+    one of its eight orientations; arms are 1-3 units wide."""
+
+    def length() -> int:
+        return unit * rng.randint(2, 12)
+
+    w = unit * rng.randint(1, 3)
+    bar = length() + 2 * w
+    kind = rng.choice(["bar", "L", "T", "U", "stairs"])
+    if kind == "bar":
+        rects = [(0, 0, bar, w)]
+    elif kind == "L":
+        rects = [(0, 0, bar, w), (0, w, w, w + length())]
+    elif kind == "T":
+        m = rng.randint(0, bar - w)
+        rects = [(0, 0, bar, w), (m, w, m + w, w + length())]
+    elif kind == "U":
+        bar += w
+        rects = [(0, 0, bar, w), (0, w, w, w + length()), (bar - w, w, bar, w + length())]
+    else:
+        step = unit * rng.randint(1, 4)
+        run = step + length()
+        rects = [(k * step, k * w, k * step + run, (k + 1) * w) for k in range(rng.randint(2, 4))]
+    sx, sy, swap = rng.choice([1, -1]), rng.choice([1, -1]), rng.random() < 0.5
+    out = []
+    for x_lo, y_lo, x_hi, y_hi in rects:
+        xs, ys = sorted((sx * x_lo, sx * x_hi)), sorted((sy * y_lo, sy * y_hi))
+        if swap:
+            xs, ys = ys, xs
+        out.append((xs[0], ys[0], xs[1], ys[1]))
+    return out
+
+
+def random_shapes(rng: random.Random, n: int, unit: int, box: int) -> list[Feature]:
+    """Up to n non-touching multi-rect features (see `_shape_rects`) placed
+    by rejection sampling in a box-by-box window."""
+    shapes: list[Polygon] = []
+    for _ in range(max(300, 20 * n)):
+        if len(shapes) == n:
+            break
+        x, y = rng.randrange(box), rng.randrange(box)
+        p = Polygon.of(*[(a + x, b + y, c + x, d + y) for a, b, c, d in _shape_rects(rng, unit)])
+        if all(polygon_distance(p, s) > 0 for s in shapes):
+            shapes.append(p)
+    return [Feature(i, p) for i, p in enumerate(shapes)]
+
+
 def random_config(rng: random.Random) -> Config:
     return Config.from_rules(
         10,

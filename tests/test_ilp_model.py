@@ -400,7 +400,7 @@ def test_lp_dump_deterministic_and_well_formed():
 
 
 def test_merged_trim_rects_union_of_dash_pairs():
-    from leleec.ilp_model import merged_trim_rects
+    from leleec.decomposer import merged_trim_rects
 
     cands = [_cand(0, 0, 1, (0, 0, 10, 10)), _cand(1, 1, 2, (10, 0, 20, 10)), _cand(2, 3, 4, (50, 0, 60, 10))]
     eg = EndCutGraph(nodes=cands, solid_edges=set(), dash_edges={(0, 1)})

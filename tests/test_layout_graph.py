@@ -18,7 +18,7 @@ from leleec.layout_graph import (
     stitch_coordinate,
 )
 
-from conftest import make_features, random_layout
+from conftest import make_features, random_layout, random_shapes
 
 CFG = Config.from_rules(10, 10)  # dis_m = 50
 
@@ -178,6 +178,69 @@ def test_stitch_position_that_disconnects_a_piece_is_skipped():
         Polygon.of((0, 265, 30, 300)),
     ]
     assert [stitch_coordinate(g, u, v) for u, v in g.stitch_edges] == [("vertical", 265)]
+
+
+def test_stitch_at_the_feature_low_edge_is_skipped():
+    # dis_m = 5: the neighbour's extent x 6-20 covers [1, 25], leaving the gap
+    # [0, 1], whose midpoint is the wire's own low edge x = 0, and [25, 300]
+    cfg = Config.from_rules(1, 1)
+    feats = make_features([(0, 0, 300, 1)], [(6, 3, 20, 4)])
+    g0, g = _stitched(feats, cfg)
+    assert [(s.feature, tuple(s.shape.bbox)) for s in g.vertices] == [
+        (0, (0, 0, 162, 1)),
+        (0, (162, 0, 300, 1)),
+        (1, (6, 3, 20, 4)),
+    ]
+    assert list(g0.conflict_edges) == [(0, 1)]
+    assert list(g.conflict_edges) == [(0, 2)]
+    assert [stitch_coordinate(g, u, v) for u, v in g.stitch_edges] == [("horizontal", 162)]
+
+
+def _segment_edges_by_distance(g0, g, cfg):
+    """Reference: every segment pair of every conflicting feature pair whose
+    squared distance is in (0, dis_m**2)."""
+    limit = cfg.dis_m * cfg.dis_m
+    segments = {f: [s for s in g.vertices if s.feature == f] for f in range(len(g0.vertices))}
+    return {
+        (a.id, b.id)
+        for fu, fv in g0.conflict_edges
+        for a in segments[fu]
+        for b in segments[fv]
+        if 0 < polygon_distance(a.shape, b.shape) < limit
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg, unit",
+    [
+        (Config.from_rules(1, 1), 1),
+        (Config.from_rules(10, 10), 10),
+        (Config.from_rules(10, 10, dis_m=70), 10),
+    ],
+)
+def test_each_feature_edge_becomes_one_segment_edge(cfg, unit):
+    stitched = annotated = 0
+    for seed in range(40):
+        feats = random_shapes(random.Random(seed), 14, unit, 40 * unit)
+        index = feature_index(feats, cfg)
+        g0 = build_conflict_edges(feats, cfg, index)
+        g = generate_stitch_candidates(feats, g0, cfg)
+        assert set(g.conflict_edges) == _segment_edges_by_distance(g0, g, cfg)
+        # one edge per feature edge, in the feature edges' sorted order, at their distance
+        vs = g.vertices
+        assert [(vs[u].feature, vs[v].feature) for u, v in g.conflict_edges] == sorted(g0.conflict_edges)
+        for u, v in g.conflict_edges:
+            fu, fv = vs[u].feature, vs[v].feature
+            assert polygon_distance(vs[u].shape, vs[v].shape) == polygon_distance(
+                feats[fu].shape, feats[fv].shape
+            )
+        cands = generate_candidates(feats, sorted(g0.conflict_edges), cfg, index)
+        edge_of = {(vs[u].feature, vs[v].feature): (u, v) for u, v in g.conflict_edges}
+        got = {c: e for e, c in annotate_end_cuts(g, cands).conflict_edges.items() if c is not None}
+        assert got == {c.id: edge_of[c.features()] for c in cands}
+        stitched += len(g.stitch_edges)
+        annotated += len(cands)
+    assert stitched > 0 and annotated > 0
 
 
 def test_segments_tile_features():

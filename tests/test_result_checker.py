@@ -13,9 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from leleec.decomposer import DecompositionError, build_graphs, decompose_graphs, validate_result
+from leleec.decomposer import (
+    DecompositionError,
+    build_graphs,
+    decompose_graphs,
+    merged_trim_rects,
+    validate_result,
+)
 from leleec.endcut import EndCutGraph
-from leleec.ilp_model import merged_trim_rects
 from leleec.layout_io import dump_json, result_to_obj, verify_result
 
 from conftest import clique4_motif, gamma_quad, stitch_ring
