@@ -7,21 +7,25 @@ when both ends share a mask. Then come independent components of the union
 graph (conflict and stitch edges, and solid-edge coupling between
 candidates). A component with no cut candidate that two masks colour at
 cost 0 needs no model: `closed_form` gives the assignment the solver would
-return, with 0 nodes, even under a time limit, and the component is one
-outcome. Every other component is split at clean bridges into pieces, and
-each piece gets the closed form or one model. A clean bridge is a conflict
-edge that is a bridge of the union multigraph and carries no candidate;
-after solving both sides, the smaller side's colors are flipped when the
-bridge endpoints collide (color-flip symmetry keeps each side's cost).
+return, by one parity walk per part, even under a time limit. Such a
+component is settled as it leaves the split: one outcome with no search
+stats, whose `per_sub` entry says 0 nodes, cost 0 and proven, and whose
+cost the merge does not add. Every other component is split at clean
+bridges into pieces, and each piece is settled the same way or gets one
+model. A clean bridge is a conflict edge that is a bridge of the union
+multigraph and carries no candidate; after solving both sides, the smaller
+side's colors are flipped when the bridge endpoints collide (color-flip
+symmetry keeps each side's cost).
 Last, the merge selects each free cut whose ends share a mask, and the
 result is checked against the full graphs.
 
 Components and pieces are `ilp_model.ProblemGraph`s, the type the model
 builder reads. The work per layout stays linear in its edges: conflict and
 stitch edges are bucketed by component, and by piece after a bridge split,
-in one pass each. `split_components` hands every component its own slice
-of the end-cut graph in the same pass: the same nodes, but only its own
-solid and dash edges, which is exact because coupling edges joined the
+in one pass each. `split_components` hands each component that owns a
+solid or dash edge its own slice of the end-cut graph in the same pass, and
+every other component one shared empty slice: the same nodes, but only its
+own solid and dash edges, which is exact because coupling edges joined the
 components (a dash edge joins two candidates on one feature, whose conflict
 edges that feature's segments already join). The bridge search and the
 piece models read the slice; the trim-rect merge (`merged_trim_rects`,
@@ -78,7 +82,6 @@ from .ilp_model import (
     build_model_from_problem,
     decode_assignment,
     frac_str,
-    graph_order,
 )
 from .layout_graph import (
     Config,
@@ -193,22 +196,23 @@ def split_components(
     components, so an edge between two annotated candidates never spans two
     of them; an edge with one unannotated candidate goes with the other one.
     Every model and bridge search over a piece of a component reads the
-    same edges from its slice as from eg.
+    same edges from its slice as from eg. A component that owns no solid or
+    dash edge gets one shared, empty and frozen slice.
     """
     anchors = _candidate_anchor(lg)
     uf, comps = _group([s.id for s in lg.vertices], lg, _coupling_edges(anchors, eg), cut)
-    slices = {
-        root: EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set()) for root in comps
-    }
-    for p, q in eg.solid_edges:
-        anchor = anchors.get(p) or anchors.get(q)
-        if anchor is not None:
-            slices[uf.find(anchor[0])].solid_edges.add((p, q))
-    for p, q in eg.dash_edges:
-        anchor = anchors.get(p) or anchors.get(q)
-        if anchor is not None:
-            slices[uf.find(anchor[0])].dash_edges.add((p, q))
-    return [(comps[root], slices[root]) for root in sorted(comps)]
+    empty = EndCutGraph(nodes=eg.nodes, solid_edges=frozenset(), dash_edges=frozenset())
+    slices: dict[int, EndCutGraph] = {}
+    for edges, dash in ((eg.solid_edges, False), (eg.dash_edges, True)):
+        for p, q in edges:
+            anchor = anchors.get(p) or anchors.get(q)
+            if anchor is not None:
+                root = uf.find(anchor[0])
+                own = slices.get(root)
+                if own is None:
+                    own = slices[root] = EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set())
+                (own.dash_edges if dash else own.solid_edges).add((p, q))
+    return [(comps[root], slices.get(root, empty)) for root in sorted(comps)]
 
 
 def find_bridges(vertices: list[int], edges: list[tuple[int, int]]) -> list[int]:
@@ -275,17 +279,12 @@ def split_bridges(
 
 @dataclass
 class PieceOutcome:
+    """A piece's assignment and its search; stats None is a piece settled by
+    `closed_form` (0 nodes, cost 0, proven optimal)."""
+
     piece: ProblemGraph
     decoded: Decoded
-    stats: SolveStats
-
-
-def _closed_outcome(piece: ProblemGraph, alpha: Fraction) -> PieceOutcome | None:
-    """The `closed_form` outcome of a piece or component (0 nodes, proven), else None."""
-    decoded = closed_form(piece, alpha)
-    if decoded is None:
-        return None
-    return PieceOutcome(piece, decoded, SolveStats(0, Fraction(0), True))
+    stats: SolveStats | None = None
 
 
 def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
@@ -293,12 +292,17 @@ def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
 
     Without a cut candidate, and with alpha > 0 or no stitch edge, the cost-0
     assignments are exactly the colourings in which conflict ends differ and
-    stitch ends are equal, with no bit but the colours set. A breadth-first
-    search finds one or meets an odd cycle. Each connected part's first
-    vertex in the model's colour order (`graph_order` over the same edges)
-    gets colour 0, which makes it the smallest cost-0 assignment in search
-    order: the one `solve` returns.
+    stitch ends are equal, with no bit but the colours set. Each connected
+    part has two of them, one the other flipped, or none on an odd cycle.
+    `solve` returns the one that gives colour 0 to the part's first vertex in
+    the model's colour order (`graph_order` over the same edges): its
+    highest-degree vertex, the smallest id on a tie. One parity walk per
+    part colours it from any vertex and finds that root, and the part is
+    flipped when the root came out 1. A one-vertex piece has no edge and
+    gets colour 0 at once.
     """
+    if len(piece.vertex_reps) == 1:  # no edge, so no cut and no stitch
+        return Decoded(dict.fromkeys(piece.vertex_reps, 0), selected=set(), conflicts=[], stitches=[])
     if any(cand is not None for cand in piece.conflict_edges.values()):
         return None
     if piece.stitch_edges and not alpha > 0:
@@ -310,13 +314,22 @@ def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
             adj[u].append((v, parity))
             adj[v].append((u, parity))
     colors: dict[int, int] = {}
-    # graph_order is breadth-first over these edges: each vertex but the
-    # first of its part gets its colour from an earlier neighbour
-    for u in graph_order(piece.vertex_reps, [*piece.conflict_edges, *piece.stitch_edges]):
-        color = colors.setdefault(u, 0)
-        for w, parity in adj[u]:
-            if colors.setdefault(w, color ^ parity) != color ^ parity:
-                return None
+    for start in adj:
+        if start in colors:
+            continue
+        colors[start] = 0
+        part = [start]
+        for u in part:  # the list grows as the walk reaches new vertices
+            color = colors[u]
+            for w, parity in adj[u]:
+                if w not in colors:
+                    colors[w] = color ^ parity
+                    part.append(w)
+                elif colors[w] != color ^ parity:
+                    return None
+        if colors[min(part, key=lambda u: (-len(adj[u]), u))]:
+            for u in part:
+                colors[u] ^= 1
     return Decoded(colors=colors, selected=set(), conflicts=[], stitches=[])
 
 
@@ -461,17 +474,20 @@ def decompose_graphs(
     outcomes: list[PieceOutcome] = []
     free = _free_cuts(g, eg)
     for comp, comp_eg in split_components(g, eg, frozenset(free)):
-        whole = _closed_outcome(comp, cfg.alpha)
+        whole = closed_form(comp, cfg.alpha)
         if whole is not None:
-            outcomes.append(whole)
+            outcomes.append(PieceOutcome(comp, whole))
             continue
         pieces, bridges = split_bridges(comp, comp_eg)
         build = partial(build_model_from_problem, eg=comp_eg, alpha=cfg.alpha)
         solved = []
         for piece in pieces:
             # with no bridge cut, the one piece is the component the closed form refused
-            outcome = _closed_outcome(piece, cfg.alpha) if bridges else None
-            solved.append(outcome or _solve_piece(piece, comp_eg, build, memo, start, time_limit))
+            settled = closed_form(piece, cfg.alpha) if bridges else None
+            if settled is not None:
+                solved.append(PieceOutcome(piece, settled))
+            else:
+                solved.append(_solve_piece(piece, comp_eg, build, memo, start, time_limit))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
     return _merge_outcomes(outcomes, g, eg, cfg.alpha, free)
@@ -505,6 +521,10 @@ def merged_trim_rects(selected: set[int], eg: EndCutGraph) -> list[Rect]:
     return sorted(groups.values())
 
 
+# the per_sub entry of a settled piece, after its vertex count
+_SETTLED_ENTRY = {"nodes_explored": 0, "cost": "0", "proven_optimal": True}
+
+
 def _merge_outcomes(
     outcomes: list[PieceOutcome],
     g: LayoutGraph,
@@ -514,7 +534,9 @@ def _merge_outcomes(
 ) -> DecompResult:
     """One result from the pieces' outcomes and the free cuts, which lie
     outside every piece: each is selected when its ends share a mask, at no
-    cost. The result's cost and rules are checked against the full graphs.
+    cost. A settled outcome adds only its colours and its `per_sub` entry,
+    and only non-zero costs are added. The result's cost and rules are
+    checked against the full graphs.
     """
     colors: dict[int, int] = {}
     selected: set[int] = set()
@@ -526,18 +548,23 @@ def _merge_outcomes(
     per_sub = []
     for o in outcomes:
         colors.update(o.decoded.colors)
+        stats = o.stats
+        if stats is None:  # nothing to select, charge or count
+            per_sub.append({"vertices": len(o.piece.vertex_reps), **_SETTLED_ENTRY})
+            continue
         selected |= o.decoded.selected
         conflicts.extend(o.decoded.conflicts)
         stitches.extend(o.decoded.stitches)
-        cost += o.stats.best_cost
-        nodes += o.stats.nodes_explored
-        proven = proven and o.stats.proven_optimal
+        if stats.best_cost:
+            cost += stats.best_cost
+        nodes += stats.nodes_explored
+        proven = proven and stats.proven_optimal
         per_sub.append(
             {
                 "vertices": len(o.piece.vertex_reps),
-                "nodes_explored": o.stats.nodes_explored,
-                "cost": frac_str(o.stats.best_cost),
-                "proven_optimal": o.stats.proven_optimal,
+                "nodes_explored": stats.nodes_explored,
+                "cost": frac_str(stats.best_cost),
+                "proven_optimal": stats.proven_optimal,
             }
         )
     selected |= {c for (u, v), c in free.items() if colors[u] == colors[v]}

@@ -8,8 +8,8 @@ touch binary floats.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -193,14 +193,59 @@ def layout_to_obj(features: list[Feature], cfg: Config) -> dict:
 
 
 def dump_json(obj: Any) -> str:
-    """Pretty JSON with innermost numeric arrays kept on one line."""
-    text = json.dumps(obj, indent=2)
-    text = re.sub(
-        r"\[[\s\-\d,]+\]",
-        lambda m: re.sub(r"\s+", "", m.group(0)).replace(",", ", "),
-        text,
-    )
-    return text + "\n"
+    """JSON text, one item per line at two spaces an indent, and a final newline.
+
+    The one exception is an array that is not empty and holds only integers
+    (booleans are not integers here), such as a rect, an edge or a
+    candidate's features: it is written on one line as `[1, 2]`. Every other
+    array and object, an array of such arrays too, is written over several
+    lines, and an empty one as `[]` or `{}`. Text is quoted and escaped to
+    ASCII as `json.dumps` does; tuples are arrays, and other values and
+    non-string keys are written as `json.dumps` writes them.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of value to out; newline starts a line at value's indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be text, numbers or null, not {type(key).__name__}")
+                key = json.dumps(key)
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if all(isinstance(x, int) and type(x) is not bool for x in value):
+            out.append("[" + ", ".join(map(int.__repr__, value)) + "]")
+        else:
+            inner = newline + "  "
+            lead = "[" + inner
+            for item in value:
+                out.append(lead)
+                _write_json(item, inner, out)
+                lead = "," + inner
+            out.append(newline + "]")
+    else:  # null, a float, a subclass of int or str, or a TypeError
+        out.append(json.dumps(value))
 
 
 def emit_layout(features: list[Feature], cfg: Config, path: str | Path) -> None:

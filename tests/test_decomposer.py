@@ -18,7 +18,14 @@ from leleec.decomposer import (
 )
 from leleec.endcut import EndCutGraph, build_endcut_graph, generate_candidates
 from leleec.geometry import Polygon, Rect, rect_distance
-from leleec.ilp_model import ProblemGraph, build_lelele_baseline, build_model_from_problem, decode_assignment
+from leleec.ilp_model import (
+    Decoded,
+    ProblemGraph,
+    build_lelele_baseline,
+    build_model_from_problem,
+    decode_assignment,
+    graph_order,
+)
 from leleec.layout_graph import (
     Config,
     Feature,
@@ -470,6 +477,86 @@ def test_closed_form_components_match_the_solver():
                 settled += 1
                 bridged += bool(split_bridges(comp, comp_eg)[1])
     assert settled > 300 and bridged > 50, (settled, bridged)
+
+
+def _closed_form_by_graph_order(piece, alpha):
+    """`closed_form` as first defined: colours given in `graph_order` over the
+    same edges, each part's first vertex 0 and every other vertex its colour
+    from an earlier neighbour; None on an odd cycle."""
+    if any(cand is not None for cand in piece.conflict_edges.values()):
+        return None
+    if piece.stitch_edges and not alpha > 0:
+        return None
+    adj = {v: [] for v in piece.vertex_reps}
+    for edges, parity in ((piece.conflict_edges, 1), (piece.stitch_edges, 0)):
+        for u, v in edges:
+            adj[u].append((v, parity))
+            adj[v].append((u, parity))
+    colors = {}
+    for u in graph_order(piece.vertex_reps, [*piece.conflict_edges, *piece.stitch_edges]):
+        color = colors.setdefault(u, 0)
+        for w, parity in adj[u]:
+            if colors.setdefault(w, color ^ parity) != color ^ parity:
+                return None
+    return Decoded(colors=colors, selected=set(), conflicts=[], stitches=[])
+
+
+def _random_cut_free_piece(rng):
+    """One to three parts on scattered ids: a lone vertex, a stitch-only
+    chain, or random conflict and stitch edges over a path; one conflict
+    edge in ten pieces carries a candidate."""
+    ids = rng.sample(range(60), 14)
+    conflict, stitch, parts = {}, set(), []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["lone", "stitch", "mixed", "mixed"])
+        size = 1 if kind == "lone" else rng.randint(2, 6 if kind == "stitch" else 9)
+        part, ids = ids[:size], ids[size:]
+        if not part:
+            break
+        parts.append(part)
+        pairs = [(min(a, b), max(a, b)) for a, b in zip(part, part[1:])]  # a path joins the part
+        if kind == "mixed":
+            more = list(itertools.combinations(sorted(part), 2))
+            pairs += rng.sample(more, min(len(more), rng.randint(0, len(part))))
+        for e in pairs:
+            if kind == "stitch" or (rng.random() < 0.25 and e not in conflict):
+                stitch.add(e)
+            else:
+                conflict[e] = None
+        stitch -= set(conflict)
+    if conflict and rng.random() < 0.1:
+        conflict[rng.choice(sorted(conflict))] = 0
+    return ProblemGraph({v for part in parts for v in part}, conflict, stitch), parts
+
+
+def test_closed_form_matches_its_graph_order_definition():
+    seen = dict.fromkeys(("accepted", "odd", "parts", "lone", "stitch_only", "tie", "root_not_min"), 0)
+    for seed in range(1000):
+        rng = random.Random(seed)
+        piece, parts = _random_cut_free_piece(rng)
+        for alpha in (Fraction(0), Fraction(1, 10)):
+            got = closed_form(piece, alpha)
+            assert got == _closed_form_by_graph_order(piece, alpha), (seed, alpha, piece)
+            if got is None:
+                cut_free = all(c is None for c in piece.conflict_edges.values())
+                seen["odd"] += cut_free and (alpha > 0 or not piece.stitch_edges)
+                continue
+            seen["accepted"] += 1
+            seen["parts"] += len(parts) > 1
+            seen["lone"] += len(parts) > 1 and any(len(part) == 1 for part in parts)
+            seen["stitch_only"] += any(
+                len(part) > 1 and not any(e[0] in part for e in piece.conflict_edges) for part in parts
+            )
+            for part in parts:
+                degree = {v: 0 for v in part}
+                for u, v in [*piece.conflict_edges, *piece.stitch_edges]:
+                    if u in degree:
+                        degree[u] += 1
+                        degree[v] += 1
+                top = max(degree.values())
+                seen["tie"] += sum(d == top for d in degree.values()) > 1
+                seen["root_not_min"] += got.colors[min(part)] == 1
+    assert all(count > 40 for count in seen.values()), sorted(seen.items())
 
 
 def _memo_layouts():

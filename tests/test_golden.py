@@ -3,8 +3,11 @@
 `tests/golden/` holds, for `gen clique4_array 2`, `gen comb 3` and the
 stitch ring of `conftest`, the layout file, the decompose result, its
 `--svg` and `--lp-dump` files, and for the motif array also the
-`baseline-lelele` result. A change that alters any of these formats or
-results re-records the files and says so.
+`baseline-lelele` result. It also holds the same decompose outputs of
+`random_wires_150.layout.json`, the layout that the benchmark's
+`random_wires(150, 2000, 0)` generates: 92 outcomes, 56 of them one vertex
+and 5 searched, cost 2.1 with one stitch. A change that alters any of these
+formats or results re-records the files and says so.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from leleec.cli import run_cli
-from leleec.layout_io import emit_layout
+from leleec.layout_io import emit_layout, parse_layout
 
 from conftest import stitch_ring
 
@@ -22,7 +25,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "clique4_array_2": ["gen", "clique4_array", "2"],
     "comb_3": ["gen", "comb", "3"],
-    "stitch_ring": None,  # written by emit_layout
+    # written by emit_layout: the conftest fixture, and the recorded layout read back
+    "stitch_ring": stitch_ring,
+    "random_wires_150": lambda: parse_layout(GOLDEN / "random_wires_150.layout.json"),
 }
 
 
@@ -33,8 +38,8 @@ def _same(path: Path, name: str) -> None:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_decompose_outputs_match_the_recorded_files(name, tmp_path):
     layout = tmp_path / f"{name}.layout.json"
-    if CASES[name] is None:
-        emit_layout(*stitch_ring(), layout)
+    if callable(CASES[name]):
+        emit_layout(*CASES[name](), layout)
     else:
         assert run_cli([*CASES[name], "--out", str(layout)]) == 0
     _same(layout, layout.name)

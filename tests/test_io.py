@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+import re
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from leleec.decomposer import build_graphs, decompose, decompose_graphs
+from leleec.decomposer import build_graphs, decompose, decompose_graphs, lelele_baseline
 from leleec.cli import run_cli
-from leleec.layout_graph import Config, OverlappingInput
+from leleec.layout_graph import Config, OverlappingInput, build_conflict_edges, feature_index
 from leleec.layout_io import (
     ParseError,
     ValidationError,
@@ -17,14 +21,26 @@ from leleec.layout_io import (
     dump_json,
     emit_layout,
     frac_str,
+    layout_to_obj,
     parse_layout,
     result_to_obj,
     verify_result,
 )
 from leleec.svg import render_svg
-from leleec.synth import gen_synthetic
+from leleec.synth import KINDS, gen_synthetic
 
-from conftest import clique4_motif, stitch_ring
+from conftest import (
+    clique4_motif,
+    gamma_quad,
+    preselect_ring,
+    random_config,
+    random_layout,
+    random_shapes,
+    stitch_ring,
+    via_block,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _write(tmp_path, name, obj):
@@ -346,3 +362,114 @@ def test_svg_marks_conflicts():
     assert res.conflicts
     doc = render_svg(lg, {v: c + 1 for v, c in res.colors.items()}, res.trim_rects, res.conflicts)
     assert doc.count('stroke="#cc0000"') == len(res.conflicts)
+
+
+def _dump_json_by_regex(obj) -> str:
+    """The writer as it was: indented `json.dumps`, then a regex that joins
+    each bracketed run of digits, minus signs, commas and blanks onto one
+    line. The regex also rewrote such runs inside strings."""
+    text = json.dumps(obj, indent=2)
+    text = re.sub(
+        r"\[[\s\-\d,]+\]",
+        lambda m: re.sub(r"\s+", "", m.group(0)).replace(",", ", "),
+        text,
+    )
+    return text + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"k": "[1,2]"},
+        {"[3,4]": "[ -1 , 2 ]", "x": [3, 4]},
+        {"quote\"": "back\\slash\n\ttab\u0001\u007f"},
+        {"naïve": "µm – ✓ 𝄞", "中": ["é", 1]},
+        {"empty": [], "none": {}, "both": [[], {}, [[]]]},
+        [],
+        {},
+        [-1, 0, 10**30, -(10**30), -12345678901234567890123456789],
+        [[1, 2], [3, [4, -5]], [[6]]],
+        ["a", 1, True, False, None, [2, 3], {"x": [-3]}, [1, True], [0.5, 2]],
+        {"nested": {"deeper": {"deepest": [[-1, 1], "[]", "]["]}}},
+        "[7,8]",
+        -3,
+    ],
+)
+def test_dump_json_round_trips_brackets_escapes_and_numbers(obj):
+    text = dump_json(obj)
+    assert json.loads(text) == obj
+    assert text.endswith("\n") and text.isascii()
+
+
+def test_dump_json_leaves_bracketed_text_alone():
+    assert dump_json({"k": "[1,2]"}) == '{\n  "k": "[1,2]"\n}\n'
+    assert dump_json({"[3,4]": [3, 4]}) == '{\n  "[3,4]": [3, 4]\n}\n'
+    # the regex rewrote both; its output read back as other text
+    old = _dump_json_by_regex({"k": "[1,2]", "[3,4]": 0})
+    assert json.loads(old) == {"k": "[1, 2]", "[3, 4]": 0}
+
+
+def _random_text(rng: random.Random) -> str:
+    # everything but brackets: quotes, escapes, digits, signs, commas, blanks, non-ASCII
+    alphabet = 'ab yz09-,:{}"\\/\n\t\r\x00\x1fé€𝄞'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+
+def _random_json(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(
+            [
+                rng.randint(-5, 5),
+                rng.randint(-(10**30), 10**30),
+                rng.choice([True, False, None]),
+                rng.choice([0.5, -2.25, 1e20]),
+                _random_text(rng),
+            ]
+        )
+    if roll < 0.5:  # an integer array, written inline
+        return [rng.randint(-(10**6), 10**6) for _ in range(rng.randrange(5))]
+    if roll < 0.75:
+        return [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {_random_text(rng): _random_json(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+def test_dump_json_matches_the_regex_writer_on_seeded_objects():
+    inline = 0
+    for seed in range(300):
+        obj = _random_json(random.Random(seed), 4)
+        text = dump_json(obj)
+        assert text == _dump_json_by_regex(obj), seed
+        inline += text.count("[") - text.count("[\n") - text.count("[]")
+    assert inline > 100, inline
+
+
+def _suite_layouts():
+    """The layouts the suite builds: the conftest fixtures, seeded random
+    wires and shapes, the gen kinds and the recorded golden layouts."""
+    layouts = [clique4_motif(), gamma_quad(), stitch_ring(), preselect_ring(), via_block(3, 3)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        layouts.append((random_layout(rng, rng.randrange(2, 10), box=220), random_config(rng)))
+        layouts.append((random_shapes(rng, 6, 10, 200), random_config(rng)))
+    for kind in KINDS:
+        for n in (1, 2, 3):
+            layouts.append(gen_synthetic(kind, n, 0, Config.from_rules(10, 10)))
+    layouts += [parse_layout(path) for path in sorted(GOLDEN.glob("*.layout.json"))]
+    return layouts
+
+
+def test_dump_json_matches_the_regex_writer_on_suite_layouts_and_results():
+    objects = 0
+    for feats, cfg in _suite_layouts():
+        objs = [layout_to_obj(feats, cfg)]
+        for c in (cfg, replace(cfg, enable_stitch=False)):
+            lg, eg = build_graphs(feats, c)
+            objs.append(result_to_obj(decompose_graphs(lg, eg, c), lg, eg, c))
+        base = replace(cfg, enable_stitch=False)
+        lg = build_conflict_edges(feats, base, feature_index(feats, base))
+        objs.append(baseline_result_to_obj(lelele_baseline(lg), base))
+        for obj in objs:
+            assert dump_json(obj) == _dump_json_by_regex(obj)
+            objects += 1
+    assert objects > 200, objects
