@@ -10,7 +10,9 @@ cost 0 needs no model: `closed_form` gives the assignment the solver would
 return, by one parity walk per part, even under a time limit. Such a
 component is settled as it leaves the split: one outcome with no search
 stats, whose `per_sub` entry says 0 nodes, cost 0 and proven, and whose
-cost the merge does not add. Every other component is split at clean
+cost the merge does not add. A vertex that no edge of the union graph
+touches is settled in the same place without even a graph: colour 0 and
+the same `per_sub` entry. Every other component is split at clean
 bridges into pieces, and each piece is settled the same way or gets one
 model. A clean bridge is a conflict edge that is a bridge of the union
 multigraph and carries no candidate; after solving both sides, the smaller
@@ -66,7 +68,8 @@ still selected when its ends share a mask.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -185,11 +188,15 @@ def _group(
 
 def split_components(
     lg: LayoutGraph, eg: EndCutGraph, cut: frozenset[EdgeKey] = frozenset()
-) -> list[tuple[ProblemGraph, EndCutGraph]]:
+) -> tuple[list[int], list[tuple[ProblemGraph, EndCutGraph]]]:
     """Connected components of CE ∪ SE plus end-cut coupling links, less the
-    `cut` conflict edges, which no component holds.
+    `cut` conflict edges, which no component holds: (lone vertices,
+    components in root order).
 
-    Each component comes with its slice of the end-cut graph: the slice
+    A vertex that none of those edges touches is a one-vertex component
+    that needs no graph: it is returned apart, in the ascending list of lone
+    vertices, and never enters the union-find. Each other component is a
+    `ProblemGraph` and comes with its slice of the end-cut graph: the slice
     shares `nodes` with eg and holds the solid and dash edges whose
     candidates are annotated in that component. Solid coupling edges, and
     for a dash edge the feature both candidates share, joined the
@@ -200,7 +207,11 @@ def split_components(
     dash edge gets one shared, empty and frozen slice.
     """
     anchors = _candidate_anchor(lg)
-    uf, comps = _group([s.id for s in lg.vertices], lg, _coupling_edges(anchors, eg), cut)
+    coupling = _coupling_edges(anchors, eg)
+    touched = {v for e in lg.conflict_edges if e not in cut for v in e}
+    touched.update(v for e in (*lg.stitch_edges, *coupling) for v in e)
+    lone = sorted(s.id for s in lg.vertices if s.id not in touched)
+    uf, comps = _group(sorted(touched), lg, coupling, cut)
     empty = EndCutGraph(nodes=eg.nodes, solid_edges=frozenset(), dash_edges=frozenset())
     slices: dict[int, EndCutGraph] = {}
     for edges, dash in ((eg.solid_edges, False), (eg.dash_edges, True)):
@@ -212,7 +223,7 @@ def split_components(
                 if own is None:
                     own = slices[root] = EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set())
                 (own.dash_edges if dash else own.solid_edges).add((p, q))
-    return [(comps[root], slices.get(root, empty)) for root in sorted(comps)]
+    return lone, [(comps[root], slices.get(root, empty)) for root in sorted(comps)]
 
 
 def find_bridges(vertices: list[int], edges: list[tuple[int, int]]) -> list[int]:
@@ -471,9 +482,15 @@ def decompose_graphs(
     """Decomposition core over already-built graphs; validated before return."""
     start = time.monotonic()
     memo: PieceMemo = {}
-    outcomes: list[PieceOutcome] = []
+    outcomes: list[PieceOutcome | int] = []
     free = _free_cuts(g, eg)
-    for comp, comp_eg in split_components(g, eg, frozenset(free)):
+    lone, comps = split_components(g, eg, frozenset(free))
+    done = 0  # lone vertices placed so far
+    for comp, comp_eg in comps:
+        # the lone vertices before this component's root keep their root order
+        upto = bisect_left(lone, min(comp.vertex_reps), done)
+        outcomes.extend(lone[done:upto])
+        done = upto
         whole = closed_form(comp, cfg.alpha)
         if whole is not None:
             outcomes.append(PieceOutcome(comp, whole))
@@ -490,6 +507,7 @@ def decompose_graphs(
                 solved.append(_solve_piece(piece, comp_eg, build, memo, start, time_limit))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
+    outcomes.extend(lone[done:])
     return _merge_outcomes(outcomes, g, eg, cfg.alpha, free)
 
 
@@ -501,10 +519,11 @@ def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompR
     start = time.monotonic()
     eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
     memo: PieceMemo = {}
-    outcomes = [
-        _solve_piece(comp, eg, build_lelele_baseline, memo, start, time_limit)
-        for comp, _ in split_components(lg, eg)
-    ]
+    lone, comps = split_components(lg, eg)
+    # a lone vertex is solved too, as its own one-vertex component
+    pieces = [comp for comp, _ in comps] + [ProblemGraph(vertex_reps={v}) for v in lone]
+    pieces.sort(key=lambda comp: min(comp.vertex_reps))
+    outcomes = [_solve_piece(comp, eg, build_lelele_baseline, memo, start, time_limit) for comp in pieces]
     return _merge_outcomes(outcomes, lg, eg, Fraction(0), {})
 
 
@@ -526,7 +545,7 @@ _SETTLED_ENTRY = {"nodes_explored": 0, "cost": "0", "proven_optimal": True}
 
 
 def _merge_outcomes(
-    outcomes: list[PieceOutcome],
+    outcomes: Sequence[PieceOutcome | int],
     g: LayoutGraph,
     eg: EndCutGraph,
     alpha: Fraction,
@@ -534,9 +553,10 @@ def _merge_outcomes(
 ) -> DecompResult:
     """One result from the pieces' outcomes and the free cuts, which lie
     outside every piece: each is selected when its ends share a mask, at no
-    cost. A settled outcome adds only its colours and its `per_sub` entry,
-    and only non-zero costs are added. The result's cost and rules are
-    checked against the full graphs.
+    cost. An int outcome is a lone vertex, settled at colour 0. It and a
+    settled outcome add only their colours and their `per_sub` entry, and
+    only non-zero costs are added. The result's cost and rules are checked
+    against the full graphs.
     """
     colors: dict[int, int] = {}
     selected: set[int] = set()
@@ -547,6 +567,10 @@ def _merge_outcomes(
     proven = True
     per_sub = []
     for o in outcomes:
+        if isinstance(o, int):
+            colors[o] = 0
+            per_sub.append({"vertices": 1, **_SETTLED_ENTRY})
+            continue
         colors.update(o.decoded.colors)
         stats = o.stats
         if stats is None:  # nothing to select, charge or count

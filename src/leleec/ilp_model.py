@@ -14,9 +14,15 @@ A deliberately uncorrected variant is kept for demonstrating the difference.
 
 `build_model_from_problem` also records `IlpModel.pair_costs`, the rigid
 conflict edges (no cut and no merge term in their rows) and the stitch
-edges, which the solver's colour-space lower bound reads, and
-`IlpModel.colour_order`, the colour bits in `graph_order` over those same
-edges, which `search_order` branches on first. Neither is in `lp_dump`.
+edges, and `IlpModel.colour_order`, the colour bits in `graph_order` over
+those same edges, which `search_order` branches on first. Neither is in
+`lp_dump`. The pairs keep a contract: each pair's cost bit appears in
+exactly two rows, its pair's, and those rows hold only the pair's two
+colour bits and its cost bit, and force the cost bit to 1 exactly when
+the colours are equal (a conflict) or differ (a stitch). The solver
+relies on it: it settles every pair cost bit from its colours instead of
+branching on it, bounds with the pairs, and raises `SolverError` on a
+model that breaks the contract (`solver.pair_rows` checks it).
 
 `build_lelele_baseline` is the three-mask coloring model of the paper's
 comparison over the same `ProblemGraph`: two color bits per vertex and a
@@ -76,9 +82,11 @@ class IlpModel:
     # complementing every colour bit maps feasible assignments to feasible
     # ones of equal cost; the solver then searches one half (see solver)
     flip_symmetric: bool = False
-    # (colour u, colour v, cost var, charged_when_equal): pairs whose cost
-    # var the rows force exactly when the two colours are equal (or differ)
-    # and never while one of them is open; the solver bounds with them
+    # (colour u, colour v, cost var, charged_when_equal): each cost var is
+    # its own pair's, costs >= 0 and is in exactly two rows, which hold only
+    # the pair's three bits and force it to 1 exactly when the two colours
+    # are equal (or differ); the solver settles it from the colours, bounds
+    # with the pairs and refuses a model that breaks this contract
     pair_costs: list[tuple[int, int, int, bool]] = field(default_factory=list)
     # every colour var in branching order; empty keeps ascending id
     colour_order: list[int] = field(default_factory=list)

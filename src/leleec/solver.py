@@ -1,7 +1,8 @@
 """Exact 0-1 ILP solving: deterministic branch-and-bound and a brute-force oracle.
 
-The search is depth-first over the model's `search_order`, trying 0 before
-1: colors, end-cuts, merges, conflicts, stitches. Colors come in the
+The search is depth-first over the model's `search_order`, less the cost
+bits of its `pair_costs` (see the third shortcut), trying 0 before 1:
+colors, end-cuts, merges, conflicts, stitches. Colors come in the
 model's `colour_order` (breadth-first over its rigid conflict and stitch
 edges, the highest degree first, so the most constrained bits are fixed
 early), every other family in ascending id. The returned assignment is the
@@ -14,20 +15,22 @@ byte-identical assignments and node counts.
 The lower bound is the committed cost, the objective mass of variables
 fixed to 1 (all objective coefficients are non-negative), plus a
 colour-space bound over the model's `pair_costs`. Each pair is two colour
-bits and a cost variable that the rows force to 1 exactly when the bits are
-equal (a rigid conflict edge) or differ (a stitch edge). For an open colour
-bit v, forced[v][b] is the cost that v's pairs with a fixed partner charge
-if v takes b, and the bound is the sum of min(forced[v]) over the open
-bits. It is sound because its terms are disjoint: each counts only pairs
-with exactly one fixed bit, whose cost variables are still open (their rows
-cannot force them while one bit is open, and colour bits come first in the
-order), so none is in the committed cost either. A pruned subtree holds no
-leaf strictly better than the incumbent, so the sequence of incumbents, and
-the returned assignment, are those of the committed-cost bound alone; only
-node counts drop. A model with no pair costs, such as the three-mask
-baseline, has bound 0 throughout.
+bits and a cost bit that the pair's two rows force to 1 exactly when the
+colour bits are equal (a rigid conflict edge) or differ (a stitch edge);
+the solver never branches on the cost bit (see the third shortcut). A
+pair whose two colour bits are fixed is closed: its cost, when charged, is
+in a running closed sum. For an open colour bit v, forced[v][b] is the
+cost that v's pairs with a fixed partner charge if v takes b, and the
+bound adds the closed sum and the sum of min(forced[v]) over the open
+bits. It is sound because its terms are disjoint: the closed sum counts
+the pairs with both bits fixed, forced the pairs with exactly one, and the
+committed cost no pair at all. A pruned subtree holds no leaf strictly
+better than the incumbent, so the sequence of incumbents, and the returned
+assignment, are those of the committed-cost bound alone; only node counts
+drop. A model with no pair costs, such as the three-mask baseline, has
+bound 0 throughout.
 
-Two exact shortcuts keep the work down without changing any returned
+Three exact shortcuts keep the work down without changing any returned
 assignment:
 
 - Colour-flip symmetry. In a model with `flip_symmetric` set, complementing
@@ -44,6 +47,17 @@ assignment:
   assignment left unchanged, which had nothing to force before it. So only
   rows that can force are scanned, and the forced assignments, node
   counts and results are those of a scan over every touched row.
+- Pair cost bits settled from the colours. By the model's contract (see
+  `ilp_model`) a pair's cost bit is in its pair's two rows and in no
+  other, and its cost is >= 0. Once both colour bits are fixed, the
+  smallest value those rows allow is the bit's optimum, and it is the value
+  the 0-first search over it would return. So the cost bits and their rows
+  leave the search: the closed sum charges each pair as its second colour
+  bit is fixed, and at a leaf each cost bit is written from its colours.
+  Every colour node sees the same committed cost plus bound as a search
+  that branches on the cost bits, so the incumbents and the returned
+  assignment are unchanged; only the nodes on cost bits go away. `solve`
+  raises SolverError on a model that breaks the contract.
 """
 
 from __future__ import annotations
@@ -98,18 +112,62 @@ def _scaled_objective(model: IlpModel) -> tuple[list[int], int]:
     return costs, denom
 
 
+# (coefficient of colour u, of colour v, of the cost bit, rhs) of a pair's
+# two rows, by charged_when_equal: the cost bit is then at least 1 exactly
+# when the colours are equal (a conflict) or differ (a stitch)
+_PAIR_ROW_FORMS = {
+    True: {(1, 1, -1, 1), (-1, -1, -1, -1)},
+    False: {(1, -1, -1, 0), (-1, 1, -1, 0)},
+}
+
+
+def pair_rows(model: IlpModel) -> set[int]:
+    """Indices of the rows of the model's pair costs.
+
+    Raises SolverError unless the pairs keep the contract of
+    `IlpModel.pair_costs`: each pair's cost bit is its own, costs >= 0 and
+    appears in exactly two rows, which hold only the pair's three bits and
+    are xu + xv - c <= 1 and -xu - xv - c <= -1 for a conflict, or
+    xu - xv - c <= 0 and xv - xu - c <= 0 for a stitch.
+    """
+    pair_of = {cvar: k for k, (_, _, cvar, _) in enumerate(model.pair_costs)}
+    if len(pair_of) != len(model.pair_costs):
+        raise SolverError("two pair costs share a cost bit")
+    found: list[list[int]] = [[] for _ in model.pair_costs]
+    for ridx, con in enumerate(model.constraints):
+        for vid, _ in con.terms:
+            k = pair_of.get(vid)
+            if k is not None:
+                found[k].append(ridx)
+    for (xu, xv, cvar, when_equal), ridxs in zip(model.pair_costs, found):
+        forms = set()
+        for ridx in ridxs:
+            con = model.constraints[ridx]
+            coeff = dict(con.terms)
+            if len(coeff) == 3:
+                forms.add((coeff.get(xu), coeff.get(xv), coeff[cvar], con.rhs))
+        if len(ridxs) != 2 or forms != _PAIR_ROW_FORMS[when_equal] or model.objective.get(cvar, 0) < 0:
+            raise SolverError(f"pair cost {model.variables[cvar].name} breaks the pair contract")
+    return {ridx for ridxs in found for ridx in ridxs}
+
+
 def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], SolveStats]:
     """Minimal-objective feasible assignment, deterministically.
 
     On time limit the incumbent is returned with proven_optimal=False;
-    TimeLimit is raised only when no incumbent exists yet.
+    TimeLimit is raised only when no incumbent exists yet. A model that
+    breaks the pair contract (see `pair_rows`) raises SolverError.
     """
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     n = model.num_vars
     costs, denom = _scaled_objective(model)
-    order = model.search_order()
+    # pair cost bits are settled from their colours, outside the search and the rows
+    skipped = pair_rows(model)
+    cost_bits = {cvar for _, _, cvar, _ in model.pair_costs}
+    order = [vid for vid in model.search_order() if vid not in cost_bits]
+    depth = len(order)
 
-    rows = model.constraints
+    rows = [con for ridx, con in enumerate(model.constraints) if ridx not in skipped]
     # slack[r] = rhs - sum over terms of the minimum contribution; violated iff < 0
     slack: list[int] = []
     # a row whose slack is at least its largest |coefficient| forces nothing
@@ -134,7 +192,8 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     # the colour-space bound (see the module docstring): links[v] holds
     # (partner, cost, flip) for each pair at bit v, which charges cost when v
     # takes the partner's value xor flip; forced[v] changes only while v is
-    # open, and then counts exactly the pairs whose partner is fixed
+    # open, and then counts exactly the pairs whose partner is fixed; closed
+    # counts the charged pairs whose two bits are fixed
     links: dict[int, list[tuple[int, int, int]]] = {}
     for xu, xv, cvar, when_equal in model.pair_costs:
         if costs[cvar]:
@@ -143,10 +202,11 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
             links.setdefault(xv, []).append((xu, costs[cvar], flip))
     forced = {v: [0, 0] for v in links}
     bound = 0
+    closed = 0
 
     def assign(vid: int, val: int) -> bool:
         """Fix vid := val, update slacks and the bound; False when a row becomes violated."""
-        nonlocal bound
+        nonlocal bound, closed
         value[vid] = val
         trail.append(vid)
         ok = True
@@ -164,10 +224,12 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
                     old = f[0] if f[0] < f[1] else f[1]
                     f[val ^ flip] += cost
                     bound += (f[0] if f[0] < f[1] else f[1]) - old
+                elif val == value[wid] ^ flip:
+                    closed += cost
         return ok
 
     def undo(mark: int) -> None:
-        nonlocal bound
+        nonlocal bound, closed
         while len(trail) > mark:
             vid = trail.pop()
             val = value[vid]
@@ -181,6 +243,8 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
                         old = f[0] if f[0] < f[1] else f[1]
                         f[val ^ flip] -= cost
                         bound += (f[0] if f[0] < f[1] else f[1]) - old
+                    elif val == value[wid] ^ flip:
+                        closed -= cost
                 f = forced[vid]
                 bound += f[0] if f[0] < f[1] else f[1]
 
@@ -248,7 +312,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         raise Infeasible("constraints admit no assignment")
 
     def first_unfixed(pos: int) -> int:
-        while pos < n and value[order[pos]] != -1:
+        while pos < depth and value[order[pos]] != -1:
             pos += 1
         return pos
 
@@ -256,7 +320,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     # so the assignments left at the root are still closed under the flip
     root = first_unfixed(0)
     root_branches = (0, 1)
-    if model.flip_symmetric and root < n and model.variables[order[root]].kind == "color":
+    if model.flip_symmetric and root < depth and model.variables[order[root]].kind == "color":
         root_branches = (0,)
 
     def dfs(pos: int, committed: int) -> None:
@@ -264,10 +328,12 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         if timed_out:
             return
         pos = first_unfixed(pos)
-        if pos >= n:
+        if pos >= depth:
             # pruning guarantees strict improvement here
-            best_cost = committed
+            best_cost = committed + closed
             best_assignment = list(value)
+            for xu, xv, cvar, when_equal in model.pair_costs:
+                best_assignment[cvar] = int((value[xu] == value[xv]) == when_equal)
             return
         vid = order[pos]
         for branch in root_branches if pos == root else (0, 1):
@@ -281,7 +347,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
             if ok:
                 ok, forced_cost = propagate([vid])
                 add += forced_cost
-            if ok and (best_cost is None or committed + add + bound < best_cost):
+            if ok and (best_cost is None or committed + add + closed + bound < best_cost):
                 dfs(pos + 1, committed + add)
             undo(mark)
             if timed_out:

@@ -54,8 +54,11 @@ CFG_NS = Config.from_rules(10, 10, enable_stitch=False)
 def test_two_distant_features_two_subproblems():
     feats = make_features([(0, 0, 10, 40)], [(200, 0, 210, 40)])
     lg, eg = build_graphs(feats, CFG_NS)
-    subs = split_components(lg, eg)
-    assert [list(s.vertex_reps) for s, _ in subs] == [[0], [1]]
+    # two vertices that no edge touches: no component, two lone vertices
+    assert split_components(lg, eg) == ([0, 1], [])
+    assert decompose(feats, CFG_NS).stats["per_sub"] == [
+        {"vertices": 1, "nodes_explored": 0, "cost": "0", "proven_optimal": True}
+    ] * 2
 
 
 def test_endcut_coupling_prevents_component_split():
@@ -71,8 +74,8 @@ def test_endcut_coupling_prevents_component_split():
     lg, eg = build_graphs(feats, cfg)
     assert sorted(lg.conflict_edges) == [(0, 1), (2, 3)]
     assert eg.solid_edges == {(0, 1)}  # cuts 110 apart, within dis_c = 200
-    subs = split_components(lg, eg)
-    assert len(subs) == 1
+    lone, subs = split_components(lg, eg)
+    assert lone == [] and len(subs) == 1
 
 
 def test_unrelated_cut_components_do_split():
@@ -85,14 +88,14 @@ def test_unrelated_cut_components_do_split():
     )
     lg, eg = build_graphs(feats, cfg)
     assert eg.solid_edges == set() and eg.dash_edges == set()
-    subs = split_components(lg, eg)
-    assert len(subs) == 2
+    lone, subs = split_components(lg, eg)
+    assert lone == [] and len(subs) == 2
 
 
 def test_path_splits_into_clean_bridges():
     feats = make_features([(0, 0, 10, 40)], [(30, 0, 40, 40)], [(60, 0, 70, 40)])
     lg, eg = build_graphs(feats, CFG_NS)
-    ((comp, comp_eg),) = split_components(lg, eg)
+    ([], [(comp, comp_eg)]) = split_components(lg, eg)
     pieces, bridges = split_bridges(comp, comp_eg)
     assert len(pieces) == 3 and len(bridges) == 2
     # decompose settles the cost-0 path whole, before any bridge split
@@ -105,8 +108,8 @@ def test_cycle_has_no_bridges():
     # triangle of stubs: no bridges, one piece
     feats = make_features([(0, 0, 10, 40)], [(30, 0, 40, 40)], [(14, 60, 26, 70)])
     lg, eg = build_graphs(feats, CFG_NS)
-    subs = split_components(lg, eg)
-    assert len(subs) == 1
+    lone, subs = split_components(lg, eg)
+    assert lone == [] and len(subs) == 1
     pieces, bridges = split_bridges(subs[0][0], eg)
     assert bridges == [] and len(pieces) == 1
 
@@ -115,7 +118,7 @@ def test_bridge_with_candidate_is_not_cut():
     cfg = Config.from_rules(10, 10, w_th=10, enable_stitch=False)
     feats = make_features([(0, 0, 10, 60)], [(30, 0, 40, 60)])
     lg, eg = build_graphs(feats, cfg)
-    subs = split_components(lg, eg)
+    _, subs = split_components(lg, eg)
     pieces, bridges = split_bridges(subs[0][0], eg)
     assert bridges == [] and len(pieces) == 1
 
@@ -145,13 +148,14 @@ def test_sliced_endcut_graph_builds_the_full_graph_models():
     sliced_away = cut_bridges = 0
     for feats, cfg in layouts:
         lg, eg = build_graphs(feats, cfg)
-        pairs = split_components(lg, eg)
+        lone, pairs = split_components(lg, eg)
         comps = [comp for comp, _ in pairs]
         slices = [comp_eg for _, comp_eg in pairs]
         assert len(slices) == len(comps)
         assert set().union(*(s.solid_edges for s in slices)) == eg.solid_edges
         assert set().union(*(s.dash_edges for s in slices)) == eg.dash_edges
-        assert sorted(v for comp in comps for v in comp.vertex_reps) == [s.id for s in lg.vertices]
+        in_comps = [v for comp in comps for v in comp.vertex_reps]
+        assert sorted([*lone, *in_comps]) == [s.id for s in lg.vertices]
         assert sorted(e for comp in comps for e in comp.conflict_edges) == sorted(lg.conflict_edges)
         for comp, comp_eg in zip(comps, slices):
             assert comp_eg.nodes is eg.nodes
@@ -228,8 +232,11 @@ def test_split_matches_a_brute_force_reference():
             coupling = [(anchor[p][1], anchor[q][1]) for p, q in coupled]
             vertices = [s.id for s in lg.vertices]
             free = _free_edges(lg, eg) if with_free else {}
-            got = split_components(lg, eg, frozenset(free))
-            assert _by_vertices(c for c, _ in got) == _reference_parts(
+            lone, got = split_components(lg, eg, frozenset(free))
+            # a lone vertex is a part with no edge
+            assert lone == sorted(lone) and all(len(c.vertex_reps) > 1 for c, _ in got)
+            lone_parts = {frozenset({v}): ({}, set()) for v in lone}
+            assert {**_by_vertices(c for c, _ in got), **lone_parts} == _reference_parts(
                 vertices,
                 {e: c for e, c in lg.conflict_edges.items() if e not in free},
                 lg.stitch_edges,
@@ -362,7 +369,7 @@ def test_zero_time_limit_gives_valid_one_mask_pieces():
         searched = any(
             closed_form(comp, cfg.alpha) is None
             and any(closed_form(piece, cfg.alpha) is None for piece in split_bridges(comp, comp_eg)[0])
-            for comp, comp_eg in split_components(lg, eg, frozenset(free))
+            for comp, comp_eg in split_components(lg, eg, frozenset(free))[1]
         )
         assert res.stats["proven_optimal"] is not searched, f"seed {seed}"
         assert res.selected_cuts == _same_mask_cuts(res, free) and res.stitches == []
@@ -453,11 +460,20 @@ def _closed_form_layouts():
     return layouts
 
 
+def _every_component(lg, eg, cut=frozenset()):
+    """`split_components` with each lone vertex as a one-vertex component,
+    in root order: the settled colour 0 of a lone vertex is checked too."""
+    lone, comps = split_components(lg, eg, cut)
+    empty = EndCutGraph(nodes=eg.nodes, solid_edges=frozenset(), dash_edges=frozenset())
+    comps += [(ProblemGraph(vertex_reps={v}), empty) for v in lone]
+    return sorted(comps, key=lambda pair: min(pair[0].vertex_reps))
+
+
 def test_closed_form_pieces_match_the_solver():
     outcomes = []
     for feats, cfg in _closed_form_layouts():
         lg, eg = build_graphs(feats, cfg)
-        for comp, comp_eg in split_components(lg, eg):
+        for comp, comp_eg in _every_component(lg, eg):
             for piece in split_bridges(comp, comp_eg)[0]:
                 outcomes.append(
                     _closed_form_against_solver(piece, comp_eg, cfg.alpha)
@@ -471,7 +487,7 @@ def test_closed_form_components_match_the_solver():
     settled = bridged = 0
     for feats, cfg in _closed_form_layouts():
         lg, eg = build_graphs(feats, cfg)
-        for comp, comp_eg in split_components(lg, eg, frozenset(_free_edges(lg, eg))):
+        for comp, comp_eg in _every_component(lg, eg, frozenset(_free_edges(lg, eg))):
             if closed_form(comp, cfg.alpha) is not None:
                 assert _closed_form_against_solver(comp, comp_eg, cfg.alpha) == "accepted"
                 settled += 1
@@ -587,7 +603,7 @@ def test_equal_piece_keys_give_equal_models():
     shapes, pieces = {}, 0
     for feats, cfg in _memo_layouts():
         lg, eg = build_graphs(feats, cfg)
-        for comp, comp_eg in split_components(lg, eg):
+        for comp, comp_eg in split_components(lg, eg)[1]:
             for piece in split_bridges(comp, comp_eg)[0]:
                 if closed_form(piece, cfg.alpha) is not None:
                     continue
@@ -603,7 +619,7 @@ def test_piece_keys_tell_cut_edges_apart():
     # edge or one candidate fewer: each changes the model, so the key
     feats, cfg = clique4_motif()
     lg, eg = build_graphs(feats, cfg)
-    ((piece, comp_eg),) = split_components(lg, eg)
+    ([], [(piece, comp_eg)]) = split_components(lg, eg)
     no_dash = replace(comp_eg, dash_edges=comp_eg.dash_edges - {min(comp_eg.dash_edges)})
     no_solid = replace(comp_eg, solid_edges=comp_eg.solid_edges - {min(comp_eg.solid_edges)})
     uncut = replace(piece, conflict_edges={**piece.conflict_edges, min(piece.conflict_edges): None})

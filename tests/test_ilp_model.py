@@ -19,9 +19,18 @@ from leleec.ilp_model import (
     graph_order,
 )
 from leleec.layout_graph import Config, LayoutGraph, Segment
-from leleec.solver import brute_force, solve
+from leleec.solver import brute_force, pair_rows, solve
 
-from conftest import clique4_motif, gamma_quad, stitch_ring, var, via_block
+from conftest import (
+    clique4_motif,
+    gamma_quad,
+    preselect_ring,
+    random_config,
+    random_layout,
+    stitch_ring,
+    var,
+    via_block,
+)
 
 
 def _graph(vertex_features, conflict_edges, stitch_edges=(), annotations=None):
@@ -185,6 +194,76 @@ def test_pair_costs_are_the_rigid_conflict_and_stitch_edges():
     stitch_pairs = [(model.variables[c].key, eq) for _, _, c, eq in model.pair_costs if not eq]
     assert stitch_pairs == [(e, False) for e in sorted(lg.stitch_edges)] and stitch_pairs
     assert build_lelele_baseline(ProblemGraph.from_layout(lg, eg)).pair_costs == []
+
+
+def _pair_contract_problems(model) -> list[str]:
+    """How the model's pairs break the contract of `IlpModel.pair_costs`.
+
+    Each pair's cost bit is its own, costs >= 0 and is in exactly two rows,
+    which hold only the pair's three bits; for each value of the two colour
+    bits, the smallest value of the cost bit those rows allow is 1 exactly
+    when the colours are equal (a conflict) or differ (a stitch).
+    """
+    problems = []
+    cost_bits = [c for _, _, c, _ in model.pair_costs]
+    if len(set(cost_bits)) != len(cost_bits):
+        problems.append("a cost bit in two pairs")
+    for xu, xv, c, when_equal in model.pair_costs:
+        rows = [con for con in model.constraints if any(vid == c for vid, _ in con.terms)]
+        if len(rows) != 2 or any({vid for vid, _ in con.terms} - {xu, xv, c} for con in rows):
+            problems.append(f"{model.variables[c].name}: rows {[con.label for con in rows]}")
+            continue
+        if model.objective.get(c, 0) < 0:
+            problems.append(f"{model.variables[c].name}: negative cost")
+        for a, b in itertools.product((0, 1), repeat=2):
+            allowed = [
+                z
+                for z in (0, 1)
+                if all(
+                    sum(k * {xu: a, xv: b, c: z}[vid] for vid, k in con.terms) <= con.rhs
+                    for con in rows
+                )
+            ]
+            if allowed[:1] != [int((a == b) == when_equal)]:
+                problems.append(f"{model.variables[c].name}: colours {a}{b} allow {allowed}")
+    return problems
+
+
+def _contract_layouts():
+    """The conftest fixtures and 120 seeded random layouts, about two in five with stitching."""
+    layouts = [clique4_motif(), gamma_quad(), stitch_ring(), preselect_ring(), via_block(3, 4), via_block(4, 4)]
+    for seed in range(120):
+        rng = random.Random(12000 + seed)
+        feats = random_layout(rng, rng.randrange(2, 14), box=220)
+        layouts.append((feats, random_config(rng)))
+    return layouts
+
+
+def test_every_built_model_keeps_the_pair_contract():
+    pairs = stitches = 0
+    for k, (feats, cfg) in enumerate(_contract_layouts()):
+        lg, eg = build_graphs(feats, cfg)
+        pg = ProblemGraph.from_layout(lg, eg)
+        for corrected in (True, False):
+            model = build_model_from_problem(pg, eg, corrected=corrected, alpha=cfg.alpha)
+            assert _pair_contract_problems(model) == [], (k, corrected)
+            # the solver reads the same rows off the contract
+            assert len(pair_rows(model)) == 2 * len(model.pair_costs)
+            # the pairs are every conflict and stitch bit whose rows hold
+            # only the bit and two colours: no cut and no merge term
+            rows_of: dict[int, list] = {}
+            for con in model.constraints:
+                for vid, _ in con.terms:
+                    rows_of.setdefault(vid, []).append(con)
+            rigid = {
+                vid
+                for vid, v in enumerate(model.variables)
+                if v.kind in ("conflict", "stitch") and all(len(con.terms) == 3 for con in rows_of[vid])
+            }
+            assert {c for _, _, c, _ in model.pair_costs} == rigid, (k, corrected)
+            pairs += len(model.pair_costs)
+            stitches += sum(not eq for *_, eq in model.pair_costs)
+    assert pairs >= 1000 and stitches >= 60, (pairs, stitches)
 
 
 def test_stitch_terms_come_from_the_piece():

@@ -74,7 +74,7 @@ def test_traced_decompose_counts_the_pieces_and_models(tmp_path):
     lg, eg = build_graphs(feats, cfg)
     pieces = [
         (piece, comp_eg)
-        for comp, comp_eg in split_components(lg, eg)
+        for comp, comp_eg in split_components(lg, eg)[1]
         for piece in split_bridges(comp, comp_eg)[0]
     ]
     distinct = {}

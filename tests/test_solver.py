@@ -1,18 +1,30 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import leleec.solver as solver_module
 from leleec.decomposer import build_graphs, decompose
-from leleec.ilp_model import IlpModel, ProblemGraph, build_lelele_baseline, build_model_from_problem
+from leleec.ilp_model import (
+    Constraint,
+    IlpModel,
+    ProblemGraph,
+    build_lelele_baseline,
+    build_model_from_problem,
+)
 from leleec.solver import (
     BRUTE_FORCE_CAP,
     Infeasible,
+    SolverError,
     TimeLimit,
     TooLarge,
     brute_force,
+    pair_rows,
     solve,
 )
 
@@ -199,18 +211,19 @@ def test_via_block_work_count():
     # gating skips only rows that cannot force, so it must not move
     assert s_off.nodes_explored == 41236
     assert s_on.nodes_explored <= 0.6 * s_off.nodes_explored
-    # the same searches with the colour-space bound
+    # the same searches with the colour-space bound, and with the conflict
+    # bits settled from their colours instead of branched on
     (b_on, t_on), (b_off, t_off) = _kind_then_id(model, _solve_both_halves)
     assert b_on == b_off == a_on and t_on.best_cost == t_off.best_cost == 34
-    assert t_off.nodes_explored == 7100
-    assert t_on.nodes_explored == 4761
+    assert t_off.nodes_explored == 5088
+    assert t_on.nodes_explored == 2749
     # graph-order branching, without and with the bound
     (c_on, u_on), (c_off, u_off) = _without_bound(model, _solve_both_halves)
     assert c_on == c_off and u_on.best_cost == u_off.best_cost == 34
     assert (u_off.nodes_explored, u_on.nodes_explored) == (33160, 17353)
     (d_on, v_on), (d_off, v_off) = _solve_both_halves(model)
     assert d_on == d_off == c_on and v_on.best_cost == v_off.best_cost == 34
-    assert (v_off.nodes_explored, v_on.nodes_explored) == (3102, 2213)
+    assert (v_off.nodes_explored, v_on.nodes_explored) == (1930, 1041)
 
 
 def _bound_models() -> list[IlpModel]:
@@ -229,16 +242,94 @@ def _bound_models() -> list[IlpModel]:
 
 
 def test_colour_space_bound_keeps_assignment_and_cost():
+    """With pair costs the solver bounds with them and settles their cost
+    bits from the colours; cleared, it searches those bits like any other.
+    Both give one assignment and cost, and the via blocks, where every
+    conflict is a pair, take strictly fewer nodes with them."""
     pruned = with_pairs = stitched = 0
     for k, model in enumerate(_bound_models()):
         a_on, s_on = solve(model)
         a_off, s_off = _without_bound(model, solve)
         assert a_on == a_off and s_on.best_cost == s_off.best_cost, f"model {k}"
         assert s_on.nodes_explored <= s_off.nodes_explored, f"model {k}"
+        if k in (1, 2):  # via blocks 3x4 and 4x4
+            assert s_on.nodes_explored < s_off.nodes_explored, f"model {k}"
         with_pairs += bool(model.pair_costs)
         stitched += any(not when_equal for *_, when_equal in model.pair_costs)
         pruned += s_on.nodes_explored < s_off.nodes_explored
     assert with_pairs >= 80 and stitched >= 30 and pruned >= 20, (with_pairs, stitched, pruned)
+
+
+def _rigid_pair_model(when_equal: bool = True) -> IlpModel:
+    """Two colour bits and one cost bit in the pair's two rows, as the model builder writes them."""
+    model = IlpModel(flip_symmetric=True)
+    xu = model.add_var("x_0", "color", (0,))
+    xv = model.add_var("x_1", "color", (1,))
+    if when_equal:
+        c = model.add_var("c_0_1", "conflict", (0, 1))
+        model.add_constraint("same_0_1", [(xu, 1), (xv, 1), (c, -1)], 1)
+        model.add_constraint("diff_0_1", [(xu, -1), (xv, -1), (c, -1)], -1)
+    else:
+        c = model.add_var("s_0_1", "stitch", (0, 1))
+        model.add_constraint("st_lo_0_1", [(xu, 1), (xv, -1), (c, -1)], 0)
+        model.add_constraint("st_hi_0_1", [(xv, 1), (xu, -1), (c, -1)], 0)
+    model.objective[c] = Fraction(1)
+    model.pair_costs.append((xu, xv, c, when_equal))
+    return model
+
+
+def _extra_row(model: IlpModel) -> None:
+    model.add_constraint("pin", [(2, 1)], 0)
+
+
+def _foreign_bit(model: IlpModel) -> None:
+    model.add_var("x_2", "color", (2,))
+    con = model.constraints[0]
+    model.constraints[0] = Constraint(con.label, (*con.terms, (3, 1)), con.rhs + 1)
+
+
+def _wrong_sense(model: IlpModel) -> None:
+    *bits, when_equal = model.pair_costs[0]
+    model.pair_costs[0] = (*bits, not when_equal)
+
+
+def _shared_cost_bit(model: IlpModel) -> None:
+    model.pair_costs.append(model.pair_costs[0])
+
+
+def _negative_cost(model: IlpModel) -> None:
+    model.objective[2] = Fraction(-1)
+
+
+@pytest.mark.parametrize("when_equal", (True, False))
+@pytest.mark.parametrize(
+    "breach", (_extra_row, _foreign_bit, _wrong_sense, _shared_cost_bit, _negative_cost)
+)
+def test_a_model_that_breaks_the_pair_contract_is_refused(breach, when_equal):
+    model = _rigid_pair_model(when_equal)
+    assignment, stats = solve(model)
+    assert assignment[2] == int((assignment[0] == assignment[1]) == when_equal)
+    assert stats.best_cost == 0 and pair_rows(model) == {0, 1}
+    breach(model)
+    with pytest.raises(SolverError, match="pair"):
+        solve(model)
+
+
+def test_a_time_limited_solve_writes_pair_bits_from_the_colours(monkeypatch):
+    """The clock is a call counter, so the search stops at the same node on
+    every run: after its first incumbent and before the 4x4 block's proof
+    (1,041 nodes). Each pair cost bit of that incumbent is its colours'
+    indicator."""
+    lg, eg = build_graphs(*via_block(4, 4))
+    model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
+    ticks = itertools.count()
+    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    assignment, stats = solve(model, time_limit=200)
+    assert not stats.proven_optimal and stats.nodes_explored == 200
+    assert stats.best_cost == model.objective_value(assignment) >= 34
+    model.check_assignment(assignment)
+    for xu, xv, cvar, when_equal in model.pair_costs:
+        assert assignment[cvar] == int((assignment[xu] == assignment[xv]) == when_equal)
 
 
 def test_solve_leaves_no_garbage():
@@ -286,6 +377,13 @@ def test_monotonicity_adding_constraint_never_helps():
         _, before = solve(model)
         v = rng.randrange(model.num_vars)
         model.add_constraint("pin_extra", [(v, 1)], 0)  # forbid v = 1
+        pinned_pairs = [p for p in model.pair_costs if p[2] == v]
+        if pinned_pairs:
+            # a third row on a pair's cost bit breaks the pair contract:
+            # solve refuses the model until the pair is no longer declared
+            with pytest.raises(SolverError, match="pair contract"):
+                solve(model)
+            model.pair_costs.remove(pinned_pairs[0])
         try:
             _, after = solve(model)
         except Infeasible:
