@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -460,19 +460,23 @@ def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
             p.decoded.colors[v] = colors[v]
 
 
-def build_graphs(features: list[Feature], cfg: Config):
+def build_graphs(features: list[Feature], cfg: Config, classify: Collection[int] | None = None):
     """Shared pipeline front end: annotated layout graph + end-cut graph.
 
     One feature index serves every stage. Its one near-pair walk, in the
     conflict build, raises OverlappingInput for touching or overlapping
-    features.
+    features. Every candidate is generated and is a node of the end-cut
+    graph, but only the pairs of the candidate ids in `classify` are
+    classified; None, as `decompose` passes, classifies every pair. A
+    pair's class depends on its own two cuts alone (see `endcut`), so an
+    edge between two ids in `classify` is the same either way.
     """
     index = feature_index(features, cfg)
     g0 = build_conflict_edges(features, cfg, index)
     candidates = generate_candidates(features, sorted(g0.conflict_edges), cfg, index)
     g = generate_stitch_candidates(features, g0, cfg) if cfg.enable_stitch else g0
     g = annotate_end_cuts(g, candidates)
-    eg = build_endcut_graph(candidates, features, cfg, index)
+    eg = build_endcut_graph(candidates, features, cfg, index, classify)
     return g, eg
 
 

@@ -211,21 +211,6 @@ def split_polygon(p: Polygon, axis: str, coord: int) -> tuple[Polygon | None, Po
     return (Polygon(tuple(low)) if low else None, Polygon(tuple(high)) if high else None)
 
 
-def subtract_intervals(extent: Interval, covered: list[Interval]) -> list[Interval]:
-    """Maximal sub-intervals of extent not covered by the union of covered."""
-    lo, hi = extent
-    events = sorted((max(lo, a), min(hi, b)) for a, b in covered if a < hi and b > lo)
-    out: list[Interval] = []
-    cur = lo
-    for a, b in events:
-        if a > cur:
-            out.append((cur, a))
-        cur = max(cur, b)
-    if cur < hi:
-        out.append((cur, hi))
-    return out
-
-
 def near_pairs(rects: Sequence[Rect], gap: int) -> list[tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, of rects at most `gap` apart along each axis.
 

@@ -22,7 +22,8 @@ colour bits and its cost bit, and force the cost bit to 1 exactly when
 the colours are equal (a conflict) or differ (a stitch). The solver
 relies on it: it settles every pair cost bit from its colours instead of
 branching on it, bounds with the pairs, and raises `SolverError` on a
-model that breaks the contract (`solver.pair_rows` checks it).
+model that breaks the contract (`solver.row_tables` checks it, in the one
+row scan that builds the search tables).
 
 `build_lelele_baseline` is the three-mask coloring model of the paper's
 comparison over the same `ProblemGraph`: two color bits per vertex and a

@@ -36,7 +36,6 @@ from .geometry import (
     polygon_distance,
     rect_distance,
     split_polygon,
-    subtract_intervals,
 )
 
 EdgeKey = tuple[int, int]
@@ -183,23 +182,19 @@ def build_conflict_edges(features: list[Feature], cfg: Config, index: FeatureInd
     return LayoutGraph(vertices=vertices, conflict_edges=edges, stitch_edges=set())
 
 
-def _spine_axis(shape: Polygon) -> str:
-    bb = shape.bbox
-    return HORIZONTAL if bb.width >= bb.height else VERTICAL
-
-
 def generate_stitch_candidates(
     features: list[Feature], graph: LayoutGraph, cfg: Config
 ) -> LayoutGraph:
     """Split features at legal stitch positions; re-express CE over segments.
 
     `graph` must be the feature-level conflict graph (one vertex per feature).
-    A feature with conflicting neighbours is cut along its spine axis: each
-    neighbour's bbox extent, dilated by dis_m, is covered, and each maximal
-    uncovered interval of length >= w_min yields one cut at its floor
-    midpoint, unless the cut is the feature's own low edge or would
-    disconnect a piece. A neighbour is edge-connected, so its rects project
-    onto its whole bbox extent: the bbox covers what its rects cover.
+    A feature with conflicting neighbours is cut along its spine axis, the
+    longer side of its bbox (x on a tie): each neighbour's bbox extent,
+    dilated by dis_m, is covered, and each maximal uncovered interval of
+    length >= w_min yields one cut at its floor midpoint, unless the cut is
+    the feature's own low edge or would disconnect a piece. A neighbour is
+    edge-connected, so its rects project onto its whole bbox extent: the
+    bbox covers what its rects cover.
 
     Each feature conflict edge becomes exactly one segment edge, at the
     feature pair's distance. Every point of f within dis_m of a neighbour g
@@ -214,41 +209,57 @@ def generate_stitch_candidates(
         neighbor_ids[u].append(v)
         neighbor_ids[v].append(u)
 
+    dis_m, w_min = cfg.dis_m, cfg.w_min
+    bboxes = [f.shape.bbox for f in features]
     vertices: list[Segment] = []
     segments_of: list[list[int]] = []
-    cuts_of: list[tuple[str, list[int]]] = []
+    # per feature: the index of its spine's low coordinate in a Rect (0 for
+    # x, 1 for y; the high one is 2 more), and its cut positions
+    cuts_of: list[tuple[int, list[int]]] = []
     for f in features:
-        axis = _spine_axis(f.shape)
-        lo, hi = f.shape.bbox.extent(axis)
-        covered = []
-        for n in neighbor_ids[f.id]:
-            a, b = features[n].shape.bbox.extent(axis)
-            covered.append((a - cfg.dis_m, b + cfg.dis_m))
-        # conflict-free features are never split
-        gaps = subtract_intervals((lo, hi), covered) if covered else []
+        bb = bboxes[f.id]
+        k = 0 if bb.x_hi - bb.x_lo >= bb.y_hi - bb.y_lo else 1
+        lo, hi = bb[k], bb[k + 2]
         pieces = [f.shape]
         cuts: list[int] = []
-        for a, b in gaps:
-            pos = (a + b) // 2
-            if b - a < cfg.w_min or pos <= lo:
-                continue  # too narrow, or the gap [lo, lo + 1] gives pos == lo
-            # positions ascend, so only the last piece spans pos
-            try:
-                low, high = split_polygon(pieces[-1], axis, pos)
-            except GeometryError:
-                continue  # cut would disconnect the piece; skip this position
-            pieces[-1:] = [low, high]
-            cuts.append(pos)
+        # conflict-free features are never split
+        if neighbor_ids[f.id]:
+            # a conflicting neighbour is within dis_m along the spine too, so
+            # each dilated extent (a, b) has a < hi and b > lo
+            spans = sorted(
+                [(bboxes[n][k] - dis_m, bboxes[n][k + 2] + dis_m) for n in neighbor_ids[f.id]]
+            )
+            gaps = []
+            cur = lo  # the spine is covered from lo up to cur
+            for a, b in spans:
+                if a > cur:
+                    gaps.append((cur, a))
+                if b > cur:
+                    cur = b
+            if cur < hi:
+                gaps.append((cur, hi))
+            axis = HORIZONTAL if k == 0 else VERTICAL
+            for a, b in gaps:
+                pos = (a + b) // 2
+                if b - a < w_min or pos <= lo:
+                    continue  # too narrow, or the gap [lo, lo + 1] gives pos == lo
+                # positions ascend, so only the last piece spans pos
+                try:
+                    low, high = split_polygon(pieces[-1], axis, pos)
+                except GeometryError:
+                    continue  # cut would disconnect the piece; skip this position
+                pieces[-1:] = [low, high]
+                cuts.append(pos)
         ids = []
         for piece in pieces:
             ids.append(len(vertices))
             vertices.append(Segment(id=len(vertices), feature=f.id, shape=piece))
         segments_of.append(ids)
-        cuts_of.append((axis, cuts))
+        cuts_of.append((k, cuts))
 
     def segment_near(f: int, g: int) -> int:
-        axis, cuts = cuts_of[f]
-        return segments_of[f][bisect_right(cuts, features[g].shape.bbox.extent(axis)[0])]
+        k, cuts = cuts_of[f]
+        return segments_of[f][bisect_right(cuts, bboxes[g][k])]
 
     # fu < fv, so its segment ids are the smaller ones
     edges: dict[EdgeKey, int | None] = {

@@ -353,6 +353,10 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
     1-3 over the conflict graph, no cuts and no stitches: its conflicts must
     be exactly the monochromatic conflict edges, and its cost their number.
     The config is checked against the layout's before any graph is built.
+    Every candidate is regenerated, so ids and geometry are checked against
+    all of them, but only the pairs of the ids the result lists are
+    classified: every check reads only edges between two selected cuts,
+    and a pair's class does not depend on the other candidates.
     Raises OverlappingInput, from the graph build, when layout features
     touch or overlap.
     """
@@ -372,11 +376,16 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
     if problems:
         return problems
 
+    cuts = result.get("selected_cuts", [])
     if lelele:
         lg = build_conflict_edges(features, cfg, feature_index(features, cfg))
         eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
     else:
-        lg, eg = build_graphs(features, cfg)
+        # only the listed ids' pairs are classified; malformed entries are
+        # reported below, in order
+        entries = cuts if isinstance(cuts, list) else []
+        ids = {c["id"] for c in entries if isinstance(c, dict) and _is_int(c.get("id"))}
+        lg, eg = build_graphs(features, cfg, ids)
 
     raw_colors = result.get("colors")
     if not isinstance(raw_colors, dict):
@@ -405,7 +414,6 @@ def verify_result(features: list[Feature], layout_cfg: Config, result: dict) -> 
         )
         return problems
 
-    cuts = result.get("selected_cuts", [])
     raw_conflicts = result.get("conflicts", [])
     got_stitches = result.get("stitches", [])
     sections = {"selected_cuts": cuts, "conflicts": raw_conflicts, "stitches": got_stitches}

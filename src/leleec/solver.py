@@ -67,8 +67,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
-from .ilp_model import IlpModel
+from .ilp_model import Constraint, IlpModel
 
 
 class SolverError(Exception):
@@ -121,8 +122,27 @@ _PAIR_ROW_FORMS = {
 }
 
 
-def pair_rows(model: IlpModel) -> set[int]:
-    """Indices of the rows of the model's pair costs.
+class RowTables(NamedTuple):
+    """The rows the search reads, with their tables, and the pair rows it skips.
+
+    rows[r] is a row of the model that holds no pair cost bit; slack[r] is
+    its rhs less the sum of its terms' minimum contributions (violated iff
+    < 0), and max_coeff[r] its largest |coefficient|, so a row with slack
+    at least that forces nothing. drops[val][vid] lists (r, slack drop) for
+    each row whose slack falls when vid := val, i.e. whose contribution
+    moves up from min(0, coeff). pair_rows holds the model indices of the
+    rows of its pair costs, which the search settles from the colours.
+    """
+
+    rows: list[Constraint]
+    slack: list[int]
+    max_coeff: list[int]
+    drops: list[list[list[tuple[int, int]]]]
+    pair_rows: set[int]
+
+
+def row_tables(model: IlpModel) -> RowTables:
+    """One scan over the model's rows: the search tables, and the pair rows.
 
     Raises SolverError unless the pairs keep the contract of
     `IlpModel.pair_costs`: each pair's cost bit is its own, costs >= 0 and
@@ -134,11 +154,33 @@ def pair_rows(model: IlpModel) -> set[int]:
     if len(pair_of) != len(model.pair_costs):
         raise SolverError("two pair costs share a cost bit")
     found: list[list[int]] = [[] for _ in model.pair_costs]
+    rows: list[Constraint] = []
+    slack: list[int] = []
+    max_coeff: list[int] = []
+    drops: list[list[list[tuple[int, int]]]] = [[[] for _ in range(model.num_vars)] for _ in (0, 1)]
     for ridx, con in enumerate(model.constraints):
-        for vid, _ in con.terms:
-            k = pair_of.get(vid)
-            if k is not None:
-                found[k].append(ridx)
+        terms = con.terms
+        if pair_of:
+            on_pair = [pair_of[vid] for vid, _ in terms if vid in pair_of]
+            if on_pair:
+                for k in on_pair:
+                    found[k].append(ridx)
+                continue
+        r = len(rows)
+        rows.append(con)
+        s, top = con.rhs, 0
+        for vid, coeff in terms:
+            if coeff < 0:
+                s -= coeff
+                drops[0][vid].append((r, -coeff))
+                if -coeff > top:
+                    top = -coeff
+            else:
+                drops[1][vid].append((r, coeff))
+                if coeff > top:
+                    top = coeff
+        slack.append(s)
+        max_coeff.append(top)
     for (xu, xv, cvar, when_equal), ridxs in zip(model.pair_costs, found):
         forms = set()
         for ridx in ridxs:
@@ -148,7 +190,7 @@ def pair_rows(model: IlpModel) -> set[int]:
                 forms.add((coeff.get(xu), coeff.get(xv), coeff[cvar], con.rhs))
         if len(ridxs) != 2 or forms != _PAIR_ROW_FORMS[when_equal] or model.objective.get(cvar, 0) < 0:
             raise SolverError(f"pair cost {model.variables[cvar].name} breaks the pair contract")
-    return {ridx for ridxs in found for ridx in ridxs}
+    return RowTables(rows, slack, max_coeff, drops, {ridx for ridxs in found for ridx in ridxs})
 
 
 def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], SolveStats]:
@@ -156,35 +198,16 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
 
     On time limit the incumbent is returned with proven_optimal=False;
     TimeLimit is raised only when no incumbent exists yet. A model that
-    breaks the pair contract (see `pair_rows`) raises SolverError.
+    breaks the pair contract (see `row_tables`) raises SolverError.
     """
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     n = model.num_vars
     costs, denom = _scaled_objective(model)
     # pair cost bits are settled from their colours, outside the search and the rows
-    skipped = pair_rows(model)
+    rows, slack, max_coeff, drops, _ = row_tables(model)
     cost_bits = {cvar for _, _, cvar, _ in model.pair_costs}
     order = [vid for vid in model.search_order() if vid not in cost_bits]
     depth = len(order)
-
-    rows = [con for ridx, con in enumerate(model.constraints) if ridx not in skipped]
-    # slack[r] = rhs - sum over terms of the minimum contribution; violated iff < 0
-    slack: list[int] = []
-    # a row whose slack is at least its largest |coefficient| forces nothing
-    max_coeff: list[int] = []
-    # drops[val][vid]: (row, slack drop) for each row whose slack falls when
-    # vid := val, i.e. whose contribution moves up from min(0, coeff)
-    drops: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in (0, 1)]
-    for ridx, con in enumerate(rows):
-        s = con.rhs
-        for vid, coeff in con.terms:
-            if coeff < 0:
-                s -= coeff
-                drops[0][vid].append((ridx, -coeff))
-            else:
-                drops[1][vid].append((ridx, coeff))
-        slack.append(s)
-        max_coeff.append(max((abs(coeff) for _, coeff in con.terms), default=0))
 
     value = [-1] * n
     trail: list[int] = []

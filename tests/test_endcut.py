@@ -13,13 +13,19 @@ from leleec.endcut import (
     gen_edge_edge,
     generate_candidates,
 )
+from leleec.decomposer import build_graphs
 from leleec.geometry import (
+    HORIZONTAL,
+    VERTICAL,
     Polygon,
     Rect,
+    near_pairs,
     polygon_distance,
+    projection_interval,
     rect_distance,
     rect_overlaps_polygon,
     rect_union_bbox,
+    rects_overlap,
 )
 from leleec.layout_graph import Config, Feature, build_conflict_edges, feature_index
 from leleec.synth import gen_synthetic
@@ -31,10 +37,15 @@ def F(fid, *rects):
     return Feature(fid, Polygon.of(*rects))
 
 
+def _rects(*features):
+    """The obstacle rects of the given features, as the kernels take them."""
+    return [r for f in features for r in f.shape.rects]
+
+
 def test_edge_edge_projection_cut():
     cfg = Config.from_rules(10, 10, w_th=20)
     a, b = F(0, (0, 0, 10, 40)), F(1, (16, 10, 26, 50))
-    cut = gen_edge_edge(a, b, cfg, [a, b])
+    cut = gen_edge_edge(a, b, cfg, _rects(a, b))
     assert cut is not None and tuple(cut) == (10, 10, 16, 40)
 
 
@@ -42,21 +53,21 @@ def test_edge_edge_narrow_projection_forbidden():
     cfg = Config.from_rules(10, 10, w_th=20)
     a, b = F(0, (0, 0, 10, 40)), F(1, (16, 25, 26, 50))
     # projection [25,40] is 15 wide, below the 20 threshold
-    assert gen_edge_edge(a, b, cfg, [a, b]) is None
+    assert gen_edge_edge(a, b, cfg, _rects(a, b)) is None
 
 
 def test_edge_edge_blocked_by_third_feature():
     cfg = Config.from_rules(10, 10, w_th=10)
     a, b = F(0, (0, 0, 10, 40)), F(1, (30, 0, 40, 40))
     blocker = F(2, (16, 10, 24, 30))
-    assert gen_edge_edge(a, b, cfg, [a, b]) is not None
-    assert gen_edge_edge(a, b, cfg, [a, b, blocker]) is None
+    assert gen_edge_edge(a, b, cfg, _rects(a, b)) is not None
+    assert gen_edge_edge(a, b, cfg, _rects(a, b, blocker)) is None
 
 
 def test_corner_corner_four_placements_minimal_area():
     cfg = Config.from_rules(10, 10, w_th=4)
     a, b = F(0, (0, 0, 10, 10)), F(1, (14, 14, 24, 24))
-    cut = gen_corner_corner(a, b, cfg, [a, b])
+    cut = gen_corner_corner(a, b, cfg, _rects(a, b))
     assert cut is not None and tuple(cut) == (10, 10, 14, 14)
 
 
@@ -64,7 +75,7 @@ def test_corner_corner_all_placements_blocked():
     cfg = Config.from_rules(10, 10, w_th=4)
     a, b = F(0, (0, 0, 10, 10)), F(1, (14, 14, 24, 24))
     blocker = F(2, (11, 10, 13, 16))  # sits inside the corner gap
-    assert gen_corner_corner(a, b, cfg, [a, b, blocker]) is None
+    assert gen_corner_corner(a, b, cfg, _rects(a, b, blocker)) is None
 
 
 def test_corner_corner_symmetric_tie_breaks_to_smallest_lo():
@@ -72,7 +83,7 @@ def test_corner_corner_symmetric_tie_breaks_to_smallest_lo():
     # base rect between corners is 2 x 6: both x-thickened placements have
     # area 24 and tie; lexicographically smaller lo wins
     a, b = F(0, (0, 0, 10, 10)), F(1, (12, 16, 22, 26))
-    cut = gen_corner_corner(a, b, cfg, [a, b])
+    cut = gen_corner_corner(a, b, cfg, _rects(a, b))
     assert cut is not None
     assert tuple(cut) == (8, 10, 12, 16)
 
@@ -82,7 +93,7 @@ def test_corner_corner_far_corners_rejected():
     cfg = Config.from_rules(10, 10)
     a = F(0, (0, 0, 10, 40))
     b = F(1, (-100, -30, 126, -20))
-    cut = gen_corner_corner(a, b, cfg, [a, b])
+    cut = gen_corner_corner(a, b, cfg, _rects(a, b))
     assert cut is None
 
 
@@ -94,7 +105,7 @@ def test_priority_edge_edge_then_corner_corner():
     cands = generate_candidates(feats, sorted(g.conflict_edges), cfg, index)
     assert [c.kind for c in cands] == [EDGE_EDGE]
     # corner-corner is only attempted when edge-edge fails
-    assert gen_edge_edge(feats[0], feats[1], cfg, feats) is not None
+    assert gen_edge_edge(feats[0], feats[1], cfg, _rects(*feats)) is not None
 
 
 def test_candidate_interiors_clear_of_features():
@@ -233,17 +244,106 @@ def test_classification_is_a_partition():
                     assert in_solid == (d < disc_sq)
 
 
-# ---- the indexed front end against its all-pairs, all-obstacle references
+# ---- the indexed front end against its all-pairs, all-obstacle references,
+# and the flat-rect kernels against the polygon-level kernels they replaced
+
+
+def _rank(rect):
+    return (rect.area(), rect.x_lo, rect.y_lo)
+
+
+def polygon_edge_edge(a, b, cfg, obstacles=()):
+    """gen_edge_edge tried in all four facing orientations of each rect pair,
+    with extents read by axis name and obstacles tested as feature polygons."""
+    best = None
+    for ra in a.shape.rects:
+        for rb in b.shape.rects:
+            for lo_rect, hi_rect, gap_axis in (
+                (ra, rb, HORIZONTAL),
+                (rb, ra, HORIZONTAL),
+                (ra, rb, VERTICAL),
+                (rb, ra, VERTICAL),
+            ):
+                _, lo_end = lo_rect.extent(gap_axis)
+                hi_start, _ = hi_rect.extent(gap_axis)
+                gap = hi_start - lo_end
+                if gap <= 0 or gap >= cfg.dis_m:
+                    continue
+                proj_axis = VERTICAL if gap_axis == HORIZONTAL else HORIZONTAL
+                proj = projection_interval(lo_rect, hi_rect, proj_axis)
+                if proj is None or proj[1] - proj[0] < cfg.w_th:
+                    continue
+                if gap_axis == HORIZONTAL:
+                    cut = Rect(lo_end, proj[0], hi_start, proj[1])
+                else:
+                    cut = Rect(proj[0], lo_end, proj[1], hi_start)
+                if any(rect_overlaps_polygon(cut, f.shape) for f in obstacles):
+                    continue
+                if best is None or _rank(cut) < _rank(best):
+                    best = cut
+    return best
+
+
+def polygon_corner_corner(a, b, cfg, obstacles=()):
+    """gen_corner_corner with the nearest corner pair found by a running
+    comparison and obstacles tested as feature polygons."""
+    if cfg.w_th >= cfg.dis_m:
+        return None
+    corners = leleec.endcut._polygon_corners
+    best_pair, best_d = None, None
+    for pa in corners(a):
+        for pb in corners(b):
+            d = (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
+            if best_d is None or (d, pa, pb) < (best_d, *best_pair):
+                best_d, best_pair = d, (pa, pb)
+    if best_d >= cfg.dis_m * cfg.dis_m:
+        return None
+    (ax, ay), (bx, by) = best_pair
+    x_lo, x_hi, y_lo, y_hi = min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)
+    best = None
+    for axis in (HORIZONTAL, VERTICAL):
+        lo, hi = (x_lo, x_hi) if axis == HORIZONTAL else (y_lo, y_hi)
+        grow = cfg.w_th - (hi - lo)
+        for s_lo, s_hi in [(lo, hi)] if grow <= 0 else [(lo - grow, hi), (lo, hi + grow)]:
+            cut = Rect(s_lo, y_lo, s_hi, y_hi) if axis == HORIZONTAL else Rect(x_lo, s_lo, x_hi, s_hi)
+            if min(cut.width, cut.height) < cfg.w_th:
+                continue
+            if any(rect_overlaps_polygon(cut, f.shape) for f in obstacles):
+                continue
+            if best is None or _rank(cut) < _rank(best):
+                best = cut
+    return best
+
+
+def polygon_endcut_graph(candidates, features, cfg, index):
+    """build_endcut_graph over the same sweep, with distances from
+    rect_distance, the shared feature from a participant set and the merged
+    bbox tested against the neighbours' polygons."""
+    solid, dash = set(), set()
+    for i, j in near_pairs([c.cut_rect for c in candidates], max(cfg.dis_c, cfg.merge_gap)):
+        p, q = candidates[i], candidates[j]
+        d = rect_distance(p.cut_rect, q.cut_rect)
+        participants = {p.feature_a, p.feature_b, q.feature_a, q.feature_b}
+        if len(participants) < 4 and d <= cfg.merge_gap**2:
+            shared = p.feature_a if p.feature_a in (q.feature_a, q.feature_b) else p.feature_b
+            bbox = rect_union_bbox(p.cut_rect, q.cut_rect)
+            others = (features[k] for k in index.near[shared] if k not in participants)
+            if not any(rect_overlaps_polygon(bbox, f.shape) for f in others):
+                dash.add((p.id, q.id))
+                continue
+        if d < cfg.dis_c**2:
+            solid.add((p.id, q.id))
+    return EndCutGraph(nodes=list(candidates), solid_edges=solid, dash_edges=dash)
 
 
 def all_obstacle_candidates(features, pairs, cfg):
-    """generate_candidates with every feature tested as an obstacle."""
+    """generate_candidates from the polygon kernels, every feature an obstacle."""
     out = []
     for fa, fb in sorted(pairs):
         a, b = features[fa], features[fb]
-        rect, kind = gen_edge_edge(a, b, cfg, features), EDGE_EDGE
+        rect, kind = polygon_edge_edge(a, b, cfg, features), EDGE_EDGE
         if rect is None:
-            rect, kind = gen_corner_corner(a, b, cfg, features), CORNER_CORNER
+            rect, kind = polygon_corner_corner(a, b, cfg, features), CORNER_CORNER
         if rect is not None:
             out.append(EndCutCandidate(len(out), fa, fb, rect, kind))
     return out
@@ -286,8 +386,8 @@ def _random_polygons(rng, n, box):
     return [Feature(i, p) for i, p in enumerate(shapes)]
 
 
-def test_indexed_front_end_matches_all_pairs_reference():
-    totals = {"corner": 0, "solid": 0, "dash": 0, "wide_merge": 0, "wide_cut": 0}
+def _rule_sets():
+    """(seed, rng, features, config) of 40 seeded layouts, each with its own rules."""
     for seed in range(40):
         rng = random.Random(800 + seed)
         feats = _random_polygons(rng, rng.randrange(4, 40), box=rng.choice([150, 300, 600]))
@@ -299,6 +399,20 @@ def test_indexed_front_end_matches_all_pairs_reference():
             dis_c=rng.choice([20, 50, 90]),
             merge_gap=rng.choice([5, 10, 40, 120]),
         )
+        yield seed, rng, feats, cfg
+
+
+def _motif_layouts():
+    """Motif arrays under their own rules and with a wider merge gap."""
+    for motifs, seed in ((1, 0), (8, 1), (32, 2)):
+        feats, cfg = gen_synthetic("clique4_array", motifs, seed, Config.from_rules(10, 10))
+        yield feats, cfg
+        yield feats, Config.from_rules(10, 10, w_th=10, merge_gap=30, dis_c=20)
+
+
+def test_indexed_front_end_matches_all_pairs_reference():
+    totals = {"corner": 0, "solid": 0, "dash": 0, "wide_merge": 0, "wide_cut": 0}
+    for seed, rng, feats, cfg in _rule_sets():
         index = feature_index(feats, cfg)
         pairs = sorted(build_conflict_edges(feats, cfg, index).conflict_edges)
         cands = generate_candidates(feats, pairs, cfg, index)
@@ -316,16 +430,61 @@ def test_indexed_front_end_matches_all_pairs_reference():
     assert all(totals.values()), totals
 
 
+def test_flat_rect_kernels_match_polygon_kernels():
+    """Every conflict pair's edge-edge and corner-corner cut, over the same
+    obstacles, and the classification of the same swept pairs."""
+    totals = {"edge": 0, "corner": 0, "solid": 0, "dash": 0}
+    layouts = [(feats, cfg) for _, _, feats, cfg in _rule_sets()] + list(_motif_layouts())
+    for k, (feats, cfg) in enumerate(layouts):
+        index = feature_index(feats, cfg)
+        pairs = sorted(build_conflict_edges(feats, cfg, index).conflict_edges)
+        for fa, fb in pairs:
+            a, b = feats[fa], feats[fb]
+            near = [feats[n] for n in index.near[fa]]
+            edge = gen_edge_edge(a, b, cfg, _rects(*near))
+            corner = gen_corner_corner(a, b, cfg, _rects(*near))
+            assert edge == polygon_edge_edge(a, b, cfg, near), (k, fa, fb)
+            assert corner == polygon_corner_corner(a, b, cfg, near), (k, fa, fb)
+            totals["edge"] += edge is not None
+            totals["corner"] += corner is not None
+        cands = generate_candidates(feats, pairs, cfg, index)
+        eg = build_endcut_graph(cands, feats, cfg, index)
+        ref = polygon_endcut_graph(cands, feats, cfg, index)
+        assert (eg.solid_edges, eg.dash_edges) == (ref.solid_edges, ref.dash_edges), k
+        totals["solid"] += len(eg.solid_edges)
+        totals["dash"] += len(eg.dash_edges)
+    assert all(totals.values()), totals
+
+
+def test_classifying_a_subset_keeps_the_full_graph_edges_inside_it():
+    layouts = [(feats, cfg) for _, _, feats, cfg in _rule_sets()] + list(_motif_layouts())
+    rng = random.Random(5)
+    kept = 0
+    for k, (feats, cfg) in enumerate(layouts):
+        lg, eg = build_graphs(feats, cfg)
+        ids = range(len(eg.nodes))
+        for size in sorted({0, min(1, len(ids)), len(ids) // 3, len(ids) // 2, len(ids)}):
+            subset = set(rng.sample(ids, size)) | {len(ids), -1}  # unknown ids are ignored
+            sub_lg, sub_eg = build_graphs(feats, cfg, subset)
+            assert sub_lg == lg and sub_eg.nodes == eg.nodes, k
+            for name in ("solid_edges", "dash_edges"):
+                inside = {e for e in getattr(eg, name) if e[0] in subset and e[1] in subset}
+                assert getattr(sub_eg, name) == inside, (k, size, name)
+                kept += len(inside) * (size < len(ids))
+    assert kept > 0
+
+
 def test_cut_pairs_examined_grow_linearly_with_motifs(monkeypatch):
     """A count of the pairs build_endcut_graph classifies, not a timing."""
     examined = [0]
-    distance = leleec.endcut.rect_distance
+    sweep = leleec.endcut.near_pairs
 
-    def counted(a, b):
-        examined[0] += 1
-        return distance(a, b)
+    def counted(rects, gap):
+        pairs = sweep(rects, gap)
+        examined[0] += len(pairs)
+        return pairs
 
-    monkeypatch.setattr(leleec.endcut, "rect_distance", counted)
+    monkeypatch.setattr(leleec.endcut, "near_pairs", counted)
     counts = []
     for motifs in (64, 128):
         feats, cfg = gen_synthetic("clique4_array", motifs, 0, Config.from_rules(10, 10))
@@ -363,7 +522,7 @@ def corner_corner_without_shortcut(a, b, cfg, obstacles=(), corners=None):
         cut
         for cut in shapes
         if min(cut.width, cut.height) >= cfg.w_th
-        and not any(rect_overlaps_polygon(cut, f.shape) for f in obstacles)
+        and not any(rects_overlap(cut, r) for r in obstacles)
     ]
     return min(fits, key=lambda r: (r.area(), r.x_lo, r.y_lo), default=None)
 
@@ -410,4 +569,6 @@ def test_corner_cuts_remain_when_w_th_is_below_dis_m(monkeypatch):
     assert corners > 0
     cfg = Config.from_rules(10, 10, w_th=4)
     a, b = F(0, (0, 0, 10, 10)), F(1, (14, 14, 24, 24))
-    assert gen_corner_corner(a, b, cfg, [a, b]) == corner_corner_without_shortcut(a, b, cfg, [a, b])
+    obstacles = _rects(a, b)
+    expected = corner_corner_without_shortcut(a, b, cfg, obstacles)
+    assert gen_corner_corner(a, b, cfg, obstacles) == expected

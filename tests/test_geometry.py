@@ -20,7 +20,6 @@ from leleec.geometry import (
     rect_distance,
     rect_overlaps_polygon,
     split_polygon,
-    subtract_intervals,
 )
 from leleec.layout_io import ValidationError, parse_layout
 
@@ -204,12 +203,6 @@ def test_split_polygon_rejects_a_cut_that_disconnects_a_side():
     low, high = split_polygon(u_shape, VERTICAL, 5)
     assert low == Polygon.of((0, 0, 30, 5))
     assert high == Polygon.of((0, 5, 30, 10), (0, 10, 10, 30), (20, 10, 30, 30))
-
-
-def test_subtract_intervals():
-    assert subtract_intervals((0, 100), [(-10, 20), (40, 60)]) == [(20, 40), (60, 100)]
-    assert subtract_intervals((0, 100), []) == [(0, 100)]
-    assert subtract_intervals((0, 100), [(-5, 200)]) == []
 
 
 # ---- the banded sweep against its all-pairs reference

@@ -19,7 +19,7 @@ from leleec.ilp_model import (
     graph_order,
 )
 from leleec.layout_graph import Config, LayoutGraph, Segment
-from leleec.solver import brute_force, pair_rows, solve
+from leleec.solver import brute_force, row_tables, solve
 
 from conftest import (
     clique4_motif,
@@ -248,7 +248,7 @@ def test_every_built_model_keeps_the_pair_contract():
             model = build_model_from_problem(pg, eg, corrected=corrected, alpha=cfg.alpha)
             assert _pair_contract_problems(model) == [], (k, corrected)
             # the solver reads the same rows off the contract
-            assert len(pair_rows(model)) == 2 * len(model.pair_costs)
+            assert len(row_tables(model).pair_rows) == 2 * len(model.pair_costs)
             # the pairs are every conflict and stitch bit whose rows hold
             # only the bit and two colours: no cut and no merge term
             rows_of: dict[int, list] = {}

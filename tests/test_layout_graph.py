@@ -5,7 +5,7 @@ import random
 import pytest
 
 from leleec.endcut import generate_candidates
-from leleec.geometry import VERTICAL, GeometryError, Polygon, polygon_distance, split_polygon
+from leleec.geometry import HORIZONTAL, VERTICAL, GeometryError, Polygon, polygon_distance, split_polygon
 from leleec.layout_graph import (
     Config,
     Feature,
@@ -194,6 +194,64 @@ def test_stitch_at_the_feature_low_edge_is_skipped():
     assert list(g0.conflict_edges) == [(0, 1)]
     assert list(g.conflict_edges) == [(0, 2)]
     assert [stitch_coordinate(g, u, v) for u, v in g.stitch_edges] == [("horizontal", 162)]
+
+
+def subtract_intervals(extent, covered):
+    """Maximal sub-intervals of extent not covered by the union of covered."""
+    lo, hi = extent
+    events = sorted((max(lo, a), min(hi, b)) for a, b in covered if a < hi and b > lo)
+    out = []
+    cur = lo
+    for a, b in events:
+        if a > cur:
+            out.append((cur, a))
+        cur = max(cur, b)
+    if cur < hi:
+        out.append((cur, hi))
+    return out
+
+
+def interval_segments(features, g0, cfg):
+    """(feature, shape) of every segment, with each feature's gaps from
+    subtract_intervals over its neighbours' extents read by axis name."""
+    out = []
+    for f in features:
+        bb = f.shape.bbox
+        axis = HORIZONTAL if bb.width >= bb.height else VERTICAL
+        lo, hi = bb.extent(axis)
+        covered = []
+        for u, v in g0.conflict_edges:
+            if f.id in (u, v):
+                a, b = features[v if u == f.id else u].shape.bbox.extent(axis)
+                covered.append((a - cfg.dis_m, b + cfg.dis_m))
+        pieces = [f.shape]
+        for a, b in subtract_intervals((lo, hi), covered) if covered else []:
+            pos = (a + b) // 2
+            if b - a < cfg.w_min or pos <= lo:
+                continue
+            try:
+                pieces[-1:] = split_polygon(pieces[-1], axis, pos)
+            except GeometryError:
+                continue
+        out.extend((f.id, piece) for piece in pieces)
+    return out
+
+
+def test_stitch_gaps_match_interval_subtraction():
+    assert subtract_intervals((0, 100), [(-10, 20), (40, 60)]) == [(20, 40), (60, 100)]
+    assert subtract_intervals((0, 100), []) == [(0, 100)]
+    assert subtract_intervals((0, 100), [(-5, 200)]) == []
+    split = 0
+    rules = ((Config.from_rules(1, 1), 1), (CFG, 10), (Config.from_rules(10, 10, dis_m=70), 10))
+    for cfg, unit in rules:
+        for seed in range(40):
+            rng = random.Random(seed)
+            for feats in (random_shapes(rng, 14, unit, 40 * unit), random_layout(rng, 30, box=300)):
+                g0, g = _stitched(feats, cfg)
+                got = [(s.feature, s.shape) for s in g.vertices]
+                assert got == interval_segments(feats, g0, cfg), seed
+                split += len(g.vertices) - len(feats)
+    assert split > 0
 
 
 def _segment_edges_by_distance(g0, g, cfg):

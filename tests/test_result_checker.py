@@ -21,7 +21,9 @@ from leleec.decomposer import (
     validate_result,
 )
 from leleec.endcut import EndCutGraph
+from leleec.layout_graph import Config
 from leleec.layout_io import dump_json, result_to_obj, verify_result
+from leleec.synth import gen_synthetic
 
 from conftest import clique4_motif, gamma_quad, stitch_ring
 
@@ -138,3 +140,48 @@ def test_dash_forgiven_result_passes_both(fixture):
     no_dash = EndCutGraph(nodes=eg.nodes, solid_edges=eg.solid_edges, dash_edges=set())
     with pytest.raises(DecompositionError, match="accounting"):
         validate_result(res, lg, no_dash)
+
+
+def _tampered_files(feats, cfg, lg, eg, res):
+    """(name, file object) of the result as written and with one fault each."""
+    obj = _file_obj(res, lg, eg, cfg)
+    yield "as written", obj
+    entry = {c["id"]: c for c in obj["selected_cuts"]}
+
+    def entry_of(cid):
+        node = eg.nodes[cid]
+        return {"id": cid, "features": list(node.features()), "rect": list(node.cut_rect)}
+
+    solid = sorted((p, q) for p, q in eg.solid_edges if (p in entry) != (q in entry))
+    for p, q in solid[:2]:
+        extra = entry_of(q if p in entry else p)
+        yield "two cuts on a solid edge", {**obj, "selected_cuts": [*obj["selected_cuts"], extra]}
+    dashed = sorted((p, q) for p, q in eg.dash_edges if p in entry and q in entry)
+    for p, q in dashed[:2]:
+        cuts = [c for c in obj["selected_cuts"] if c["id"] != q]
+        yield "a dropped dash partner", {**obj, "selected_cuts": cuts}
+    unknown = {"id": len(eg.nodes), "features": [0, 1], "rect": [0, 0, 1, 1]}
+    yield "an unknown id", {**obj, "selected_cuts": [*obj["selected_cuts"], unknown]}
+    first = obj["selected_cuts"][0]
+    yield "a duplicated id", {**obj, "selected_cuts": [*obj["selected_cuts"], first]}
+
+
+def test_verify_reports_what_a_full_graph_verify_reports(monkeypatch):
+    """verify classifies only the listed cuts' pairs; a verify that builds
+    the whole end-cut graph must report the same problems in the same order."""
+    import leleec.layout_io
+
+    layouts = [clique4_motif(), gamma_quad()]
+    layouts += [gen_synthetic("clique4_array", n, n, Config.from_rules(10, 10)) for n in (2, 5)]
+    names = set()
+    for feats, cfg in layouts:
+        lg, eg, res = _decomposed(feats, cfg)
+        for name, obj in _tampered_files(feats, cfg, lg, eg, res):
+            got = verify_result(feats, cfg, obj)
+            with monkeypatch.context() as m:
+                m.setattr(leleec.layout_io, "build_graphs", lambda f, c, ids: build_graphs(f, c))
+                full = verify_result(feats, cfg, obj)
+            assert got == full, name
+            assert (got == []) == (name == "as written"), (name, got)
+            names.add(name)
+    assert len(names) == 5, names

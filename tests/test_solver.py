@@ -24,7 +24,7 @@ from leleec.solver import (
     TimeLimit,
     TooLarge,
     brute_force,
-    pair_rows,
+    row_tables,
     solve,
 )
 
@@ -309,10 +309,42 @@ def test_a_model_that_breaks_the_pair_contract_is_refused(breach, when_equal):
     model = _rigid_pair_model(when_equal)
     assignment, stats = solve(model)
     assert assignment[2] == int((assignment[0] == assignment[1]) == when_equal)
-    assert stats.best_cost == 0 and pair_rows(model) == {0, 1}
+    assert stats.best_cost == 0 and row_tables(model).pair_rows == {0, 1}
     breach(model)
     with pytest.raises(SolverError, match="pair"):
         solve(model)
+
+
+def two_pass_row_tables(model):
+    """row_tables as two scans: every row's terms for the pair cost bits, then
+    the tables over the rows that hold none."""
+    cost_bits = {cvar for _, _, cvar, _ in model.pair_costs}
+    skipped = {r for r, con in enumerate(model.constraints) if any(v in cost_bits for v, _ in con.terms)}
+    rows = [con for r, con in enumerate(model.constraints) if r not in skipped]
+    drops = [[[] for _ in range(model.num_vars)] for _ in (0, 1)]
+    slack = []
+    for r, con in enumerate(rows):
+        for vid, coeff in con.terms:
+            drops[coeff > 0][vid].append((r, abs(coeff)))
+        slack.append(con.rhs - sum(min(coeff, 0) for _, coeff in con.terms))
+    max_coeff = [max((abs(c) for _, c in con.terms), default=0) for con in rows]
+    return rows, slack, max_coeff, drops, skipped
+
+
+def test_row_tables_match_a_two_pass_reference():
+    pairs = 0
+    for seed in range(60):
+        model = _random_model(seed)
+        if model is None:
+            continue
+        assert tuple(row_tables(model)) == two_pass_row_tables(model), seed
+        pairs += len(model.pair_costs)
+    for feats, cfg in (via_block(3, 4), via_block(4, 4)):
+        lg, eg = build_graphs(feats, cfg)
+        block = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=cfg.alpha)
+        assert tuple(row_tables(block)) == two_pass_row_tables(block)
+        pairs += len(block.pair_costs)
+    assert pairs > 0
 
 
 def test_a_time_limited_solve_writes_pair_bits_from_the_colours(monkeypatch):
