@@ -11,6 +11,10 @@ calls it, and checks its halves for connectivity alone. Every rect the
 program derives (split halves, cut rects, merged bboxes) has positive area
 by construction. Every neighbour search of the front end reads
 `near_pairs`, one banded sweep over rects.
+
+An axis is named by its index k into a `Rect`: 0 for x and 1 for y, so a
+rect's extent along it is (r[k], r[k + 2]). `split_polygon` cuts across
+that axis, and the stitch stage records each of its cuts as (k, position).
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-Interval = tuple[int, int]
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
 
 
 class GeometryError(ValueError):
@@ -49,14 +48,6 @@ class Rect(NamedTuple):
 
     def area(self) -> int:
         return self.width * self.height
-
-    def extent(self, axis: str) -> Interval:
-        """Extent along HORIZONTAL (x) or VERTICAL (y)."""
-        if axis == HORIZONTAL:
-            return (self.x_lo, self.x_hi)
-        if axis == VERTICAL:
-            return (self.y_lo, self.y_hi)
-        raise GeometryError(f"unknown axis {axis!r}")
 
     def corners(self) -> tuple[tuple[int, int], ...]:
         """The four (x, y) corners: lower-left, lower-right, upper-left, upper-right."""
@@ -90,16 +81,6 @@ def _edge_contact_length(a: Rect, b: Rect) -> int:
     if a.y_hi == b.y_lo or b.y_hi == a.y_lo:
         return max(0, min(a.x_hi, b.x_hi) - max(a.x_lo, b.x_lo))
     return 0
-
-
-def projection_interval(a: Rect, b: Rect, axis: str) -> Interval | None:
-    """Positive-length overlap of the two extents along axis, else None."""
-    a_lo, a_hi = a.extent(axis)
-    b_lo, b_hi = b.extent(axis)
-    lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-    if lo >= hi:
-        return None
-    return (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -183,8 +164,8 @@ def rect_overlaps_polygon(r: Rect, p: Polygon) -> bool:
     return any(rects_overlap(r, q) for q in p.rects)
 
 
-def split_polygon(p: Polygon, axis: str, coord: int) -> tuple[Polygon | None, Polygon | None]:
-    """Cut p with the line {axis-coordinate == coord} into (low side, high side).
+def split_polygon(p: Polygon, k: int, coord: int) -> tuple[Polygon | None, Polygon | None]:
+    """Cut p with the line {coordinate k == coord} into (low side, high side).
 
     A side is None when empty. Parts of p's positive-area, disjoint rects
     are positive-area and disjoint too, so a side is checked only for edge
@@ -193,14 +174,13 @@ def split_polygon(p: Polygon, axis: str, coord: int) -> tuple[Polygon | None, Po
     low: list[Rect] = []
     high: list[Rect] = []
     for r in p.rects:
-        lo, hi = r.extent(axis)
-        if hi <= coord:
+        if r[k + 2] <= coord:
             low.append(r)
-        elif lo >= coord:
+        elif r[k] >= coord:
             high.append(r)
         else:
             x_lo, y_lo, x_hi, y_hi = r
-            if axis == HORIZONTAL:
+            if k == 0:
                 low.append(Rect(x_lo, y_lo, coord, y_hi))
                 high.append(Rect(coord, y_lo, x_hi, y_hi))
             else:

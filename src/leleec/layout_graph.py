@@ -3,7 +3,9 @@
 Vertices are feature segments (one per feature until stitch splitting).
 Conflict edges join segments of different features whose squared distance is
 strictly below dis_m**2; stitch edges join consecutive segments of one
-feature.
+feature, and each maps to the (k, pos) of the cut between them: the index
+of the feature's spine in a `Rect` (0 for x, 1 for y) and the coordinate
+the stitch stage cut at. The result file writes its stitches from these.
 
 Stitch segmentation is a projection: a feature is cut along its spine only
 where no conflicting neighbour's bbox extent, dilated by dis_m, reaches.
@@ -28,8 +30,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .geometry import (
-    HORIZONTAL,
-    VERTICAL,
     GeometryError,
     Polygon,
     near_pairs,
@@ -119,11 +119,16 @@ class Segment:
 
 @dataclass
 class LayoutGraph:
-    """Vertices (segments), conflict edges with optional candidate ids, stitch edges."""
+    """Vertices (segments), conflict edges with optional candidate ids, stitch edges.
+
+    Each stitch edge maps to the (k, pos) its cut was made at: k indexes the
+    feature's spine in a `Rect` (0 for x, 1 for y) and pos is the cut's
+    coordinate along it.
+    """
 
     vertices: list[Segment]
     conflict_edges: dict[EdgeKey, int | None]
-    stitch_edges: set[EdgeKey]
+    stitch_edges: dict[EdgeKey, tuple[int, int]]
 
 
 def _check_features(features: list[Feature]) -> None:
@@ -179,7 +184,7 @@ def build_conflict_edges(features: list[Feature], cfg: Config, index: FeatureInd
         if d < limit:
             edges[(i, j)] = None
     vertices = [Segment(id=f.id, feature=f.id, shape=f.shape) for f in features]
-    return LayoutGraph(vertices=vertices, conflict_edges=edges, stitch_edges=set())
+    return LayoutGraph(vertices=vertices, conflict_edges=edges, stitch_edges={})
 
 
 def generate_stitch_candidates(
@@ -203,6 +208,10 @@ def generate_stitch_candidates(
     lie in one segment of f, the one after the cuts below the low end of
     g's bbox, and likewise for g; every other pair of their segments is
     dis_m or more apart.
+
+    Each stitch edge joins the two segments on either side of one cut and
+    maps to that cut's (k, pos): the spine's index in a `Rect` and the
+    position cut at.
     """
     neighbor_ids: list[list[int]] = [[] for _ in features]
     for u, v in graph.conflict_edges:
@@ -238,14 +247,13 @@ def generate_stitch_candidates(
                     cur = b
             if cur < hi:
                 gaps.append((cur, hi))
-            axis = HORIZONTAL if k == 0 else VERTICAL
             for a, b in gaps:
                 pos = (a + b) // 2
                 if b - a < w_min or pos <= lo:
                     continue  # too narrow, or the gap [lo, lo + 1] gives pos == lo
                 # positions ascend, so only the last piece spans pos
                 try:
-                    low, high = split_polygon(pieces[-1], axis, pos)
+                    low, high = split_polygon(pieces[-1], k, pos)
                 except GeometryError:
                     continue  # cut would disconnect the piece; skip this position
                 pieces[-1:] = [low, high]
@@ -265,21 +273,12 @@ def generate_stitch_candidates(
     edges: dict[EdgeKey, int | None] = {
         (segment_near(fu, fv), segment_near(fv, fu)): None for fu, fv in sorted(graph.conflict_edges)
     }
-    stitches = {(a, b) for ids in segments_of for a, b in zip(ids, ids[1:])}
+    stitches = {
+        (a, b): (k, pos)
+        for ids, (k, cuts) in zip(segments_of, cuts_of)
+        for a, b, pos in zip(ids, ids[1:], cuts)
+    }
     return LayoutGraph(vertices=vertices, conflict_edges=edges, stitch_edges=stitches)
-
-
-def stitch_coordinate(graph: LayoutGraph, u: int, v: int) -> tuple[str, int]:
-    """(axis, coordinate) of the boundary between two consecutive segments."""
-    su, sv = graph.vertices[u], graph.vertices[v]
-    for axis in (HORIZONTAL, VERTICAL):
-        lo_u, hi_u = su.shape.bbox.extent(axis)
-        lo_v, hi_v = sv.shape.bbox.extent(axis)
-        if hi_u == lo_v:
-            return axis, hi_u
-        if hi_v == lo_u:
-            return axis, hi_v
-    raise LayoutError(f"segments {u} and {v} do not abut")
 
 
 def annotate_end_cuts(graph: LayoutGraph, candidates: list) -> LayoutGraph:
@@ -298,4 +297,4 @@ def annotate_end_cuts(graph: LayoutGraph, candidates: list) -> LayoutGraph:
         if edges[e] is not None:
             raise DuplicateCandidate(f"conflict edge {e} already annotated with candidate {edges[e]}")
         edges[e] = cand.id
-    return LayoutGraph(vertices=graph.vertices, conflict_edges=edges, stitch_edges=set(graph.stitch_edges))
+    return LayoutGraph(vertices=graph.vertices, conflict_edges=edges, stitch_edges=graph.stitch_edges)

@@ -25,7 +25,6 @@ from .layout_graph import (
     LayoutGraph,
     build_conflict_edges,
     feature_index,
-    stitch_coordinate,
 )
 
 FORMAT_VERSION = 1
@@ -285,10 +284,12 @@ def config_from_obj(obj: Any, where: str = "config") -> Config:
 
 
 def _stitch_entries(lg: LayoutGraph, edges: list[EdgeKey]) -> list[dict]:
-    """Result-file entries of stitch edges, sorted by (feature, coord)."""
+    """Result-file entries of stitch edges, sorted by (feature, coord): the
+    feature's spine, named as the file names it, and the cut's position."""
     entries = []
     for u, v in edges:
-        axis, coord = stitch_coordinate(lg, u, v)
+        k, coord = lg.stitch_edges[u, v]
+        axis = "vertical" if k else "horizontal"
         entries.append({"feature": lg.vertices[u].feature, "axis": axis, "coord": coord})
     entries.sort(key=lambda s: (s["feature"], s["coord"]))
     return entries

@@ -101,7 +101,7 @@ def _pinned_triangle(corrected: bool):
     lg = LayoutGraph(
         vertices=vertices,
         conflict_edges={(0, 1): 0, (0, 2): 1, (1, 2): 2},
-        stitch_edges=set(),
+        stitch_edges={},
     )
     cands = [
         EndCutCandidate(0, 0, 1, Rect(0, 0, 10, 10), EDGE_EDGE),

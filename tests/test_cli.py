@@ -145,6 +145,52 @@ def test_verify_reports_malformed_result_input(tmp_path, capsys, edit, expected)
     assert len(lines) == 1 and lines[0].startswith("violation: ") and expected in lines[0], lines
 
 
+def _flip_stitch_axis(res):
+    entry = res["stitches"][0]
+    entry["axis"] = "vertical" if entry["axis"] == "horizontal" else "horizontal"
+
+
+def _shift_stitch(delta):
+    def edit(res):
+        res["stitches"][0]["coord"] += delta
+
+    return edit
+
+
+# a dropped or repeated entry changes the charged stitches, so the cost
+# follows it and the stitch rule alone is broken
+def _drop_stitch(res):
+    res["stitches"].pop()
+    res["cost"] = "0"
+
+
+def _repeat_stitch(res):
+    res["stitches"].append(dict(res["stitches"][0]))
+    res["cost"] = "0.2"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_flip_stitch_axis, _shift_stitch(1), _shift_stitch(-1), _drop_stitch, _repeat_stitch],
+    ids=["other-axis", "coord+1", "coord-1", "dropped", "repeated"],
+)
+def test_verify_reports_a_tampered_stitch_entry(tmp_path, capsys, edit):
+    layout = tmp_path / "ring.json"
+    emit_layout(*stitch_ring(), layout)
+    out = tmp_path / "res.json"
+    assert run_cli(["decompose", str(layout), "--out", str(out)]) == 0
+    res = json.loads(out.read_text())
+    # the odd ring is settled by one stitch, charged at alpha = 1/10
+    assert len(res["stitches"]) == 1 and res["cost"] == "0.1"
+    edit(res)
+    out.write_text(dump_json(res))
+    capsys.readouterr()
+    assert run_cli(["verify", str(layout), str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "violation: stitches: do not match the stitch edges whose endpoints differ in mask"
+    ]
+
+
 def test_baseline_reports_one_conflict(tmp_path):
     layout = _motif_file(tmp_path)
     out = tmp_path / "base.json"

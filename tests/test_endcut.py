@@ -15,13 +15,10 @@ from leleec.endcut import (
 )
 from leleec.decomposer import build_graphs
 from leleec.geometry import (
-    HORIZONTAL,
-    VERTICAL,
     Polygon,
     Rect,
     near_pairs,
     polygon_distance,
-    projection_interval,
     rect_distance,
     rect_overlaps_polygon,
     rect_union_bbox,
@@ -252,6 +249,37 @@ def _rank(rect):
     return (rect.area(), rect.x_lo, rect.y_lo)
 
 
+HORIZONTAL = "horizontal"
+VERTICAL = "vertical"
+
+
+def extent(rect, axis):
+    """The rect's (low, high) coordinates along HORIZONTAL (x) or VERTICAL (y)."""
+    return (rect.x_lo, rect.x_hi) if axis == HORIZONTAL else (rect.y_lo, rect.y_hi)
+
+
+def projection_interval(a, b, axis):
+    """Positive-length overlap of the two rects' extents along axis, else None."""
+    a_lo, a_hi = extent(a, axis)
+    b_lo, b_hi = extent(b, axis)
+    lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+    if lo >= hi:
+        return None
+    return (lo, hi)
+
+
+def test_projection_interval_vertical_overlap():
+    assert projection_interval(Rect(0, 0, 10, 40), Rect(20, 10, 30, 50), VERTICAL) == (10, 40)
+
+
+def test_projection_interval_point_touch_is_absent():
+    assert projection_interval(Rect(0, 0, 10, 10), Rect(20, 10, 30, 20), VERTICAL) is None
+
+
+def test_projection_interval_disjoint_is_absent():
+    assert projection_interval(Rect(0, 0, 10, 10), Rect(20, 30, 30, 40), VERTICAL) is None
+
+
 def polygon_edge_edge(a, b, cfg, obstacles=()):
     """gen_edge_edge tried in all four facing orientations of each rect pair,
     with extents read by axis name and obstacles tested as feature polygons."""
@@ -264,8 +292,8 @@ def polygon_edge_edge(a, b, cfg, obstacles=()):
                 (ra, rb, VERTICAL),
                 (rb, ra, VERTICAL),
             ):
-                _, lo_end = lo_rect.extent(gap_axis)
-                hi_start, _ = hi_rect.extent(gap_axis)
+                _, lo_end = extent(lo_rect, gap_axis)
+                hi_start, _ = extent(hi_rect, gap_axis)
                 gap = hi_start - lo_end
                 if gap <= 0 or gap >= cfg.dis_m:
                     continue

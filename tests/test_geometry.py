@@ -9,14 +9,11 @@ import pytest
 
 import leleec.geometry
 from leleec.geometry import (
-    HORIZONTAL,
-    VERTICAL,
     GeometryError,
     Polygon,
     Rect,
     near_pairs,
     polygon_distance,
-    projection_interval,
     rect_distance,
     rect_overlaps_polygon,
     split_polygon,
@@ -67,7 +64,7 @@ def test_rect_distance_matches_float_oracle_on_axis_overlap():
         dx = rng.randrange(-30, 31)
         b = R(dx, 25, dx + 10, 35)
         d = rect_distance(a, b)
-        if projection_interval(a, b, HORIZONTAL) is not None:
+        if max(a.x_lo, b.x_lo) < min(a.x_hi, b.x_hi):
             assert d == 15 * 15
         assert d == int(round(_float_distance(a, b) ** 2))
 
@@ -110,18 +107,6 @@ def test_polygon_distance_random_brute_force():
         b = Polygon.of(*rects_b)
         expected = min(rect_distance(ra, rb) for ra in a.rects for rb in b.rects)
         assert polygon_distance(a, b) == expected
-
-
-def test_projection_interval_vertical_overlap():
-    assert projection_interval(R(0, 0, 10, 40), R(20, 10, 30, 50), VERTICAL) == (10, 40)
-
-
-def test_projection_interval_point_touch_is_absent():
-    assert projection_interval(R(0, 0, 10, 10), R(20, 10, 30, 20), VERTICAL) is None
-
-
-def test_projection_interval_disjoint_is_absent():
-    assert projection_interval(R(0, 0, 10, 10), R(20, 30, 30, 40), VERTICAL) is None
 
 
 def test_rect_overlaps_polygon_edge_sharing_is_not_overlap():
@@ -181,14 +166,14 @@ def test_polygon_rejects_disconnected_rects():
 
 def test_split_polygon_keeps_area():
     p = Polygon.of((0, 0, 10, 40), (10, 0, 40, 10))
-    low, high = split_polygon(p, HORIZONTAL, 5)
+    low, high = split_polygon(p, 0, 5)
     assert low is not None and high is not None
     assert low.area() + high.area() == p.area()
 
 
 def test_split_polygon_outside_gives_empty_side():
     p = Polygon.of((0, 0, 10, 40))
-    low, high = split_polygon(p, HORIZONTAL, 50)
+    low, high = split_polygon(p, 0, 50)
     assert high is None and low is not None and low.area() == p.area()
 
 
@@ -198,9 +183,9 @@ def test_split_polygon_rejects_a_cut_that_disconnects_a_side():
     u_shape = Polygon.of((0, 0, 30, 10), (0, 10, 10, 30), (20, 10, 30, 30))
     # across both arms: the arm tops on the high side do not touch
     with pytest.raises(GeometryError, match="^polygon rects are not edge-connected$"):
-        split_polygon(u_shape, VERTICAL, 20)
+        split_polygon(u_shape, 1, 20)
     # through the base: both sides stay whole
-    low, high = split_polygon(u_shape, VERTICAL, 5)
+    low, high = split_polygon(u_shape, 1, 5)
     assert low == Polygon.of((0, 0, 30, 5))
     assert high == Polygon.of((0, 5, 30, 10), (0, 10, 10, 30), (20, 10, 30, 30))
 

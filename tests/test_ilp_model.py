@@ -447,7 +447,7 @@ def test_decode_motif():
 
 
 def test_decode_empty():
-    lg = LayoutGraph(vertices=[], conflict_edges={}, stitch_edges=set())
+    lg = LayoutGraph(vertices=[], conflict_edges={}, stitch_edges={})
     model = build_model_from_problem(ProblemGraph.from_layout(lg, _empty_eg()), _empty_eg())
     d = _decode_checked(model, [])
     assert model.objective_value([]) == 0 and d.colors == {}

@@ -349,7 +349,7 @@ def test_svg_deterministic_and_structured():
 def test_svg_empty_layout():
     from leleec.layout_graph import LayoutGraph
 
-    lg = LayoutGraph(vertices=[], conflict_edges={}, stitch_edges=set())
+    lg = LayoutGraph(vertices=[], conflict_edges={}, stitch_edges={})
     doc = render_svg(lg, {}, [], [])
     assert doc.startswith("<svg ") and "</svg>" in doc
 

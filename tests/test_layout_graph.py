@@ -5,7 +5,7 @@ import random
 import pytest
 
 from leleec.endcut import generate_candidates
-from leleec.geometry import HORIZONTAL, VERTICAL, GeometryError, Polygon, polygon_distance, split_polygon
+from leleec.geometry import GeometryError, Polygon, polygon_distance, split_polygon
 from leleec.layout_graph import (
     Config,
     Feature,
@@ -15,10 +15,17 @@ from leleec.layout_graph import (
     build_conflict_edges,
     feature_index,
     generate_stitch_candidates,
-    stitch_coordinate,
 )
 
-from conftest import make_features, random_layout, random_shapes
+from conftest import (
+    gamma_quad,
+    make_features,
+    preselect_ring,
+    random_config,
+    random_layout,
+    random_shapes,
+    stitch_ring,
+)
 
 CFG = Config.from_rules(10, 10)  # dis_m = 50
 
@@ -130,7 +137,7 @@ def test_isolated_feature_is_never_split():
     g0 = build_conflict_edges(feats, CFG, feature_index(feats, CFG))
     g = generate_stitch_candidates(feats, g0, CFG)
     assert len(g.vertices) == 1
-    assert g.stitch_edges == set()
+    assert not g.stitch_edges
 
 
 def test_left_half_conflict_splits_at_projection_boundary():
@@ -146,7 +153,7 @@ def test_left_half_conflict_splits_at_projection_boundary():
     assert bounds == [(0, 0, 95, 10), (95, 0, 100, 10)]
     assert len(g.stitch_edges) == 1
     (u, v) = next(iter(g.stitch_edges))
-    assert stitch_coordinate(g, u, v) == ("horizontal", 95)
+    assert g.stitch_edges[(u, v)] == (0, 95)
 
 
 def test_fully_covered_feature_is_one_segment():
@@ -154,7 +161,7 @@ def test_fully_covered_feature_is_one_segment():
     g0 = build_conflict_edges(feats, CFG, feature_index(feats, CFG))
     g = generate_stitch_candidates(feats, g0, CFG)
     assert len(g.vertices) == 2
-    assert g.stitch_edges == set()
+    assert not g.stitch_edges
 
 
 def _stitched(features, cfg=CFG):
@@ -170,14 +177,14 @@ def test_stitch_position_that_disconnects_a_piece_is_skipped():
     arms_and_bar = [(0, 0, 10, 200), (20, 0, 30, 200), (0, 200, 30, 300)]
     feats = make_features(arms_and_bar, [(40, 170, 50, 180)])
     with pytest.raises(GeometryError):
-        split_polygon(feats[0].shape, VERTICAL, 60)
+        split_polygon(feats[0].shape, 1, 60)
     _, g = _stitched(feats)
     # y = 60 is skipped, and y = 265 still splits the feature
     assert [s.shape for s in g.vertices if s.feature == 0] == [
         Polygon.of((0, 0, 10, 200), (20, 0, 30, 200), (0, 200, 30, 265)),
         Polygon.of((0, 265, 30, 300)),
     ]
-    assert [stitch_coordinate(g, u, v) for u, v in g.stitch_edges] == [("vertical", 265)]
+    assert list(g.stitch_edges.values()) == [(1, 265)]
 
 
 def test_stitch_at_the_feature_low_edge_is_skipped():
@@ -193,7 +200,7 @@ def test_stitch_at_the_feature_low_edge_is_skipped():
     ]
     assert list(g0.conflict_edges) == [(0, 1)]
     assert list(g.conflict_edges) == [(0, 2)]
-    assert [stitch_coordinate(g, u, v) for u, v in g.stitch_edges] == [("horizontal", 162)]
+    assert list(g.stitch_edges.values()) == [(0, 162)]
 
 
 def subtract_intervals(extent, covered):
@@ -211,18 +218,23 @@ def subtract_intervals(extent, covered):
     return out
 
 
+def extent(rect, k):
+    """The rect's (low, high) coordinates along axis k: 0 for x, 1 for y."""
+    return rect[k], rect[k + 2]
+
+
 def interval_segments(features, g0, cfg):
     """(feature, shape) of every segment, with each feature's gaps from
-    subtract_intervals over its neighbours' extents read by axis name."""
+    subtract_intervals over its neighbours' extents."""
     out = []
     for f in features:
         bb = f.shape.bbox
-        axis = HORIZONTAL if bb.width >= bb.height else VERTICAL
-        lo, hi = bb.extent(axis)
+        axis = 0 if bb.width >= bb.height else 1
+        lo, hi = extent(bb, axis)
         covered = []
         for u, v in g0.conflict_edges:
             if f.id in (u, v):
-                a, b = features[v if u == f.id else u].shape.bbox.extent(axis)
+                a, b = extent(features[v if u == f.id else u].shape.bbox, axis)
                 covered.append((a - cfg.dis_m, b + cfg.dis_m))
         pieces = [f.shape]
         for a, b in subtract_intervals((lo, hi), covered) if covered else []:
@@ -316,6 +328,39 @@ def test_segments_tile_features():
                 assert polygon_distance(segs[i].shape, segs[j].shape) == 0
 
 
+def abutment(g, u, v):
+    """(k, pos) of the boundary between two consecutive segments, found from
+    their bboxes: axis k (0 for x, 1 for y) on which one bbox ends at pos
+    and the other starts there. The result writer read stitch positions
+    this way before the stitch stage recorded its cuts."""
+    bu, bv = g.vertices[u].shape.bbox, g.vertices[v].shape.bbox
+    for k in (0, 1):
+        lo_u, hi_u = extent(bu, k)
+        lo_v, hi_v = extent(bv, k)
+        if hi_u == lo_v:
+            return k, hi_u
+        if hi_v == lo_u:
+            return k, hi_v
+    raise AssertionError(f"segments {u} and {v} do not abut")
+
+
+def test_recorded_stitch_positions_match_segment_abutment():
+    layouts = [stitch_ring(), gamma_quad(), preselect_ring()]
+    for seed in range(60):
+        rng = random.Random(900 + seed)
+        cfg = random_config(rng)
+        layouts.append((random_shapes(rng, 14, 10, 400), cfg))
+        layouts.append((random_layout(rng, 30, box=300), cfg))
+    checked = multi_rect = 0
+    for feats, cfg in layouts:
+        _, g = _stitched(feats, cfg)
+        for (u, v), cut in g.stitch_edges.items():
+            assert cut == abutment(g, u, v), (u, v)
+            checked += 1
+            multi_rect += len(feats[g.vertices[u].feature].shape.rects) > 1
+    assert multi_rect > 0 and checked > multi_rect
+
+
 def test_stitch_edges_join_abutting_segments_of_one_feature():
     feats = make_features(
         [(0, 0, 300, 10)],
@@ -326,7 +371,8 @@ def test_stitch_edges_join_abutting_segments_of_one_feature():
     assert g.stitch_edges
     for u, v in g.stitch_edges:
         assert g.vertices[u].feature == g.vertices[v].feature
-        axis, coord = stitch_coordinate(g, u, v)  # raises if not abutting
+        axis, coord = g.stitch_edges[(u, v)]
+        assert abutment(g, u, v) == (axis, coord)  # raises if not abutting
         assert isinstance(coord, int)
 
 
@@ -348,7 +394,7 @@ def test_no_edge_between_segments_of_same_feature():
     _, g = _stitched(feats)
     for u, v in g.conflict_edges:
         assert g.vertices[u].feature != g.vertices[v].feature
-    assert not (set(g.conflict_edges) & g.stitch_edges)
+    assert not (set(g.conflict_edges) & set(g.stitch_edges))
 
 
 # ---- end-cut annotation

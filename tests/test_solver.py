@@ -70,7 +70,7 @@ def test_four_clique_with_unconstrained_cuts_costs_zero():
     lg = LayoutGraph(
         vertices=vertices,
         conflict_edges={e: k for k, e in enumerate(edges)},
-        stitch_edges=set(),
+        stitch_edges={},
     )
     eg = EndCutGraph(nodes=cands, solid_edges=set(), dash_edges=set())
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
