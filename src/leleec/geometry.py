@@ -6,8 +6,11 @@ threshold comparisons stay bit-exact. A `Rect` is a named tuple of four
 ints, so it sorts, compares and serialises as (x_lo, y_lo, x_hi, y_hi).
 Shapes are checked once, where they enter: `Polygon.of` rejects rects
 without positive area, overlapping rects and rects that are not
-edge-connected. `Polygon(rects)` trusts its caller; only `split_polygon`
-calls it, and checks its halves for connectivity alone. Every rect the
+edge-connected, and checks a one-rect shape, the common case, for area
+alone. `Polygon` is a slotted record of its rects and bbox, equal and
+hashed by its rects. `Polygon(rects)` trusts its caller; only
+`split_polygon` calls it, and checks its halves for connectivity alone,
+those of one rect not at all. Every rect the
 program derives (split halves, cut rects, merged bboxes) has positive area
 by construction. Every neighbour search of the front end reads
 `near_pairs`, one banded sweep over rects.
@@ -22,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -83,24 +85,46 @@ def _edge_contact_length(a: Rect, b: Rect) -> int:
     return 0
 
 
-@dataclass(frozen=True)
 class Polygon:
     """A rectilinear polygon stored as positive-area, pairwise interior-disjoint,
-    edge-connected rects; `Polygon.of` checks them, the constructor does not."""
+    edge-connected rects; `Polygon.of` checks them, the constructor does not.
 
-    rects: tuple[Rect, ...]
-    _bbox: Rect = field(init=False, repr=False, compare=False)
+    A slotted record: `bbox` is computed once, and equality and hashing read
+    `rects` alone.
+    """
 
-    def __post_init__(self) -> None:
-        rs = self.rects
-        bbox = rs[0]
-        for r in rs[1:]:
+    __slots__ = ("rects", "bbox")
+
+    def __init__(self, rects: tuple[Rect, ...]) -> None:
+        self.rects = rects
+        bbox = rects[0]
+        for r in rects[1:]:
             bbox = rect_union_bbox(bbox, r)
-        object.__setattr__(self, "_bbox", bbox)
+        self.bbox = bbox
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rects == other.rects
+
+    def __hash__(self) -> int:
+        return hash((self.rects,))
+
+    def __repr__(self) -> str:
+        return f"Polygon(rects={self.rects!r})"
 
     @staticmethod
     def of(*rects: Sequence[int]) -> "Polygon":
-        """The polygon of (x_lo, y_lo, x_hi, y_hi) rects; GeometryError names the first fault."""
+        """The polygon of (x_lo, y_lo, x_hi, y_hi) rects; GeometryError names the first fault.
+
+        One rect is checked for area alone: it has no pair to overlap and
+        nothing to connect to.
+        """
+        if len(rects) == 1:
+            r = Rect(*rects[0])
+            if r.x_lo >= r.x_hi or r.y_lo >= r.y_hi:
+                raise GeometryError(f"degenerate rect {list(r)}")
+            return Polygon((r,))
         if not rects:
             raise GeometryError("polygon needs at least one rectangle")
         rs = tuple(Rect(*r) for r in rects)
@@ -115,10 +139,6 @@ class Polygon:
                     )
         _check_connected(rs)
         return Polygon(rs)
-
-    @property
-    def bbox(self) -> Rect:
-        return self._bbox
 
     def area(self) -> int:
         return sum(r.area() for r in self.rects)
@@ -169,8 +189,18 @@ def split_polygon(p: Polygon, k: int, coord: int) -> tuple[Polygon | None, Polyg
 
     A side is None when empty. Parts of p's positive-area, disjoint rects
     are positive-area and disjoint too, so a side is checked only for edge
-    connectivity: GeometryError is raised when the cut disconnects one.
+    connectivity: GeometryError is raised when the cut disconnects one. A
+    one-rect polygon has nothing to disconnect, and a side it lies on whole
+    is p itself.
     """
+    if len(p.rects) == 1:
+        r = p.rects[0]
+        if r[k + 2] <= coord:
+            return p, None
+        if r[k] >= coord:
+            return None, p
+        low_r, high_r = _cut_rect(r, k, coord)
+        return Polygon((low_r,)), Polygon((high_r,))
     low: list[Rect] = []
     high: list[Rect] = []
     for r in p.rects:
@@ -179,16 +209,20 @@ def split_polygon(p: Polygon, k: int, coord: int) -> tuple[Polygon | None, Polyg
         elif r[k] >= coord:
             high.append(r)
         else:
-            x_lo, y_lo, x_hi, y_hi = r
-            if k == 0:
-                low.append(Rect(x_lo, y_lo, coord, y_hi))
-                high.append(Rect(coord, y_lo, x_hi, y_hi))
-            else:
-                low.append(Rect(x_lo, y_lo, x_hi, coord))
-                high.append(Rect(x_lo, coord, x_hi, y_hi))
+            low_r, high_r = _cut_rect(r, k, coord)
+            low.append(low_r)
+            high.append(high_r)
     for side in (low, high):
         _check_connected(side)
     return (Polygon(tuple(low)) if low else None, Polygon(tuple(high)) if high else None)
+
+
+def _cut_rect(r: Rect, k: int, coord: int) -> tuple[Rect, Rect]:
+    """The parts of r below and above {coordinate k == coord}, which crosses it."""
+    x_lo, y_lo, x_hi, y_hi = r
+    if k == 0:
+        return Rect(x_lo, y_lo, coord, y_hi), Rect(coord, y_lo, x_hi, y_hi)
+    return Rect(x_lo, y_lo, x_hi, coord), Rect(x_lo, coord, x_hi, y_hi)
 
 
 def near_pairs(rects: Sequence[Rect], gap: int) -> list[tuple[int, int]]:

@@ -16,10 +16,14 @@ its feature pair, at either level.
 
 `feature_index` is built once per layout and shared: one sweep
 (`geometry.near_pairs`) pairs the feature bboxes at max(dis_m, w_th). The
-conflict build walks the pairs within dis_m, and the end-cut stages take
-obstacles from each feature's neighbour list. The one walk of
-`build_conflict_edges` is also the input check: it rejects the first
-id-ordered pair of features that touch or overlap.
+conflict build walks the pairs within dis_m, reading the bbox distance
+inline and `polygon_distance` only for a pair with a multi-rect feature,
+and the end-cut stages take obstacles from each feature's neighbour list.
+The one walk of `build_conflict_edges` is also the input check: it
+rejects the first id-ordered pair of features that touch or overlap.
+
+`Feature` and `Segment` are slotted records, cheap to build for every
+shape; they are equal and hashed by their fields.
 """
 
 from __future__ import annotations
@@ -29,14 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import (
-    GeometryError,
-    Polygon,
-    near_pairs,
-    polygon_distance,
-    rect_distance,
-    split_polygon,
-)
+from .geometry import GeometryError, Polygon, near_pairs, polygon_distance, split_polygon
 
 EdgeKey = tuple[int, int]
 
@@ -104,13 +101,15 @@ class Config:
         )
 
 
-@dataclass(frozen=True)
+# unfrozen, so building one runs no frozen __setattr__; never mutated, so
+# hashing by fields stays sound
+@dataclass(slots=True, unsafe_hash=True)
 class Feature:
     id: int
     shape: Polygon
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Segment:
     id: int
     feature: int
@@ -169,21 +168,31 @@ def build_conflict_edges(features: list[Feature], cfg: Config, index: FeatureInd
 
     `index` is `feature_index(features, cfg)`. Its pairs within dis_m are
     walked in id order, so OverlappingInput names the first id-ordered pair
-    of features that touch or overlap.
+    of features that touch or overlap. A pair's bbox distance is computed
+    inline; it is the pair's distance when both features are one rect, and
+    only a pair with a multi-rect feature calls `polygon_distance`.
     """
     _check_features(features)
     limit = cfg.dis_m * cfg.dis_m
+    shapes = [f.shape for f in features]
+    bboxes = [s.bbox for s in shapes]
     edges: dict[EdgeKey, int | None] = {}
     for i, j in index.pairs:
-        a, b = features[i].shape, features[j].shape
-        if rect_distance(a.bbox, b.bbox) >= limit:
+        ax_lo, ay_lo, ax_hi, ay_hi = bboxes[i]
+        bx_lo, by_lo, bx_hi, by_hi = bboxes[j]
+        dx = max(bx_lo - ax_hi, ax_lo - bx_hi, 0)
+        dy = max(by_lo - ay_hi, ay_lo - by_hi, 0)
+        d = dx * dx + dy * dy
+        if d >= limit:
             continue  # the bboxes alone are dis_m or more apart
-        d = polygon_distance(a, b)
+        a, b = shapes[i], shapes[j]
+        if len(a.rects) > 1 or len(b.rects) > 1:
+            d = polygon_distance(a, b)
         if d == 0:
             raise OverlappingInput(f"features {i} and {j} overlap or touch")
         if d < limit:
             edges[(i, j)] = None
-    vertices = [Segment(id=f.id, feature=f.id, shape=f.shape) for f in features]
+    vertices = [Segment(f.id, f.id, f.shape) for f in features]
     return LayoutGraph(vertices=vertices, conflict_edges=edges, stitch_edges={})
 
 
@@ -193,13 +202,13 @@ def generate_stitch_candidates(
     """Split features at legal stitch positions; re-express CE over segments.
 
     `graph` must be the feature-level conflict graph (one vertex per feature).
-    A feature with conflicting neighbours is cut along its spine axis, the
-    longer side of its bbox (x on a tie): each neighbour's bbox extent,
-    dilated by dis_m, is covered, and each maximal uncovered interval of
-    length >= w_min yields one cut at its floor midpoint, unless the cut is
-    the feature's own low edge or would disconnect a piece. A neighbour is
-    edge-connected, so its rects project onto its whole bbox extent: the
-    bbox covers what its rects cover.
+    A feature with no conflicting neighbour is one segment. Any other is cut
+    along its spine axis, the longer side of its bbox (x on a tie): each
+    neighbour's bbox extent, dilated by dis_m, is covered, and each maximal
+    uncovered interval of length >= w_min yields one cut at its floor
+    midpoint, unless the cut is the feature's own low edge or would
+    disconnect a piece. A neighbour is edge-connected, so its rects project
+    onto its whole bbox extent: the bbox covers what its rects cover.
 
     Each feature conflict edge becomes exactly one segment edge, at the
     feature pair's distance. Every point of f within dis_m of a neighbour g
@@ -209,6 +218,7 @@ def generate_stitch_candidates(
     g's bbox, and likewise for g; every other pair of their segments is
     dis_m or more apart.
 
+    A feature's segments have consecutive ids, low to high along its spine.
     Each stitch edge joins the two segments on either side of one cut and
     maps to that cut's (k, pos): the spine's index in a `Rect` and the
     position cut at.
@@ -221,62 +231,57 @@ def generate_stitch_candidates(
     dis_m, w_min = cfg.dis_m, cfg.w_min
     bboxes = [f.shape.bbox for f in features]
     vertices: list[Segment] = []
-    segments_of: list[list[int]] = []
+    stitches: dict[EdgeKey, tuple[int, int]] = {}
+    first_of: list[int] = []  # per feature: the id of its first segment
     # per feature: the index of its spine's low coordinate in a Rect (0 for
     # x, 1 for y; the high one is 2 more), and its cut positions
     cuts_of: list[tuple[int, list[int]]] = []
-    for f in features:
-        bb = bboxes[f.id]
+    uncut: tuple[int, list[int]] = (0, [])
+    for f, bb, near in zip(features, bboxes, neighbor_ids):
+        first = len(vertices)
+        first_of.append(first)
+        if not near:
+            vertices.append(Segment(first, f.id, f.shape))
+            cuts_of.append(uncut)
+            continue
         k = 0 if bb.x_hi - bb.x_lo >= bb.y_hi - bb.y_lo else 1
         lo, hi = bb[k], bb[k + 2]
-        pieces = [f.shape]
+        # a conflicting neighbour is within dis_m along the spine too, so
+        # each dilated extent (a, b) has a < hi and b > lo
+        spans = sorted([(bboxes[n][k] - dis_m, bboxes[n][k + 2] + dis_m) for n in near])
+        gaps = []
+        cur = lo  # the spine is covered from lo up to cur
+        for a, b in spans:
+            if a > cur:
+                gaps.append((cur, a))
+            if b > cur:
+                cur = b
+        if cur < hi:
+            gaps.append((cur, hi))
+        piece = f.shape  # the part of f above every cut made so far
         cuts: list[int] = []
-        # conflict-free features are never split
-        if neighbor_ids[f.id]:
-            # a conflicting neighbour is within dis_m along the spine too, so
-            # each dilated extent (a, b) has a < hi and b > lo
-            spans = sorted(
-                [(bboxes[n][k] - dis_m, bboxes[n][k + 2] + dis_m) for n in neighbor_ids[f.id]]
-            )
-            gaps = []
-            cur = lo  # the spine is covered from lo up to cur
-            for a, b in spans:
-                if a > cur:
-                    gaps.append((cur, a))
-                if b > cur:
-                    cur = b
-            if cur < hi:
-                gaps.append((cur, hi))
-            for a, b in gaps:
-                pos = (a + b) // 2
-                if b - a < w_min or pos <= lo:
-                    continue  # too narrow, or the gap [lo, lo + 1] gives pos == lo
-                # positions ascend, so only the last piece spans pos
-                try:
-                    low, high = split_polygon(pieces[-1], k, pos)
-                except GeometryError:
-                    continue  # cut would disconnect the piece; skip this position
-                pieces[-1:] = [low, high]
-                cuts.append(pos)
-        ids = []
-        for piece in pieces:
-            ids.append(len(vertices))
-            vertices.append(Segment(id=len(vertices), feature=f.id, shape=piece))
-        segments_of.append(ids)
+        for a, b in gaps:
+            pos = (a + b) // 2
+            if b - a < w_min or pos <= lo:
+                continue  # too narrow, or the gap [lo, lo + 1] gives pos == lo
+            try:
+                low, high = split_polygon(piece, k, pos)
+            except GeometryError:
+                continue  # cut would disconnect the piece; skip this position
+            stitches[(len(vertices), len(vertices) + 1)] = (k, pos)
+            vertices.append(Segment(len(vertices), f.id, low))
+            piece = high
+            cuts.append(pos)
+        vertices.append(Segment(len(vertices), f.id, piece))
         cuts_of.append((k, cuts))
 
     def segment_near(f: int, g: int) -> int:
         k, cuts = cuts_of[f]
-        return segments_of[f][bisect_right(cuts, bboxes[g][k])]
+        return first_of[f] + bisect_right(cuts, bboxes[g][k])
 
     # fu < fv, so its segment ids are the smaller ones
     edges: dict[EdgeKey, int | None] = {
         (segment_near(fu, fv), segment_near(fv, fu)): None for fu, fv in sorted(graph.conflict_edges)
-    }
-    stitches = {
-        (a, b): (k, pos)
-        for ids, (k, cuts) in zip(segments_of, cuts_of)
-        for a, b, pos in zip(ids, ids[1:], cuts)
     }
     return LayoutGraph(vertices=vertices, conflict_edges=edges, stitch_edges=stitches)
 

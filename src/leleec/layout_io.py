@@ -150,10 +150,16 @@ def layout_from_obj(data: Any, where: str = "layout") -> tuple[list[Feature], Co
 
 def _read_feature(item: Any, seen: set[int]) -> Feature:
     """One feature, its id added to `seen`; errors name only the field, and
-    every coordinate is read before `Polygon.of` checks the shape."""
+    every coordinate is read before `Polygon.of` checks the shape.
+
+    A JSON integer is tested as `type(v) is int`, which a bool fails; any
+    other value takes `_expect_int`, which names it.
+    """
     if not isinstance(item, dict):
         raise ValidationError("must be an object")
-    fid = _expect_int(item.get("id"), "id")
+    fid = item.get("id")
+    if type(fid) is not int:
+        fid = _expect_int(fid, "id")
     if fid in seen:
         raise ValidationError(f"duplicate feature id {fid}")
     seen.add(fid)
@@ -163,10 +169,10 @@ def _read_feature(item: Any, seen: set[int]) -> Feature:
     for r in rects:
         if not (isinstance(r, list) and len(r) == 4):
             raise ValidationError("each rect must be [x_lo, y_lo, x_hi, y_hi]")
-        if not all(map(_is_int, r)):
+        if not (type(r[0]) is type(r[1]) is type(r[2]) is type(r[3]) is int):
             for c in r:
                 _expect_int(c, "rect coordinate")
-    return Feature(id=fid, shape=Polygon.of(*rects))
+    return Feature(fid, Polygon.of(*rects))
 
 
 def _rules_to_obj(cfg: Config) -> dict:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -19,6 +20,8 @@ from leleec.geometry import (
     split_polygon,
 )
 from leleec.layout_io import ValidationError, parse_layout
+
+from conftest import random_shapes
 
 
 R = Rect
@@ -188,6 +191,134 @@ def test_split_polygon_rejects_a_cut_that_disconnects_a_side():
     low, high = split_polygon(u_shape, 1, 5)
     assert low == Polygon.of((0, 0, 30, 5))
     assert high == Polygon.of((0, 5, 30, 10), (0, 10, 10, 30), (20, 10, 30, 30))
+
+
+# ---- the one-rect branches and the slotted record against the general bodies
+
+
+@dataclass(frozen=True)
+class FrozenPolygon:
+    """`Polygon` as a frozen dataclass, the record it replaced: its equality
+    and hash are the ones `Polygon` keeps."""
+
+    rects: tuple[Rect, ...]
+    bbox: Rect = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        bbox = self.rects[0]
+        for r in self.rects[1:]:
+            bbox = Rect(min(bbox[0], r[0]), min(bbox[1], r[1]), max(bbox[2], r[2]), max(bbox[3], r[3]))
+        object.__setattr__(self, "bbox", bbox)
+
+
+def general_polygon_of(*rects):
+    """`Polygon.of` without its one-rect branch: every shape takes the pair
+    loop and the connectivity check."""
+    if not rects:
+        raise GeometryError("polygon needs at least one rectangle")
+    rs = tuple(Rect(*r) for r in rects)
+    for r in rs:
+        if r.x_lo >= r.x_hi or r.y_lo >= r.y_hi:
+            raise GeometryError(f"degenerate rect {list(r)}")
+    for i in range(len(rs)):
+        for j in range(i + 1, len(rs)):
+            if leleec.geometry.rects_overlap(rs[i], rs[j]):
+                raise GeometryError(f"polygon rects overlap: {tuple(rs[i])} and {tuple(rs[j])}")
+    leleec.geometry._check_connected(rs)
+    return Polygon(rs)
+
+
+def general_split_polygon(p, k, coord):
+    """`split_polygon` without its one-rect branch: both sides are checked
+    for connectivity."""
+    low, high = [], []
+    for r in p.rects:
+        if r[k + 2] <= coord:
+            low.append(r)
+        elif r[k] >= coord:
+            high.append(r)
+        else:
+            x_lo, y_lo, x_hi, y_hi = r
+            if k == 0:
+                low.append(Rect(x_lo, y_lo, coord, y_hi))
+                high.append(Rect(coord, y_lo, x_hi, y_hi))
+            else:
+                low.append(Rect(x_lo, y_lo, x_hi, coord))
+                high.append(Rect(x_lo, coord, x_hi, y_hi))
+    for side in (low, high):
+        leleec.geometry._check_connected(side)
+    return (Polygon(tuple(low)) if low else None, Polygon(tuple(high)) if high else None)
+
+
+def outcome(f, *args):
+    """f's result, or the text of the GeometryError it raises."""
+    try:
+        return f(*args)
+    except GeometryError as exc:
+        return f"GeometryError: {exc}"
+
+
+def assert_same_polygon(got, expected):
+    """Equal, with the same bbox and hash, as the frozen record too."""
+    if expected is None or isinstance(expected, str):
+        assert got == expected
+        return
+    assert got == expected and not got != expected
+    assert got.bbox == expected.bbox
+    frozen = FrozenPolygon(expected.rects)
+    assert got.bbox == frozen.bbox
+    assert hash(got) == hash(expected) == hash(frozen)
+    assert repr(got) == repr(frozen).replace("FrozenPolygon", "Polygon")
+
+
+def test_polygon_is_a_slotted_record_with_the_frozen_equality_and_hash():
+    p = Polygon.of((0, 0, 10, 40), (10, 0, 40, 10))
+    assert not hasattr(p, "__dict__")
+    assert p == Polygon((R(0, 0, 10, 40), R(10, 0, 40, 10))) and p.bbox == (0, 0, 40, 40)
+    assert p != Polygon((R(0, 0, 10, 40),)) and p != p.rects and p != FrozenPolygon(p.rects)
+    assert len({p, Polygon(p.rects), Polygon.of((0, 0, 10, 40))}) == 2
+    assert_same_polygon(p, Polygon(p.rects))
+
+
+def test_one_rect_branches_match_the_general_bodies():
+    """Seeded rects, degenerate ones too, and cuts below, across and above them."""
+    rng = random.Random(2200)
+    rects = 0
+    for _ in range(3000):
+        x, y = rng.randrange(-50, 50), rng.randrange(-50, 50)
+        rect = (x, y, x + rng.randrange(-3, 60), y + rng.randrange(-3, 60))
+        p = outcome(Polygon.of, rect)
+        assert_same_polygon(p, outcome(general_polygon_of, rect))
+        if isinstance(p, str):
+            continue
+        rects += 1
+        for k in (0, 1):
+            for coord in (rect[k] - 1, rect[k], rng.randrange(rect[k], rect[k + 2] + 1), rect[k + 2], rect[k + 2] + 1):
+                got, expected = split_polygon(p, k, coord), general_split_polygon(p, k, coord)
+                assert_same_polygon(got[0], expected[0])
+                assert_same_polygon(got[1], expected[1])
+    assert 2000 < rects < 3000
+
+
+def test_multi_rect_split_matches_the_general_body():
+    """The many-rect body is the reference's, its GeometryError texts too."""
+    rng = random.Random(2300)
+    raised = 0
+    for _ in range(60):
+        for f in random_shapes(rng, 8, rng.choice([1, 5]), 200):
+            p = f.shape
+            assert_same_polygon(outcome(Polygon.of, *p.rects), outcome(general_polygon_of, *p.rects))
+            for k in (0, 1):
+                for coord in range(p.bbox[k] - 1, p.bbox[k + 2] + 2, 3):
+                    got = outcome(split_polygon, p, k, coord)
+                    expected = outcome(general_split_polygon, p, k, coord)
+                    if isinstance(expected, str):
+                        raised += 1
+                        assert got == expected
+                        continue
+                    assert_same_polygon(got[0], expected[0])
+                    assert_same_polygon(got[1], expected[1])
+    assert raised > 0
 
 
 # ---- the banded sweep against its all-pairs reference

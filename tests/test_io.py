@@ -132,6 +132,23 @@ def test_parse_rejects_non_integer_coordinates(tmp_path):
             {"id": 1, "rects": [[40, 0, 30, 40], [30, 0, "x", 40]]},
             "rect coordinate: expected an integer, got 'x'",
         ),
+        # ... in a one-rect feature too
+        ({"id": 1, "rects": [[40, 0, 30, True]]}, "rect coordinate: expected an integer, got True"),
+        ({"id": 1, "rects": [[40, 40, 30, 0.5]]}, "rect coordinate: expected an integer, got Fraction(1, 2)"),
+        # the one-rect checks: zero width, zero height, the wrong length, a float id
+        ({"id": 1, "rects": [[30, 0, 30, 40]]}, "degenerate rect [30, 0, 30, 40]"),
+        ({"id": 1, "rects": [[30, 0, 40, 0]]}, "degenerate rect [30, 0, 40, 0]"),
+        ({"id": 1, "rects": [[30, 0, 40, 40, 50]]}, "each rect must be [x_lo, y_lo, x_hi, y_hi]"),
+        ({"id": 1.0, "rects": [[30, 0, 40, 40]]}, "id: expected an integer, got Fraction(1, 1)"),
+    ]
+    # a bool or a float in each slot of a one-rect feature
+    + [
+        (
+            {"id": 1, "rects": [[bad if k == slot else c for k, c in enumerate((30, 0, 40, 40))]]},
+            f"rect coordinate: expected an integer, got {shown}",
+        )
+        for slot in range(4)
+        for bad, shown in ((False, "False"), (True, "True"), (2.5, "Fraction(5, 2)"), (30.0, "Fraction(30, 1)"))
     ],
 )
 def test_parse_feature_errors_name_path_feature_and_field(tmp_path, feature, message):

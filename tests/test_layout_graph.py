@@ -5,12 +5,13 @@ import random
 import pytest
 
 from leleec.endcut import generate_candidates
-from leleec.geometry import GeometryError, Polygon, polygon_distance, split_polygon
+from leleec.geometry import GeometryError, Polygon, polygon_distance, rect_distance, split_polygon
 from leleec.layout_graph import (
     Config,
     Feature,
     DuplicateCandidate,
     OverlappingInput,
+    Segment,
     annotate_end_cuts,
     build_conflict_edges,
     feature_index,
@@ -18,6 +19,7 @@ from leleec.layout_graph import (
 )
 
 from conftest import (
+    _shape_rects,
     gamma_quad,
     make_features,
     preselect_ring,
@@ -121,6 +123,59 @@ def test_reject_overlaps_names_the_pair_the_conflict_build_rejects():
         else:
             reject_overlaps(feats)
     assert 0 < raised < 60
+
+
+def polygon_conflict_edges(features, cfg, index):
+    """`build_conflict_edges`'s walk with `polygon_distance` for every pair
+    its bboxes leave, one-rect pairs too: (edges in order, or the
+    OverlappingInput text)."""
+    limit = cfg.dis_m * cfg.dis_m
+    edges = {}
+    for i, j in index.pairs:
+        a, b = features[i].shape, features[j].shape
+        if rect_distance(a.bbox, b.bbox) >= limit:
+            continue
+        d = polygon_distance(a, b)
+        if d == 0:
+            return f"features {i} and {j} overlap or touch"
+        if d < limit:
+            edges[(i, j)] = None
+    return list(edges.items())
+
+
+def test_flat_conflict_distance_matches_polygon_distance():
+    """One-rect and multi-rect features mixed, some of them overlapping."""
+    raised = edges = 0
+    for seed in range(80):
+        rng = random.Random(3100 + seed)
+        cfg = random_config(rng)
+        if seed % 2:
+            feats = random_layout(rng, rng.randrange(5, 60), box=300)
+        else:
+            feats = random_shapes(rng, rng.randrange(5, 25), rng.choice([1, 5]), 200)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            x, y = rng.randrange(200), rng.randrange(200)
+            rects = [(a + x, b + y, c + x, d + y) for a, b, c, d in _shape_rects(rng, 5)]
+            feats.append(Feature(len(feats), Polygon.of(*rects)))
+        index = feature_index(feats, cfg)
+        expected = polygon_conflict_edges(feats, cfg, index)
+        try:
+            got = list(build_conflict_edges(feats, cfg, index).conflict_edges.items())
+        except OverlappingInput as exc:
+            raised += 1
+            got = str(exc)
+        assert got == expected, seed
+        edges += 0 if isinstance(got, str) else len(got)
+    assert 10 < raised < 60 and edges > 500
+
+
+def test_features_and_segments_are_slotted_records():
+    p = Polygon.of((0, 0, 10, 40))
+    f, s = Feature(1, p), Segment(2, 1, p)
+    assert not hasattr(f, "__dict__") and not hasattr(s, "__dict__")
+    assert f == Feature(1, Polygon.of((0, 0, 10, 40))) and f != Feature(2, p) and f != (1, p)
+    assert s == Segment(2, 1, p) and s != Segment(2, 0, p) and s != f
+    assert hash(f) == hash((1, p)) and hash(s) == hash((2, 1, p))
 
 
 def test_vertex_count_equals_feature_count_without_stitching():
