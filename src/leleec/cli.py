@@ -4,9 +4,9 @@ Subcommands: decompose, baseline-lelele, gen, verify. Both solving
 subcommands run `decomposer`: decompose one model per piece, baseline-lelele
 one three-mask model per conflict component.
 Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
-3 time limit hit (decompose and baseline-lelele still write an incumbent
-result; a piece or component with no incumbent in time falls back to one
-mask with every conflict charged).
+3 time limit hit (decompose and baseline-lelele still write a verifiable
+result: each searched piece keeps its search's best leaf; the first is
+found before the deadline is read).
 """
 
 from __future__ import annotations

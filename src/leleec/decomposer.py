@@ -56,13 +56,13 @@ split (with an empty end-cut graph), per-piece solve with its memo, and
 merge, without the bridge split, whose recombination is a two-mask color
 flip.
 
-Under a time limit a searched piece keeps the solver's incumbent, and a
-repeat of a proven piece still takes the proven outcome. A piece whose
-search ends before its first leaf takes the one-mask assignment instead
-(no cut of its own, no merge or stitch, every conflict charged), which
-every model admits, so a time-limited result is still valid, with
-proven_optimal false. Free cuts lie outside every piece, so each one is
-still selected when its ends share a mask.
+Under a time limit each searched piece keeps its search's best leaf; the
+first is found before the deadline is read. That first leaf is the
+one-mask assignment (no cut of its own, no merge or stitch, every conflict
+charged; see `solver`), so a piece that got no time of its own still has
+a valid outcome, with proven_optimal false. A repeat of a proven piece
+still takes the proven outcome. Free cuts lie outside every piece, so each
+one is still selected when its ends share a mask.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ from .layout_graph import (
     feature_index,
     generate_stitch_candidates,
 )
-from .solver import SolveStats, TimeLimit, one_mask_incumbent, solve
+from .solver import SolveStats, solve
 
 
 class DecompositionError(ValueError):
@@ -406,7 +406,9 @@ def _solve_piece(
 
     A piece whose key is in memo takes the stored outcome, mapped back to its
     own ids, with no model and no search (0 nodes, proven optimal). A piece
-    solved to a proven optimum is stored; a time-limited outcome is not.
+    solved to a proven optimum is stored; a time-limited outcome is not. Each
+    searched piece keeps its search's best leaf; the first is found before
+    the deadline is read, so a piece left 0 s still gets one.
     """
     key, vrank, crank = _rank_space(piece, eg)
     if key in memo:
@@ -418,10 +420,7 @@ def _solve_piece(
     remaining = None
     if time_limit is not None:
         remaining = max(0.0, time_limit - (time.monotonic() - start))
-    try:
-        assignment, stats = solve(model, remaining)
-    except TimeLimit as exc:
-        assignment, stats = one_mask_incumbent(model, exc)
+    assignment, stats = solve(model, remaining)
     decoded = decode_assignment(model, assignment)
     if stats.proven_optimal:
         memo[key] = _relabel(decoded, vrank, crank), stats.best_cost

@@ -116,16 +116,6 @@ class IlpModel:
         order = sorted(range(self.num_vars), key=lambda v: (KIND_RANK[self.variables[v].kind], v))
         return self.colour_order + order[len(self.colour_order) :]
 
-    def one_mask_assignment(self) -> list[int]:
-        """Everything on one mask, no cut, merge or stitch, every conflict charged.
-
-        Feasible in every leleec model: each same/diff row is met by its
-        conflict bit, and every other row holds with all its bits at 0. In
-        the three-mask baseline every `aux` (equal-bit) bit is 1 as well,
-        which meets its diff rows, and the charged conflict meets `both_eq`.
-        """
-        return [1 if v.kind in ("conflict", "aux") else 0 for v in self.variables]
-
     def objective_value(self, assignment: list[int]) -> Fraction:
         return sum(
             (coeff for vid, coeff in self.objective.items() if assignment[vid]),

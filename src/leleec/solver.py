@@ -58,6 +58,10 @@ assignment:
   that branches on the cost bits, so the incumbents and the returned
   assignment are unchanged; only the nodes on cost bits go away. `solve`
   raises SolverError on a model that breaks the contract.
+
+A time limit has one rule: each search keeps its best leaf, and the first
+is found before the deadline is read (see `solve` for why every model the
+program builds finds it in one dive).
 """
 
 from __future__ import annotations
@@ -78,14 +82,6 @@ class SolverError(Exception):
 
 class Infeasible(SolverError):
     """The constraint system admits no 0/1 assignment."""
-
-
-class TimeLimit(SolverError):
-    """Time budget exhausted before any feasible assignment was found."""
-
-    def __init__(self, message: str, nodes_explored: int = 0):
-        super().__init__(message)
-        self.nodes_explored = nodes_explored
 
 
 class TooLarge(SolverError):
@@ -196,9 +192,33 @@ def row_tables(model: IlpModel) -> RowTables:
 def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], SolveStats]:
     """Minimal-objective feasible assignment, deterministically.
 
-    On time limit the incumbent is returned with proven_optimal=False;
-    TimeLimit is raised only when no incumbent exists yet. A model that
-    breaks the pair contract (see `row_tables`) raises SolverError.
+    An infeasible model raises Infeasible, and one that breaks the pair
+    contract (see `row_tables`) SolverError. Under a time limit the search
+    keeps its best leaf, and the first is found before the deadline is
+    read; a search the deadline stops returns its best leaf with
+    proven_optimal=False. So a time-limited solve never stops
+    empty-handed, and any model may run past the limit until its first
+    leaf, or until it is proved infeasible.
+
+    The rule keeps to the limit because every model the program builds
+    reaches a leaf in its first dive, with no backtrack. That dive tries 0
+    on every bit it branches on, and no row forces a colour, cut or merge
+    bit to 1 while the others are at 0:
+
+    - In a leleec model only the diff row, -xu - xv - c - cuts - merges
+      <= -1, could, and it also holds its conflict bit c: while c is open,
+      the row forces nothing but c. A conflict bit has only negative
+      coefficients, so propagation forces it only to 1, and the search
+      branches on it after every colour, cut and merge bit. The cut and
+      merge rows force a bit to 1 only once another of their bits is 1.
+    - In the three-mask baseline only the eq_diff row, -xu - xv - eq <=
+      -1, could, and it also holds its equal bit, which stays open until
+      the row forces it to 1: only its both_eq row, eq0 + eq1 - c <= 1,
+      could force it to 0, and only once c is 0.
+
+    So the dive's leaf has every colour, cut and merge bit at 0, every
+    conflict bit at 1 (the baseline's equal bits too) and every stitch bit
+    settled to 0: the one-mask assignment, with every conflict charged.
     """
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     n = model.num_vars
@@ -360,7 +380,8 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
             return
         vid = order[pos]
         for branch in root_branches if pos == root else (0, 1):
-            if deadline is not None and time.monotonic() > deadline:
+            # the first leaf comes before the clock (see the docstring)
+            if deadline is not None and best_cost is not None and time.monotonic() > deadline:
                 timed_out = True
                 return
             nodes += 1
@@ -385,8 +406,6 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         del dfs  # dfs refers to itself; free the search state now, not at the next GC
 
     if best_assignment is None:
-        if timed_out:
-            raise TimeLimit("time limit reached before any feasible assignment", nodes)
         raise Infeasible("constraints admit no assignment")
     stats = SolveStats(
         nodes_explored=nodes,
@@ -395,17 +414,6 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     )
     model.check_assignment(best_assignment)
     return best_assignment, stats
-
-
-def one_mask_incumbent(model: IlpModel, exc: TimeLimit) -> tuple[list[int], SolveStats]:
-    """The checked one-mask assignment, not proven optimal, for a solve that raised `exc`."""
-    assignment = model.one_mask_assignment()
-    model.check_assignment(assignment)
-    return assignment, SolveStats(
-        nodes_explored=exc.nodes_explored,
-        best_cost=model.objective_value(assignment),
-        proven_optimal=False,
-    )
 
 
 def brute_force(model: IlpModel) -> tuple[list[int], Fraction]:

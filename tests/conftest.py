@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from leleec.geometry import Polygon, polygon_distance
 from leleec.ilp_model import IlpModel
 from leleec.layout_graph import Config, Feature
+
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    """The benchmark's trace module, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_features(*rect_lists) -> list[Feature]:
@@ -173,6 +186,18 @@ def random_config(rng: random.Random) -> Config:
 def var(model: IlpModel, kind: str, key: tuple) -> int | None:
     """The id of the model's variable of this kind and key, or None."""
     return next((i for i, v in enumerate(model.variables) if (v.kind, v.key) == (kind, key)), None)
+
+
+def one_mask_assignment(model: IlpModel) -> list[int]:
+    """Everything on one mask, no cut, merge or stitch, every conflict charged.
+
+    Feasible in every leleec model: each same/diff row is met by its
+    conflict bit, and every other row holds with all its bits at 0. In the
+    three-mask baseline every `aux` (equal-bit) bit is 1 as well, which
+    meets its diff rows, and the charged conflict meets `both_eq`. A solve
+    with a zero time limit returns it: it is the first leaf of the search.
+    """
+    return [1 if v.kind in ("conflict", "aux") else 0 for v in model.variables]
 
 
 def model_shape(model: IlpModel) -> tuple:

@@ -273,7 +273,8 @@ def test_time_limit_writes_verifiable_incumbent(tmp_path, capsys):
     assert run_cli(["decompose", str(layout), "--time-limit", "0", "--out", str(out)]) == 3
     res = json.loads(out.read_text())
     assert res["stats"]["proven_optimal"] is False
-    # the fallback incumbent: one mask, every conflict charged
+    # each searched piece keeps its search's best leaf; the first is found
+    # before the deadline is read: one mask, every conflict charged
     assert len(set(res["colors"].values())) == 1
     assert res["cost"] == str(len(res["conflicts"])) and res["conflicts"]
     capsys.readouterr()

@@ -46,6 +46,7 @@ from conftest import (
     random_config,
     random_layout,
     stitch_ring,
+    via_block,
 )
 
 CFG_NS = Config.from_rules(10, 10, enable_stitch=False)
@@ -352,11 +353,12 @@ def _same_mask_cuts(res, free):
 
 
 def test_zero_time_limit_gives_valid_one_mask_pieces():
-    # every searched piece times out before its first leaf and falls back to
-    # one mask with every conflict charged; closed-form components and pieces
-    # stay exact; free cuts lie outside every piece, so each one is selected
-    # when its ends share a mask; decompose validates the merged result
-    proven = free_selected = 0
+    # every searched piece stops after its first leaf: one mask with every
+    # conflict charged, found in one dive, which its nodes count; closed-form
+    # components and pieces stay exact; free cuts lie outside every piece, so
+    # each one is selected when its ends share a mask; decompose validates
+    # the merged result
+    proven = free_selected = dives = 0
     for seed in range(30):
         rng = random.Random(seed)
         feats = random_layout(rng, rng.randrange(2, 10), box=220)
@@ -366,17 +368,38 @@ def test_zero_time_limit_gives_valid_one_mask_pieces():
         res = decompose(feats, cfg, time_limit=0.0)
         lg, eg = build_graphs(feats, cfg)
         free = _free_edges(lg, eg)
-        searched = any(
-            closed_form(comp, cfg.alpha) is None
-            and any(closed_form(piece, cfg.alpha) is None for piece in split_bridges(comp, comp_eg)[0])
+        searched = [
+            (piece, comp_eg)
             for comp, comp_eg in split_components(lg, eg, frozenset(free))[1]
-        )
-        assert res.stats["proven_optimal"] is not searched, f"seed {seed}"
+            if closed_form(comp, cfg.alpha) is None
+            for piece in split_bridges(comp, comp_eg)[0]
+            if closed_form(piece, cfg.alpha) is None
+        ]
+        assert res.stats["proven_optimal"] is not bool(searched), f"seed {seed}"
         assert res.selected_cuts == _same_mask_cuts(res, free) and res.stitches == []
         assert res.cost == len(res.conflicts)
+        dive = 0
+        for piece, comp_eg in searched:
+            assert len({res.colors[v] for v in piece.vertex_reps}) == 1, f"seed {seed}"
+            model = build_model_from_problem(piece, comp_eg, alpha=cfg.alpha)
+            dive += solve(model, 0.0)[1].nodes_explored
+        assert res.stats["nodes_explored"] == dive, f"seed {seed}"
         proven += not searched
         free_selected += len(res.selected_cuts)
-    assert 0 < proven < 30 and free_selected > 0
+        dives += dive
+    assert 0 < proven < 30 and free_selected > 0 and dives > 0
+
+
+def test_a_time_limited_monolithic_solve_returns_its_first_leaf():
+    """The oracle path keeps the one rule too: its one model's first leaf is
+    found before the deadline is read, as each piece's is in decompose."""
+    feats, cfg = via_block(4, 4)
+    mono, _ = solve_monolithic(feats, cfg, time_limit=0)
+    lg, eg = build_graphs(feats, cfg)
+    validate_result(mono, lg, eg)
+    assert mono.stats["proven_optimal"] is False
+    fast = decompose(feats, cfg, time_limit=0)
+    assert mono.colors == fast.colors and mono.cost == fast.cost > 0
 
 
 def test_free_cuts_match_the_monolithic_solve():

@@ -24,6 +24,7 @@ from leleec.solver import brute_force, row_tables, solve
 from conftest import (
     clique4_motif,
     gamma_quad,
+    one_mask_assignment,
     preselect_ring,
     random_config,
     random_layout,
@@ -416,11 +417,14 @@ def test_baseline_k5_matches_enumeration():
 
 
 def test_baseline_one_mask_assignment_is_feasible():
+    # a zero time limit stops the search after its first leaf, the one-mask assignment
     model = _baseline(_k(4))
-    assignment = model.one_mask_assignment()
+    assignment, stats = solve(model, 0.0)
+    assert assignment == one_mask_assignment(model)
     model.check_assignment(assignment)
     assert set(decode_assignment(model, assignment).colors.values()) == {0}
-    assert model.objective_value(assignment) == 6
+    assert stats.best_cost == model.objective_value(assignment) == 6
+    assert not stats.proven_optimal
 
 
 def test_baseline_random_graphs_match_enumeration():

@@ -9,9 +9,6 @@ checks the counters that read the patched calls' arguments.
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 from leleec.cli import run_cli
 from leleec.decomposer import build_graphs, split_bridges, split_components
 from leleec.ilp_model import build_model_from_problem
@@ -19,20 +16,11 @@ from leleec.layout_graph import Config
 from leleec.layout_io import emit_layout
 from leleec.synth import gen_synthetic
 
-from conftest import model_shape
-
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_spans, model_shape
 
 
 def test_every_patch_point_resolves():
-    spans = _load_spans()
+    spans = load_spans()
     missing = [
         f"{module.__name__}.{attr}"
         for module, attr, _, _ in spans.SPAN_POINTS
@@ -42,7 +30,7 @@ def test_every_patch_point_resolves():
 
 
 def test_install_then_uninstall_restores_originals():
-    spans = _load_spans()
+    spans = load_spans()
     points = [(module, attr) for module, attr, _, _ in spans.SPAN_POINTS]
     points.append((spans.leleec.endcut, "rect_overlaps_polygon"))
     before = [getattr(module, attr) for module, attr in points]
@@ -61,7 +49,7 @@ def test_traced_decompose_counts_the_pieces_and_models(tmp_path):
     feats, cfg = gen_synthetic("clique4_array", 3, 0, Config.from_rules(10, 10))
     layout = tmp_path / "motif.json"
     emit_layout(feats, cfg, layout)
-    spans = _load_spans()
+    spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -3,13 +3,15 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+import leleec.decomposer as decomposer_module
 import leleec.solver as solver_module
-from leleec.decomposer import build_graphs, decompose
+from leleec.decomposer import build_graphs, decompose, lelele_baseline, solve_monolithic
 from leleec.ilp_model import (
     Constraint,
     IlpModel,
@@ -17,18 +19,27 @@ from leleec.ilp_model import (
     build_lelele_baseline,
     build_model_from_problem,
 )
+from leleec.layout_graph import Config
 from leleec.solver import (
     BRUTE_FORCE_CAP,
     Infeasible,
     SolverError,
-    TimeLimit,
     TooLarge,
     brute_force,
     row_tables,
     solve,
 )
+from leleec.synth import KINDS, gen_synthetic
 
-from conftest import clique4_motif, random_config, random_layout, stitch_ring, var, via_block
+from conftest import (
+    clique4_motif,
+    one_mask_assignment,
+    random_config,
+    random_layout,
+    stitch_ring,
+    var,
+    via_block,
+)
 
 
 def test_empty_model_all_zeros():
@@ -350,14 +361,18 @@ def test_row_tables_match_a_two_pass_reference():
 def test_a_time_limited_solve_writes_pair_bits_from_the_colours(monkeypatch):
     """The clock is a call counter, so the search stops at the same node on
     every run: after its first incumbent and before the 4x4 block's proof
-    (1,041 nodes). Each pair cost bit of that incumbent is its colours'
-    indicator."""
+    (1,041 nodes). The deadline is tick 0 + 200. The first dive, one node
+    on each of the 16 colour bits (every other bit is a pair cost bit),
+    reads no clock; then each node reads one tick, and the read of tick 201
+    stops the search: 16 + 200 nodes. Each pair cost bit of that incumbent
+    is its colours' indicator."""
     lg, eg = build_graphs(*via_block(4, 4))
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
+    assert model.num_vars - len(model.pair_costs) == 16
     ticks = itertools.count()
     monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     assignment, stats = solve(model, time_limit=200)
-    assert not stats.proven_optimal and stats.nodes_explored == 200
+    assert not stats.proven_optimal and stats.nodes_explored == 16 + 200
     assert stats.best_cost == model.objective_value(assignment) >= 34
     model.check_assignment(assignment)
     for xu, xv, cvar, when_equal in model.pair_costs:
@@ -453,13 +468,94 @@ def test_brute_force_tie_break_smallest_code():
     assert assignment == [0, 1]
 
 
-def test_time_limit_returns_incumbent_or_raises():
-    # a model with enough variables that a zero budget cannot finish
+def test_a_zero_time_limit_returns_the_first_leaf():
+    # a model with enough variables that a zero budget cannot finish: the
+    # search stops at the first clock read after its first leaf
     feats, cfg = clique4_motif()
     lg, eg = build_graphs(feats, cfg)
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg)
-    with pytest.raises(TimeLimit):
-        solve(model, time_limit=0.0)
+    assignment, stats = solve(model, time_limit=0.0)
+    assert assignment == one_mask_assignment(model)
+    assert not stats.proven_optimal and stats.best_cost == model.objective_value(assignment) > 0
+    assert solve(model)[1].best_cost == 0
+
+
+def _program_models(monkeypatch) -> list:
+    """Every model `decompose`, `lelele_baseline` and `solve_monolithic` hand
+    to `solve` on seeded random layouts and on each `gen` kind."""
+    layouts = [gen_synthetic(kind, 3, 1, Config.from_rules(10, 10)) for kind in KINDS]
+    for seed in range(40):
+        rng = random.Random(seed)
+        feats = random_layout(rng, rng.randrange(2, 12), box=220)
+        if feats:
+            layouts.append((feats, random_config(rng)))
+    models = []
+    real_solve = decomposer_module.solve
+
+    def recording_solve(model, time_limit=None):
+        models.append(model)
+        return real_solve(model, time_limit)
+
+    monkeypatch.setattr(decomposer_module, "solve", recording_solve)
+    for feats, cfg in layouts:
+        decompose(feats, cfg)
+        lelele_baseline(build_graphs(feats, replace(cfg, enable_stitch=False))[0])
+        solve_monolithic(feats, cfg, time_limit=0.0)
+    monkeypatch.undo()
+    return models
+
+
+def test_every_program_model_reaches_the_one_mask_leaf_in_one_dive(monkeypatch):
+    """The time-limit rule of `solve` (the deadline is read only once a leaf
+    exists) keeps to the limit because the first dive of every model the
+    program builds reaches a leaf with no backtrack: at most one node per
+    bit it branches on, the pair cost bits being settled, not branched."""
+    models = _program_models(monkeypatch)
+    kinds = {"leleec" if m.flip_symmetric else "baseline" for m in models}
+    assert kinds == {"leleec", "baseline"} and len(models) > 100
+    for model in models:
+        assignment, stats = solve(model, 0.0)
+        assert assignment == one_mask_assignment(model)
+        assert not stats.proven_optimal
+        assert stats.nodes_explored <= model.num_vars - len(model.pair_costs)
+        assert stats.best_cost == model.objective_value(assignment)
+
+
+def _backtracking_model(infeasible: bool) -> IlpModel:
+    """Three bits whose first dive backtracks: x0 = 0 forces x1 = x2 = 1,
+    which x1 + x2 <= 1 forbids. The infeasible variant forbids x0 = 1 the
+    same way, over x3 and x4."""
+    model = IlpModel()
+    x = [model.add_var(f"x_{i}", "color", (i,)) for i in range(5 if infeasible else 3)]
+    model.add_constraint("x0_or_x1", [(x[0], -1), (x[1], -1)], -1)
+    model.add_constraint("x0_or_x2", [(x[0], -1), (x[2], -1)], -1)
+    model.add_constraint("not_both", [(x[1], 1), (x[2], 1)], 1)
+    if infeasible:
+        model.add_constraint("x0_le_x3", [(x[0], 1), (x[3], -1)], 0)
+        model.add_constraint("x0_le_x4", [(x[0], 1), (x[4], -1)], 0)
+        model.add_constraint("not_both_3_4", [(x[3], 1), (x[4], 1)], 1)
+    for v in x:
+        model.objective[v] = Fraction(1)
+    return model
+
+
+def test_the_deadline_is_read_only_after_the_first_leaf(monkeypatch):
+    """Every clock read after the one that sets the deadline is past it, so
+    each read the search makes stops it; it still runs on until its first
+    leaf, or until it proves the model infeasible."""
+    reads = []
+    fake_time = SimpleNamespace(monotonic=lambda: reads.append(None) or (0.0 if len(reads) == 1 else 1e9))
+    monkeypatch.setattr(solver_module, "time", fake_time)
+    model = _backtracking_model(infeasible=False)
+    assignment, stats = solve(model, time_limit=0.0)
+    # node 1, x0 = 0, fails; node 2, x0 = 1; nodes 3-4, x1 = x2 = 0: the leaf
+    assert assignment == [1, 0, 0] and stats.nodes_explored == 4
+    assert not stats.proven_optimal and len(reads) == 2
+    assert solve(model)[0] == [1, 0, 0]
+    reads.clear()
+    with pytest.raises(Infeasible):
+        solve(_backtracking_model(infeasible=True), time_limit=0.0)
+    assert len(reads) == 1
 
 
 def test_search_order_is_kind_then_id():
