@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .decomposer import build_graphs, decompose_graphs, lelele_baseline
@@ -118,7 +117,7 @@ def _exit_code(stats: dict) -> int:
 def _cmd_decompose(args) -> int:
     features, cfg = parse_layout(args.layout)
     alpha = parse_frac(args.alpha, "--alpha") if args.alpha is not None else cfg.alpha
-    cfg = replace(cfg, alpha=alpha, enable_stitch=not args.no_stitch)
+    cfg = cfg.replace(alpha=alpha, enable_stitch=not args.no_stitch)
     lg, eg = build_graphs(features, cfg)
     result = decompose_graphs(lg, eg, cfg, time_limit=args.time_limit)
 
@@ -148,7 +147,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_baseline(args) -> int:
     features, cfg = parse_layout(args.layout)
-    cfg = replace(cfg, enable_stitch=False)
+    cfg = cfg.replace(enable_stitch=False)
     lg = build_conflict_edges(features, cfg, feature_index(features, cfg))
     result = lelele_baseline(lg, args.time_limit)
 

@@ -70,7 +70,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -96,6 +95,7 @@ from .layout_graph import (
     feature_index,
     generate_stitch_candidates,
 )
+from .record import Record
 from .solver import SolveStats, solve
 
 
@@ -288,14 +288,16 @@ def split_bridges(
     return [pieces[root] for root in sorted(pieces)], clean
 
 
-@dataclass
-class PieceOutcome:
+class PieceOutcome(Record):
     """A piece's assignment and its search; stats None is a piece settled by
     `closed_form` (0 nodes, cost 0, proven optimal)."""
 
-    piece: ProblemGraph
-    decoded: Decoded
-    stats: SolveStats | None = None
+    __slots__ = ("piece", "decoded", "stats")
+
+    def __init__(self, piece: ProblemGraph, decoded: Decoded, stats: SolveStats | None = None) -> None:
+        self.piece = piece
+        self.decoded = decoded
+        self.stats = stats
 
 
 def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:

@@ -30,18 +30,21 @@ as references.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # rect_overlaps_polygon is not called here; perfbench/spans.py wraps it under this name
 from .geometry import Rect, near_pairs, rect_overlaps_polygon  # noqa: F401
 from .layout_graph import Config, EdgeKey, Feature, FeatureIndex
+from .record import Record
 
 EDGE_EDGE = "edge_edge"
 CORNER_CORNER = "corner_corner"
 
 
-@dataclass(frozen=True)
-class EndCutCandidate:
+class EndCutCandidate(NamedTuple):
+    """A trim cut bridging two conflicting features; `id` is its index in
+    the layout's candidate list."""
+
     id: int
     feature_a: int
     feature_b: int
@@ -52,11 +55,17 @@ class EndCutCandidate:
         return (self.feature_a, self.feature_b)
 
 
-@dataclass
-class EndCutGraph:
-    nodes: list[EndCutCandidate]
-    solid_edges: set[EdgeKey]
-    dash_edges: set[EdgeKey]
+class EndCutGraph(Record):
+    """The candidates and their solid (exclusion) and dash (merge) pairs, as id pairs."""
+
+    __slots__ = ("nodes", "solid_edges", "dash_edges")
+
+    def __init__(
+        self, nodes: list[EndCutCandidate], solid_edges: set[EdgeKey], dash_edges: set[EdgeKey]
+    ) -> None:
+        self.nodes = nodes
+        self.solid_edges = solid_edges
+        self.dash_edges = dash_edges
 
 
 def _clear(x_lo: int, y_lo: int, x_hi: int, y_hi: int, obstacles: Iterable[Rect]) -> bool:

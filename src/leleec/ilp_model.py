@@ -31,17 +31,22 @@ conflict bit per edge; it records no pair costs and no colour order, so it
 branches in kind-then-id order. `decode_assignment` reads
 either kind of model. A `DecompResult` holds the merged trim rects of its
 selected cuts, which `decomposer.merged_trim_rects` builds.
+
+`Var` and `Constraint` are named tuples, built for every bit and row;
+`IlpModel`, `ProblemGraph`, `DecompResult` and `Decoded` are mutable
+`record` classes, equal by class and field and not hashable.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .endcut import EndCutGraph
 from .geometry import Rect
 from .layout_graph import EdgeKey, LayoutGraph
+from .record import Record
 
 KIND_RANK = {"color": 0, "endcut": 1, "merge": 2, "aux": 2, "conflict": 3, "stitch": 4}
 
@@ -58,15 +63,15 @@ class InfeasibleAssignment(ModelError):
     """An assignment violates a constraint row."""
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
+    """A 0-1 variable: its LP name, its family (a `KIND_RANK` key) and its layout key."""
+
     name: str
     kind: str
     key: tuple
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """sum(coeff * var) <= rhs with integer coefficients."""
 
     label: str
@@ -74,23 +79,30 @@ class Constraint:
     rhs: int
 
 
-@dataclass
-class IlpModel:
-    variables: list[Var] = field(default_factory=list)
-    objective: dict[int, Fraction] = field(default_factory=dict)
-    constraints: list[Constraint] = field(default_factory=list)
-    alpha: Fraction = Fraction(0)
-    # complementing every colour bit maps feasible assignments to feasible
-    # ones of equal cost; the solver then searches one half (see solver)
-    flip_symmetric: bool = False
-    # (colour u, colour v, cost var, charged_when_equal): each cost var is
-    # its own pair's, costs >= 0 and is in exactly two rows, which hold only
-    # the pair's three bits and force it to 1 exactly when the two colours
-    # are equal (or differ); the solver settles it from the colours, bounds
-    # with the pairs and refuses a model that breaks this contract
-    pair_costs: list[tuple[int, int, int, bool]] = field(default_factory=list)
-    # every colour var in branching order; empty keeps ascending id
-    colour_order: list[int] = field(default_factory=list)
+class IlpModel(Record):
+    """Variables, objective and rows of a 0-1 model, filled by `add_var` and
+    `add_constraint`; every list and dict starts empty."""
+
+    __slots__ = (
+        "variables", "objective", "constraints", "alpha", "flip_symmetric", "pair_costs", "colour_order"
+    )
+
+    def __init__(self, alpha: Fraction = Fraction(0), flip_symmetric: bool = False) -> None:
+        self.variables: list[Var] = []
+        self.objective: dict[int, Fraction] = {}
+        self.constraints: list[Constraint] = []
+        self.alpha = alpha
+        # complementing every colour bit maps feasible assignments to feasible
+        # ones of equal cost; the solver then searches one half (see solver)
+        self.flip_symmetric = flip_symmetric
+        # (colour u, colour v, cost var, charged_when_equal): each cost var is
+        # its own pair's, costs >= 0 and is in exactly two rows, which hold only
+        # the pair's three bits and force it to 1 exactly when the two colours
+        # are equal (or differ); the solver settles it from the colours, bounds
+        # with the pairs and refuses a model that breaks this contract
+        self.pair_costs: list[tuple[int, int, int, bool]] = []
+        # every colour var in branching order; empty keeps ascending id
+        self.colour_order: list[int] = []
 
     def add_var(self, name: str, kind: str, key: tuple) -> int:
         self.variables.append(Var(name=name, kind=kind, key=key))
@@ -179,18 +191,26 @@ def frac_str(x: Fraction) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
-@dataclass
-class ProblemGraph:
+class ProblemGraph(Record):
     """The layout problem, or one independent piece of it, as a model sees it.
 
     vertex_reps is the set of the piece's vertex ids, one color variable
     each (the name is kept because perfbench/spans.py reads its length).
     Conflict edges map to the candidate id annotated on them, or to None.
+    A field left out starts empty.
     """
 
-    vertex_reps: set[int] = field(default_factory=set)
-    conflict_edges: dict[EdgeKey, int | None] = field(default_factory=dict)
-    stitch_edges: set[EdgeKey] = field(default_factory=set)
+    __slots__ = ("vertex_reps", "conflict_edges", "stitch_edges")
+
+    def __init__(
+        self,
+        vertex_reps: set[int] | None = None,
+        conflict_edges: dict[EdgeKey, int | None] | None = None,
+        stitch_edges: set[EdgeKey] | None = None,
+    ) -> None:
+        self.vertex_reps = set() if vertex_reps is None else vertex_reps
+        self.conflict_edges = {} if conflict_edges is None else conflict_edges
+        self.stitch_edges = set() if stitch_edges is None else stitch_edges
 
     @staticmethod
     def from_layout(lg: LayoutGraph, eg: EndCutGraph) -> "ProblemGraph":
@@ -343,31 +363,51 @@ def build_lelele_baseline(pg: ProblemGraph) -> IlpModel:
     return m
 
 
-@dataclass
-class DecompResult:
+class DecompResult(Record):
     """Mask assignment plus selected trim cuts, charged conflicts and stitches."""
 
-    colors: dict[int, int]
-    selected_cuts: set[int]
-    trim_rects: list[Rect]
-    conflicts: list[EdgeKey]
-    stitches: list[EdgeKey]
-    cost: Fraction
-    alpha: Fraction
-    stats: dict | None = None
+    __slots__ = ("colors", "selected_cuts", "trim_rects", "conflicts", "stitches", "cost", "alpha", "stats")
+
+    def __init__(
+        self,
+        colors: dict[int, int],
+        selected_cuts: set[int],
+        trim_rects: list[Rect],
+        conflicts: list[EdgeKey],
+        stitches: list[EdgeKey],
+        cost: Fraction,
+        alpha: Fraction,
+        stats: dict | None = None,
+    ) -> None:
+        self.colors = colors
+        self.selected_cuts = selected_cuts
+        self.trim_rects = trim_rects
+        self.conflicts = conflicts
+        self.stitches = stitches
+        self.cost = cost
+        self.alpha = alpha
+        self.stats = stats
 
     def recompute_cost(self) -> Fraction:
         return Fraction(len(self.conflicts)) + self.alpha * len(self.stitches)
 
 
-@dataclass
-class Decoded:
+class Decoded(Record):
     """The layout meaning of a leleec or three-mask baseline model assignment."""
 
-    colors: dict[int, int]  # vertex -> 0/1 (0/1/2 in the baseline)
-    selected: set[int]  # selected end-cut candidate ids
-    conflicts: list[EdgeKey]  # charged conflict edges, sorted
-    stitches: list[EdgeKey]  # active stitch edges, sorted
+    __slots__ = ("colors", "selected", "conflicts", "stitches")
+
+    def __init__(
+        self,
+        colors: dict[int, int],  # vertex -> 0/1 (0/1/2 in the baseline)
+        selected: set[int],  # selected end-cut candidate ids
+        conflicts: list[EdgeKey],  # charged conflict edges, sorted
+        stitches: list[EdgeKey],  # active stitch edges, sorted
+    ) -> None:
+        self.colors = colors
+        self.selected = selected
+        self.conflicts = conflicts
+        self.stitches = stitches
 
 
 def decode_assignment(model: IlpModel, assignment: list[int]) -> Decoded:

@@ -22,18 +22,20 @@ and the end-cut stages take obstacles from each feature's neighbour list.
 The one walk of `build_conflict_edges` is also the input check: it
 rejects the first id-ordered pair of features that touch or overlap.
 
-`Feature` and `Segment` are slotted records, cheap to build for every
-shape; they are equal and hashed by their fields.
+`Config`, `Feature`, `Segment` and `LayoutGraph` are `record` classes:
+slotted, with a hand-written `__init__` and equality by class and field.
+`Config`, `Feature` and `Segment` are never mutated and are hashed by
+their fields; a `LayoutGraph` has no hash.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .geometry import GeometryError, Polygon, near_pairs, polygon_distance, split_polygon
+from .record import HashedRecord, Record
 
 EdgeKey = tuple[int, int]
 
@@ -50,31 +52,46 @@ class DuplicateCandidate(LayoutError):
     """Two end-cut candidates map to one conflict edge."""
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(HashedRecord):
     """Design rules, stitch switch and stitch weight; distances in integer nm.
 
     Every field is required; `from_rules` is the one place that holds the
     defaults: dis_m = 2*w_min + 3*s_min; w_th and dis_c = dis_m;
-    merge_gap = s_min; alpha = 1/10; stitching on.
+    merge_gap = s_min; alpha = 1/10; stitching on. A `Config` is checked
+    when it is made and never mutated: `replace` makes a checked copy.
     """
 
-    w_min: int
-    s_min: int
-    dis_m: int
-    dis_c: int
-    w_th: int
-    alpha: Fraction
-    merge_gap: int
-    enable_stitch: bool
+    __slots__ = ("w_min", "s_min", "dis_m", "dis_c", "w_th", "alpha", "merge_gap", "enable_stitch")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        w_min: int,
+        s_min: int,
+        dis_m: int,
+        dis_c: int,
+        w_th: int,
+        alpha: Fraction,
+        merge_gap: int,
+        enable_stitch: bool,
+    ) -> None:
+        self.w_min = w_min
+        self.s_min = s_min
+        self.dis_m = dis_m
+        self.dis_c = dis_c
+        self.w_th = w_th
+        self.alpha = alpha
+        self.merge_gap = merge_gap
+        self.enable_stitch = enable_stitch
         for name in ("w_min", "s_min", "dis_m", "dis_c", "w_th", "merge_gap"):
             v = getattr(self, name)
             if not isinstance(v, int) or v <= 0:
                 raise LayoutError(f"config {name} must be a positive integer, got {v!r}")
-        if self.alpha < 0:
-            raise LayoutError(f"config alpha must be non-negative, got {self.alpha}")
+        if alpha < 0:
+            raise LayoutError(f"config alpha must be non-negative, got {alpha}")
+
+    def replace(self, **changes) -> "Config":
+        """This config with the named fields changed, checked as a new one."""
+        return Config(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
 
     @staticmethod
     def from_rules(
@@ -101,23 +118,29 @@ class Config:
         )
 
 
-# unfrozen, so building one runs no frozen __setattr__; never mutated, so
-# hashing by fields stays sound
-@dataclass(slots=True, unsafe_hash=True)
-class Feature:
-    id: int
-    shape: Polygon
+class Feature(HashedRecord):
+    """An input shape and its id; never mutated, so hashing by fields stays sound."""
+
+    __slots__ = ("id", "shape")
+
+    def __init__(self, id: int, shape: Polygon) -> None:
+        self.id = id
+        self.shape = shape
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Segment:
-    id: int
-    feature: int
-    shape: Polygon
+class Segment(HashedRecord):
+    """A vertex of the layout graph: a feature's shape, or the part of it
+    between two stitch cuts; never mutated."""
+
+    __slots__ = ("id", "feature", "shape")
+
+    def __init__(self, id: int, feature: int, shape: Polygon) -> None:
+        self.id = id
+        self.feature = feature
+        self.shape = shape
 
 
-@dataclass
-class LayoutGraph:
+class LayoutGraph(Record):
     """Vertices (segments), conflict edges with optional candidate ids, stitch edges.
 
     Each stitch edge maps to the (k, pos) its cut was made at: k indexes the
@@ -125,9 +148,17 @@ class LayoutGraph:
     coordinate along it.
     """
 
-    vertices: list[Segment]
-    conflict_edges: dict[EdgeKey, int | None]
-    stitch_edges: dict[EdgeKey, tuple[int, int]]
+    __slots__ = ("vertices", "conflict_edges", "stitch_edges")
+
+    def __init__(
+        self,
+        vertices: list[Segment],
+        conflict_edges: dict[EdgeKey, int | None],
+        stitch_edges: dict[EdgeKey, tuple[int, int]],
+    ) -> None:
+        self.vertices = vertices
+        self.conflict_edges = conflict_edges
+        self.stitch_edges = stitch_edges
 
 
 def _check_features(features: list[Feature]) -> None:

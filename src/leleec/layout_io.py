@@ -214,15 +214,16 @@ def dump_json(obj: Any) -> str:
     return "".join(out)
 
 
+# the text of a str, int or bool value, by exact type: written inline, with
+# no call of _write_json for it
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
+
+
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
     """Append the text of value to out; newline starts a line at value's indent."""
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -234,8 +235,13 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
                 if not (key is None or isinstance(key, (int, float))):
                     raise TypeError(f"keys must be text, numbers or null, not {type(key).__name__}")
                 key = json.dumps(key)
-            out.append(lead + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
+            head = lead + encode_basestring_ascii(key) + ": "
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                out.append(head + scalar(item))
+            else:
+                out.append(head)
+                _write_json(item, inner, out)
             lead = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -245,8 +251,12 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
             inner = newline + "  "
             lead = "[" + inner
             for item in value:
-                out.append(lead)
-                _write_json(item, inner, out)
+                scalar = _SCALARS.get(type(item))
+                if scalar is not None:
+                    out.append(lead + scalar(item))
+                else:
+                    out.append(lead)
+                    _write_json(item, inner, out)
                 lead = "," + inner
             out.append(newline + "]")
     else:  # null, a float, a subclass of int or str, or a TypeError

@@ -68,12 +68,12 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from .ilp_model import Constraint, IlpModel
+from .record import Record
 
 
 class SolverError(Exception):
@@ -91,11 +91,15 @@ class TooLarge(SolverError):
 BRUTE_FORCE_CAP = 24
 
 
-@dataclass
-class SolveStats:
-    nodes_explored: int
-    best_cost: Fraction
-    proven_optimal: bool
+class SolveStats(Record):
+    """A search's node count and best cost, and whether it proved that cost optimal."""
+
+    __slots__ = ("nodes_explored", "best_cost", "proven_optimal")
+
+    def __init__(self, nodes_explored: int, best_cost: Fraction, proven_optimal: bool) -> None:
+        self.nodes_explored = nodes_explored
+        self.best_cost = best_cost
+        self.proven_optimal = proven_optimal
 
 
 def _scaled_objective(model: IlpModel) -> tuple[list[int], int]:

@@ -13,7 +13,6 @@ Kinds:
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from .geometry import Polygon
 from .layout_graph import Config, Feature
@@ -35,7 +34,7 @@ def gen_synthetic(
     if kind == "clique4_array":
         # wire-end cuts are wire-width structures; the default w_th (= dis_m)
         # would forbid every candidate between minimum-width wires
-        motif_cfg = replace(cfg, w_th=cfg.w_min)
+        motif_cfg = cfg.replace(w_th=cfg.w_min)
         return _clique4_array(n, rng, motif_cfg), motif_cfg
     if kind == "via_array":
         return _via_array(n, rng, cfg), cfg

@@ -5,7 +5,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -289,7 +288,7 @@ def test_baseline_time_limit_writes_one_mask_incumbent(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(["baseline-lelele", str(layout), "--time-limit", "0", "--out", str(out)]) == 3
     res = json.loads(out.read_text())
-    lg, _ = build_graphs(feats, replace(cfg, enable_stitch=False))
+    lg, _ = build_graphs(feats, cfg.replace(enable_stitch=False))
     assert set(res["colors"].values()) == {1}
     assert res["conflicts"] == [list(e) for e in sorted(lg.conflict_edges)]
     assert res["cost"] == str(len(lg.conflict_edges))
@@ -407,6 +406,21 @@ def test_alpha_override(tmp_path):
     res = json.loads(out.read_text())
     assert Fraction(res["cost"]) == Fraction(1, 4)
     assert run_cli(["verify", str(layout), str(out)]) == 0
+
+
+def test_negative_alpha_exits_2_from_the_flag_and_from_the_file(tmp_path, capsys):
+    layout = _motif_file(tmp_path)
+    out = tmp_path / "r.json"
+    assert run_cli(["decompose", str(layout), "--alpha", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: config alpha must be non-negative, got -1\n"
+    # baseline-lelele has no --alpha: a negative one reaches it through the file
+    obj = json.loads(layout.read_text())
+    obj["alpha"] = "-1"
+    layout.write_text(json.dumps(obj))
+    for command in ("decompose", "baseline-lelele"):
+        assert run_cli([command, str(layout), "--out", str(out)]) == 2, command
+        assert capsys.readouterr().err == f"error: {layout}: config alpha must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def test_boolean_alpha_is_a_validation_error(tmp_path, capsys):
@@ -550,11 +564,14 @@ def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy serves only the brute-force oracle; every CLI call pays for its import
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_cli_import_does_not_load(module):
+    # every CLI call pays for its imports: numpy serves only the brute-force
+    # oracle, and the records are plain classes, so neither dataclasses nor
+    # the inspect module it loads is needed
     src = str(Path(leleec.cli.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import leleec.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    code = f"import sys; sys.path.insert(0, {src!r}); import leleec.cli; print({module!r} in sys.modules)"
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
 
 

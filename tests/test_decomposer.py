@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from leleec import decomposer
@@ -226,7 +225,7 @@ def test_split_matches_a_brute_force_reference():
         feats = random_layout(rng, rng.randrange(4, 20), box=260)
         cfg = random_config(rng)
         for stitch, with_free in itertools.product((True, False), repeat=2):
-            lg, eg = build_graphs(feats, replace(cfg, enable_stitch=stitch))
+            lg, eg = build_graphs(feats, cfg.replace(enable_stitch=stitch))
             anchor = {c: e for e, c in lg.conflict_edges.items() if c is not None}
             # the split couples over solid edges only; the reference over dash edges too
             coupled = [e for e in eg.solid_edges | eg.dash_edges if e[0] in anchor and e[1] in anchor]
@@ -414,7 +413,7 @@ def test_free_cuts_match_the_monolithic_solve():
             continue
         cfg = random_config(rng)
         for stitch in (True, False):
-            c = replace(cfg, enable_stitch=stitch)
+            c = cfg.replace(enable_stitch=stitch)
             fast = decompose(feats, c)
             mono, _ = solve_monolithic(feats, c)
             assert fast.cost == mono.cost, f"seed {seed}"
@@ -474,12 +473,12 @@ def _closed_form_layouts():
         feats = random_layout(rng, rng.randrange(2, 10), box=220)
         if feats:
             cfg = random_config(rng)
-            layouts += [(feats, cfg), (feats, replace(cfg, alpha=Fraction(0)))]
+            layouts += [(feats, cfg), (feats, cfg.replace(alpha=Fraction(0)))]
     for kind in KINDS:
         for n in (1, 2, 3):
             for seed in (0, 1, 2):
                 feats, cfg = gen_synthetic(kind, n, seed, Config.from_rules(10, 10))
-                layouts += [(feats, cfg), (feats, replace(cfg, alpha=Fraction(0)))]
+                layouts += [(feats, cfg), (feats, cfg.replace(alpha=Fraction(0)))]
     return layouts
 
 
@@ -614,7 +613,7 @@ def _memo_layouts():
     return [
         (feats, c)
         for feats, cfg in layouts
-        for c in (cfg, replace(cfg, enable_stitch=False), replace(cfg, alpha=Fraction(0)))
+        for c in (cfg, cfg.replace(enable_stitch=False), cfg.replace(alpha=Fraction(0)))
     ]
 
 
@@ -643,9 +642,11 @@ def test_piece_keys_tell_cut_edges_apart():
     feats, cfg = clique4_motif()
     lg, eg = build_graphs(feats, cfg)
     ([], [(piece, comp_eg)]) = split_components(lg, eg)
-    no_dash = replace(comp_eg, dash_edges=comp_eg.dash_edges - {min(comp_eg.dash_edges)})
-    no_solid = replace(comp_eg, solid_edges=comp_eg.solid_edges - {min(comp_eg.solid_edges)})
-    uncut = replace(piece, conflict_edges={**piece.conflict_edges, min(piece.conflict_edges): None})
+    nodes, solid, dash = comp_eg.nodes, comp_eg.solid_edges, comp_eg.dash_edges
+    no_dash = EndCutGraph(nodes, solid, dash - {min(dash)})
+    no_solid = EndCutGraph(nodes, solid - {min(solid)}, dash)
+    uncut_edges = {**piece.conflict_edges, min(piece.conflict_edges): None}
+    uncut = ProblemGraph(piece.vertex_reps, uncut_edges, piece.stitch_edges)
     variants = [(piece, comp_eg), (piece, no_dash), (piece, no_solid), (uncut, comp_eg)]
     keys = {decomposer._rank_space(p, e)[0] for p, e in variants}
     models = {model_shape(_piece_model(p, e, cfg)) for p, e in variants}
@@ -714,7 +715,7 @@ def test_shared_index_front_end_matches_stage_by_stage():
         cfg = Config.from_rules(10, 10, enable_stitch=seed % 3 != 2)
         layouts.append((_wires(random.Random(seed), 120, 1900, cfg), cfg))
         feats, motif_cfg = gen_synthetic("clique4_array", 8 + seed, seed, Config.from_rules(10, 10))
-        layouts.append((feats, replace(motif_cfg, enable_stitch=seed % 2 == 0)))
+        layouts.append((feats, motif_cfg.replace(enable_stitch=seed % 2 == 0)))
     seen = dict.fromkeys(("cut_edges", "stitch", "solid", "dash"), 0)
     for feats, cfg in layouts:
         lg, eg = build_graphs(feats, cfg)

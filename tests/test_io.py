@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +47,8 @@ def _write(tmp_path, name, obj):
     path.write_text(dump_json(obj), encoding="utf-8")
     return path
 
+
+CONFIG_INTS = ("w_min", "s_min", "dis_m", "dis_c", "w_th", "merge_gap")
 
 MINIMAL = {
     "format": 1,
@@ -158,6 +159,23 @@ def test_parse_feature_errors_name_path_feature_and_field(tmp_path, feature, mes
     with pytest.raises(ValidationError) as err:
         parse_layout(path)
     assert str(err.value) == f"{path}: features[1]: {message}"
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [(name, v, f"config {name} must be a positive integer, got {v}") for name in CONFIG_INTS for v in (0, -10)]
+    + [(name, "10", f"{name}: expected an integer, got '10'") for name in CONFIG_INTS]
+    + [(name, 2.5, f"{name}: expected an integer, got Fraction(5, 2)") for name in CONFIG_INTS]
+    + [
+        ("alpha", "-1", "config alpha must be non-negative, got -1"),
+        ("alpha", -0.5, "config alpha must be non-negative, got -1/2"),
+    ],
+)
+def test_parse_layout_rejects_bad_rules(tmp_path, name, value, message):
+    path = _write(tmp_path, "rules.json", {**MINIMAL, name: value})
+    with pytest.raises(ValidationError) as err:
+        parse_layout(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_parse_error_on_malformed_json(tmp_path):
@@ -480,10 +498,10 @@ def test_dump_json_matches_the_regex_writer_on_suite_layouts_and_results():
     objects = 0
     for feats, cfg in _suite_layouts():
         objs = [layout_to_obj(feats, cfg)]
-        for c in (cfg, replace(cfg, enable_stitch=False)):
+        for c in (cfg, cfg.replace(enable_stitch=False)):
             lg, eg = build_graphs(feats, c)
             objs.append(result_to_obj(decompose_graphs(lg, eg, c), lg, eg, c))
-        base = replace(cfg, enable_stitch=False)
+        base = cfg.replace(enable_stitch=False)
         lg = build_conflict_edges(feats, base, feature_index(feats, base))
         objs.append(baseline_result_to_obj(lelele_baseline(lg), base))
         for obj in objs:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from leleec.layout_graph import (
     Config,
     Feature,
     DuplicateCandidate,
+    LayoutError,
     OverlappingInput,
     Segment,
     annotate_end_cuts,
@@ -176,6 +178,47 @@ def test_features_and_segments_are_slotted_records():
     assert f == Feature(1, Polygon.of((0, 0, 10, 40))) and f != Feature(2, p) and f != (1, p)
     assert s == Segment(2, 1, p) and s != Segment(2, 0, p) and s != f
     assert hash(f) == hash((1, p)) and hash(s) == hash((2, 1, p))
+
+
+# ---- config validation
+
+RULES = dict(w_min=10, s_min=10, dis_m=50, dis_c=50, w_th=50, alpha=Fraction(1, 10), merge_gap=10, enable_stitch=True)
+INT_RULES = ("w_min", "s_min", "dis_m", "dis_c", "w_th", "merge_gap")
+
+
+def _config_errors(name, value):
+    """The LayoutError texts of Config(...) and Config.replace with one rule set to value."""
+    texts = []
+    for make in (lambda: Config(**{**RULES, name: value}), lambda: Config(**RULES).replace(**{name: value})):
+        with pytest.raises(LayoutError) as err:
+            make()
+        texts.append(str(err.value))
+    return texts
+
+
+@pytest.mark.parametrize("value", [0, -10, 10.0, "10", None, Fraction(10)])
+@pytest.mark.parametrize("name", INT_RULES)
+def test_config_rejects_an_int_rule_that_is_not_a_positive_int(name, value):
+    assert _config_errors(name, value) == [f"config {name} must be a positive integer, got {value!r}"] * 2
+
+
+@pytest.mark.parametrize("alpha, shown", [(Fraction(-1), "-1"), (Fraction(-1, 10), "-1/10"), (-1, "-1")])
+def test_config_rejects_a_negative_alpha(alpha, shown):
+    assert _config_errors("alpha", alpha) == [f"config alpha must be non-negative, got {shown}"] * 2
+
+
+def test_config_replace_checks_the_copy_and_keeps_the_original():
+    cfg = Config(**RULES)
+    assert cfg.replace() == cfg and cfg.replace() is not cfg
+    assert cfg.replace(alpha=Fraction(0), enable_stitch=False) == Config(
+        **{**RULES, "alpha": Fraction(0), "enable_stitch": False}
+    )
+    # the first failing rule in field order is named, as Config(...) names it
+    with pytest.raises(LayoutError, match="config s_min must"):
+        cfg.replace(w_th=0, s_min=0)
+    with pytest.raises(TypeError):
+        cfg.replace(dis=50)
+    assert cfg == Config(**RULES)
 
 
 def test_vertex_count_equals_feature_count_without_stitching():

@@ -8,7 +8,6 @@ that `validate_result` (decompose's check) raises and that `verify_result`
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ from leleec.decomposer import (
     validate_result,
 )
 from leleec.endcut import EndCutGraph
+from leleec.ilp_model import DecompResult
 from leleec.layout_graph import Config
 from leleec.layout_io import dump_json, result_to_obj, verify_result
 from leleec.synth import gen_synthetic
@@ -87,7 +87,11 @@ def test_selected_cut_without_annotation():
     lg, eg, res = _decomposed(feats, cfg)
     unknown = len(eg.nodes)
     with pytest.raises(DecompositionError, match=f"candidate {unknown} is not annotated"):
-        validate_result(replace(res, selected_cuts=res.selected_cuts | {unknown}), lg, eg)
+        cuts = res.selected_cuts | {unknown}
+        tampered = DecompResult(
+            res.colors, cuts, res.trim_rects, res.conflicts, res.stitches, res.cost, res.alpha, res.stats
+        )
+        validate_result(tampered, lg, eg)
     obj = _file_obj(res, lg, eg, cfg)
     obj["selected_cuts"].append({"id": unknown, "features": [0, 1], "rect": [0, 0, 1, 1]})
     assert f"selected_cuts: unknown candidate id {unknown}" in verify_result(feats, cfg, obj)
@@ -96,7 +100,7 @@ def test_selected_cut_without_annotation():
 def test_uncharged_same_mask_conflict():
     # without stitches the odd ring charges exactly one conflict
     feats, cfg = stitch_ring()
-    cfg = replace(cfg, enable_stitch=False)
+    cfg = cfg.replace(enable_stitch=False)
 
     def tamper(res):
         assert res.conflicts == [(0, 1)]

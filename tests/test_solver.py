@@ -3,7 +3,6 @@ from __future__ import annotations
 import gc
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -499,7 +498,7 @@ def _program_models(monkeypatch) -> list:
     monkeypatch.setattr(decomposer_module, "solve", recording_solve)
     for feats, cfg in layouts:
         decompose(feats, cfg)
-        lelele_baseline(build_graphs(feats, replace(cfg, enable_stitch=False))[0])
+        lelele_baseline(build_graphs(feats, cfg.replace(enable_stitch=False))[0])
         solve_monolithic(feats, cfg, time_limit=0.0)
     monkeypatch.undo()
     return models
