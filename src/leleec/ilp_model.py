@@ -23,7 +23,13 @@ the colours are equal (a conflict) or differ (a stitch). The solver
 relies on it: it settles every pair cost bit from its colours instead of
 branching on it, bounds with the pairs, and raises `SolverError` on a
 model that breaks the contract (`solver.row_tables` checks it, in the one
-row scan that builds the search tables).
+row scan that builds the search tables). The builder appends each
+conflict's and each stitch's two rows as `Constraint`s, with no pass
+through `add_constraint`, whose merge would leave their distinct bits as
+they are. A pair's rows list the colour of u, the colour of v and then the
+cost bit (`st_hi` lists v before u), the form the solver matches at once;
+it compares rows in any other order sorted, so the contract does not
+depend on term order.
 
 `build_lelele_baseline` is the three-mask coloring model of the paper's
 comparison over the same `ProblemGraph`: two color bits per vertex and a
@@ -49,6 +55,7 @@ from .layout_graph import EdgeKey, LayoutGraph
 from .record import Record
 
 KIND_RANK = {"color": 0, "endcut": 1, "merge": 2, "aux": 2, "conflict": 3, "stitch": 4}
+_ONE = Fraction(1)  # every conflict's cost; one shared value, as Fractions are immutable
 
 
 class ModelError(ValueError):
@@ -81,7 +88,9 @@ class Constraint(NamedTuple):
 
 class IlpModel(Record):
     """Variables, objective and rows of a 0-1 model, filled by `add_var` and
-    `add_constraint`; every list and dict starts empty."""
+    `add_constraint` (or a row appended to `constraints` whose bits are
+    distinct and whose coefficients are not 0); every list and dict starts
+    empty."""
 
     __slots__ = (
         "variables", "objective", "constraints", "alpha", "flip_symmetric", "pair_costs", "colour_order"
@@ -99,13 +108,15 @@ class IlpModel(Record):
         # its own pair's, costs >= 0 and is in exactly two rows, which hold only
         # the pair's three bits and force it to 1 exactly when the two colours
         # are equal (or differ); the solver settles it from the colours, bounds
-        # with the pairs and refuses a model that breaks this contract
+        # with the pairs and refuses a model that breaks this contract. The
+        # builder writes each pair's rows directly, terms in the order
+        # colour u, colour v, cost bit (v first in st_hi); any order is valid
         self.pair_costs: list[tuple[int, int, int, bool]] = []
         # every colour var in branching order; empty keeps ascending id
         self.colour_order: list[int] = []
 
     def add_var(self, name: str, kind: str, key: tuple) -> int:
-        self.variables.append(Var(name=name, kind=kind, key=key))
+        self.variables.append(Var(name, kind, key))
         return len(self.variables) - 1
 
     def add_constraint(self, label: str, terms: list[tuple[int, int]], rhs: int) -> None:
@@ -275,9 +286,10 @@ def build_model_from_problem(
 
     # a conflict between u and v is forgiven only when cuts to one common
     # neighbor w merge u, w and v into a single printed shape;
-    # (merge bit, p, q) per conflict edge
-    gammas: dict[EdgeKey, list[tuple[int, int, int]]] = {e: [] for e in edge_list}
-    if corrected:
+    # (merge bit, p, q) per conflict edge that has any. A merge needs two
+    # cuts, so a piece with none skips the search
+    gammas: dict[EdgeKey, list[tuple[int, int, int]]] = {}
+    if corrected and ec:
         adjacency: dict[int, set[int]] = {v: set() for v in pg.vertex_reps}
         for u, v in edge_list:
             adjacency[u].add(v)
@@ -291,7 +303,7 @@ def build_model_from_problem(
                     continue
                 if ((p, q) if p < q else (q, p)) in eg.dash_edges:
                     g = m.add_var(f"g_{u}_{v}_w{w}_{p}_{q}", "merge", (u, v, w, p, q))
-                    gammas[(u, v)].append((g, p, q))
+                    gammas.setdefault((u, v), []).append((g, p, q))
 
     conflict = {e: m.add_var(f"c_{e[0]}_{e[1]}", "conflict", e) for e in edge_list}
     stitch = {e: m.add_var(f"s_{e[0]}_{e[1]}", "stitch", e) for e in sorted(pg.stitch_edges)}
@@ -299,12 +311,17 @@ def build_model_from_problem(
     # the pair_costs edges, kept apart: the colour order must not move when
     # a caller clears pair_costs to turn the bound off
     coupled: list[EdgeKey] = []
+    # the conflict and stitch rows hold distinct bits, which add_constraint
+    # would leave as they are: they are appended as written
+    rows = m.constraints
     for u, v in edge_list:
         xu, xv, c = x[u], x[v], conflict[(u, v)]
         cid = pg.conflict_edges[(u, v)]
-        relax = ([] if cid is None else [(ec[cid], -1)]) + [(g, -1) for g, _, _ in gammas[(u, v)]]
-        m.add_constraint(f"same_{u}_{v}", [(xu, 1), (xv, 1), (c, -1)] + relax, 1)
-        m.add_constraint(f"diff_{u}_{v}", [(xu, -1), (xv, -1), (c, -1)] + relax, -1)
+        relax = () if cid is None else ((ec[cid], -1),)
+        if (u, v) in gammas:
+            relax += tuple((g, -1) for g, _, _ in gammas[(u, v)])
+        rows.append(Constraint(f"same_{u}_{v}", ((xu, 1), (xv, 1), (c, -1), *relax), 1))
+        rows.append(Constraint(f"diff_{u}_{v}", ((xu, -1), (xv, -1), (c, -1), *relax), -1))
         if not relax:
             m.pair_costs.append((xu, xv, c, True))
             coupled.append((u, v))
@@ -323,11 +340,10 @@ def build_model_from_problem(
         if p in ec and q in ec:
             m.add_constraint(f"excl_{p}_{q}", [(ec[p], 1), (ec[q], 1)], 1)
 
-    for c in conflict.values():
-        m.objective[c] = Fraction(1)
+    m.objective.update(dict.fromkeys(conflict.values(), _ONE))
     for (u, v), s in stitch.items():
-        m.add_constraint(f"st_lo_{u}_{v}", [(x[u], 1), (x[v], -1), (s, -1)], 0)
-        m.add_constraint(f"st_hi_{u}_{v}", [(x[v], 1), (x[u], -1), (s, -1)], 0)
+        rows.append(Constraint(f"st_lo_{u}_{v}", ((x[u], 1), (x[v], -1), (s, -1)), 0))
+        rows.append(Constraint(f"st_hi_{u}_{v}", ((x[v], 1), (x[u], -1), (s, -1)), 0))
         m.objective[s] = alpha
         m.pair_costs.append((x[u], x[v], s, False))
         coupled.append((u, v))

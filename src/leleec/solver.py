@@ -30,8 +30,8 @@ assignment, are those of the committed-cost bound alone; only node counts
 drop. A model with no pair costs, such as the three-mask baseline, has
 bound 0 throughout.
 
-Three exact shortcuts keep the work down without changing any returned
-assignment:
+Five exact shortcuts keep the work down without changing any returned
+assignment, incumbent or node count:
 
 - Colour-flip symmetry. In a model with `flip_symmetric` set, complementing
   every colour bit maps a feasible assignment to a feasible one of the same
@@ -58,6 +58,17 @@ assignment:
   that branches on the cost bits, so the incumbents and the returned
   assignment are unchanged; only the nodes on cost bits go away. `solve`
   raises SolverError on a model that breaks the contract.
+- Snapshot undo. Each branch saves the bound and the closed sum before it
+  assigns, and restores both once `undo` has taken back every assignment
+  made since. With none of them left, the saved values are exactly what
+  reversing each update would give, so the prune test reads the same
+  numbers; `undo` only puts back slacks, values and the forced entries of
+  the partners that are open.
+- Rows only where they can force. A branch propagates only when its bit
+  has a row whose slack its value lowers. With none, no slack moved, and
+  a row that could force nothing before the assignment still cannot, so
+  propagation would return at once with nothing forced. Every row of a
+  cut-free piece is a pair row, so its colour bits never propagate.
 
 A time limit has one rule: each search keeps its best leaf, and the first
 is found before the deadline is read (see `solve` for why every model the
@@ -109,17 +120,22 @@ def _scaled_objective(model: IlpModel) -> tuple[list[int], int]:
         denom = lcm(denom, coeff.denominator)
     costs = [0] * model.num_vars
     for vid, coeff in model.objective.items():
-        costs[vid] = int(coeff * denom)
+        costs[vid] = coeff.numerator * (denom // coeff.denominator)
     return costs, denom
 
 
-# (coefficient of colour u, of colour v, of the cost bit, rhs) of a pair's
-# two rows, by charged_when_equal: the cost bit is then at least 1 exactly
-# when the colours are equal (a conflict) or differ (a stitch)
-_PAIR_ROW_FORMS = {
-    True: {(1, 1, -1, 1), (-1, -1, -1, -1)},
-    False: {(1, -1, -1, 0), (-1, 1, -1, 0)},
-}
+def _pair_rows(xu: int, xv: int, cvar: int, when_equal: bool) -> tuple:
+    """A pair's two rows as (terms, rhs), in the order and term order that
+    `ilp_model` writes them: the cost bit is then at least 1 exactly when the
+    colours are equal (a conflict) or differ (a stitch)."""
+    if when_equal:
+        return (((xu, 1), (xv, 1), (cvar, -1)), 1), (((xu, -1), (xv, -1), (cvar, -1)), -1)
+    return (((xu, 1), (xv, -1), (cvar, -1)), 0), (((xv, 1), (xu, -1), (cvar, -1)), 0)
+
+
+def _term_order_free(rows) -> list:
+    """(terms, rhs) rows with their terms sorted, in sorted order."""
+    return sorted((tuple(sorted(terms)), rhs) for terms, rhs in rows)
 
 
 class RowTables(NamedTuple):
@@ -182,13 +198,16 @@ def row_tables(model: IlpModel) -> RowTables:
         slack.append(s)
         max_coeff.append(top)
     for (xu, xv, cvar, when_equal), ridxs in zip(model.pair_costs, found):
-        forms = set()
-        for ridx in ridxs:
-            con = model.constraints[ridx]
-            coeff = dict(con.terms)
-            if len(coeff) == 3:
-                forms.add((coeff.get(xu), coeff.get(xv), coeff[cvar], con.rhs))
-        if len(ridxs) != 2 or forms != _PAIR_ROW_FORMS[when_equal] or model.objective.get(cvar, 0) < 0:
+        # rows as the model builder writes them match at once; any other
+        # order of the rows or of their terms is compared sorted
+        want = _pair_rows(xu, xv, cvar, when_equal)
+        got = tuple((model.constraints[ridx].terms, model.constraints[ridx].rhs) for ridx in ridxs)
+        if (
+            (got != want and (len(got) != 2 or _term_order_free(got) != _term_order_free(want)))
+            or xu == xv
+            or cvar in (xu, xv)
+            or model.objective.get(cvar, 0) < 0
+        ):
             raise SolverError(f"pair cost {model.variables[cvar].name} breaks the pair contract")
     return RowTables(rows, slack, max_coeff, drops, {ridx for ridxs in found for ridx in ridxs})
 
@@ -241,13 +260,13 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     # takes the partner's value xor flip; forced[v] changes only while v is
     # open, and then counts exactly the pairs whose partner is fixed; closed
     # counts the charged pairs whose two bits are fixed
-    links: dict[int, list[tuple[int, int, int]]] = {}
+    links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for xu, xv, cvar, when_equal in model.pair_costs:
         if costs[cvar]:
             flip = 0 if when_equal else 1
-            links.setdefault(xu, []).append((xv, costs[cvar], flip))
-            links.setdefault(xv, []).append((xu, costs[cvar], flip))
-    forced = {v: [0, 0] for v in links}
+            links[xu].append((xv, costs[cvar], flip))
+            links[xv].append((xu, costs[cvar], flip))
+    forced = [[0, 0] for _ in range(n)]
     bound = 0
     closed = 0
 
@@ -261,11 +280,12 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
             slack[ridx] -= delta
             if slack[ridx] < 0:
                 ok = False
-        if vid in links:
+        pairs = links[vid]
+        if pairs:
             # min() written out: these loops run on every colour-bit assignment
             f = forced[vid]
             bound -= f[0] if f[0] < f[1] else f[1]
-            for wid, cost, flip in links[vid]:
+            for wid, cost, flip in pairs:
                 if value[wid] == -1:
                     f = forced[wid]
                     old = f[0] if f[0] < f[1] else f[1]
@@ -276,24 +296,21 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         return ok
 
     def undo(mark: int) -> None:
-        nonlocal bound, closed
+        """Take back every assignment after mark: slacks, values and the
+        partners' forced entries. The caller restores bound and closed from
+        its snapshot, which is exact because nothing assigned after mark is
+        left."""
         while len(trail) > mark:
             vid = trail.pop()
             val = value[vid]
             for ridx, delta in drops[val][vid]:
                 slack[ridx] += delta
             value[vid] = -1
-            if vid in links:
-                for wid, cost, flip in links[vid]:
-                    if value[wid] == -1:
-                        f = forced[wid]
-                        old = f[0] if f[0] < f[1] else f[1]
-                        f[val ^ flip] -= cost
-                        bound += (f[0] if f[0] < f[1] else f[1]) - old
-                    elif val == value[wid] ^ flip:
-                        closed -= cost
-                f = forced[vid]
-                bound += f[0] if f[0] < f[1] else f[1]
+            # a partner open now was open when vid was fixed: every bit
+            # fixed since is already taken back
+            for wid, cost, flip in links[vid]:
+                if value[wid] == -1:
+                    forced[wid][val ^ flip] -= cost
 
     def force_in_row(ridx: int, pending: list[int]) -> tuple[bool, int]:
         """Force unfixed variables whose wrong value would violate row ridx.
@@ -371,7 +388,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         root_branches = (0,)
 
     def dfs(pos: int, committed: int) -> None:
-        nonlocal best_cost, best_assignment, nodes, timed_out
+        nonlocal best_cost, best_assignment, nodes, timed_out, bound, closed
         if timed_out:
             return
         pos = first_unfixed(pos)
@@ -390,14 +407,17 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
                 return
             nodes += 1
             mark = len(trail)
+            saved_bound, saved_closed = bound, closed
             ok = assign(vid, branch)
             add = costs[vid] if branch else 0
-            if ok:
+            # a bit with no row to lower can force nothing
+            if ok and drops[branch][vid]:
                 ok, forced_cost = propagate([vid])
                 add += forced_cost
             if ok and (best_cost is None or committed + add + closed + bound < best_cost):
                 dfs(pos + 1, committed + add)
             undo(mark)
+            bound, closed = saved_bound, saved_closed
             if timed_out:
                 return
 

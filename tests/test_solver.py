@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -325,6 +328,21 @@ def test_a_model_that_breaks_the_pair_contract_is_refused(breach, when_equal):
         solve(model)
 
 
+def _reordered_rows(model: IlpModel) -> None:
+    """The pair's two rows in the other order, each with its terms reversed."""
+    model.constraints[:] = [Constraint(con.label, con.terms[::-1], con.rhs) for con in model.constraints[::-1]]
+
+
+@pytest.mark.parametrize("when_equal", (True, False))
+def test_a_pair_whose_rows_list_their_terms_in_another_order_is_accepted(when_equal):
+    # the pair contract is on the rows' terms and bounds, not on their order
+    model = _rigid_pair_model(when_equal)
+    expected = solve(model)
+    _reordered_rows(model)
+    assert [con.terms[0][0] for con in model.constraints] == [2, 2]
+    assert solve(model) == expected and row_tables(model).pair_rows == {0, 1}
+
+
 def two_pass_row_tables(model):
     """row_tables as two scans: every row's terms for the pair cost bits, then
     the tables over the rows that hold none."""
@@ -518,6 +536,25 @@ def test_every_program_model_reaches_the_one_mask_leaf_in_one_dive(monkeypatch):
         assert not stats.proven_optimal
         assert stats.nodes_explored <= model.num_vars - len(model.pair_costs)
         assert stats.best_cost == model.objective_value(assignment)
+
+
+NODE_COUNTS = Path(__file__).resolve().parent / "golden" / "solver_node_counts.json"
+
+
+def test_every_search_keeps_its_recorded_node_count(monkeypatch):
+    """Each model of `_program_models` and then `_bound_models`, solved with
+    no time limit, keeps the nodes_explored, best_cost, proven_optimal and
+    assignment (a sha256 prefix of its bytes) recorded in
+    `solver_node_counts.json`, one line per model. A search shortcut must
+    not move any of them: a bound restored wrongly on backtrack prunes
+    differently, and the node counts show it even where the optimum holds."""
+    models = _program_models(monkeypatch) + _bound_models()
+    recorded = json.loads(NODE_COUNTS.read_text())
+    assert len(models) == len(recorded)
+    for k, (model, want) in enumerate(zip(models, recorded)):
+        assignment, stats = solve(model)
+        digest = hashlib.sha256(bytes(assignment)).hexdigest()[:16]
+        assert [stats.nodes_explored, str(stats.best_cost), stats.proven_optimal, digest] == want, f"model {k}"
 
 
 def _backtracking_model(infeasible: bool) -> IlpModel:
