@@ -23,13 +23,9 @@ the colours are equal (a conflict) or differ (a stitch). The solver
 relies on it: it settles every pair cost bit from its colours instead of
 branching on it, bounds with the pairs, and raises `SolverError` on a
 model that breaks the contract (`solver.row_tables` checks it, in the one
-row scan that builds the search tables). The builder appends each
-conflict's and each stitch's two rows as `Constraint`s, with no pass
-through `add_constraint`, whose merge would leave their distinct bits as
-they are. A pair's rows list the colour of u, the colour of v and then the
-cost bit (`st_hi` lists v before u), the form the solver matches at once;
-it compares rows in any other order sorted, so the contract does not
-depend on term order.
+row scan that builds the search tables). The check reads each row's
+coefficients by bit, so the contract does not depend on the order in
+which a row lists its terms.
 
 `build_lelele_baseline` is the three-mask coloring model of the paper's
 comparison over the same `ProblemGraph`: two color bits per vertex and a
@@ -88,9 +84,7 @@ class Constraint(NamedTuple):
 
 class IlpModel(Record):
     """Variables, objective and rows of a 0-1 model, filled by `add_var` and
-    `add_constraint` (or a row appended to `constraints` whose bits are
-    distinct and whose coefficients are not 0); every list and dict starts
-    empty."""
+    `add_constraint`; every list and dict starts empty."""
 
     __slots__ = (
         "variables", "objective", "constraints", "alpha", "flip_symmetric", "pair_costs", "colour_order"
@@ -108,9 +102,8 @@ class IlpModel(Record):
         # its own pair's, costs >= 0 and is in exactly two rows, which hold only
         # the pair's three bits and force it to 1 exactly when the two colours
         # are equal (or differ); the solver settles it from the colours, bounds
-        # with the pairs and refuses a model that breaks this contract. The
-        # builder writes each pair's rows directly, terms in the order
-        # colour u, colour v, cost bit (v first in st_hi); any order is valid
+        # with the pairs and refuses a model that breaks this contract, in
+        # whatever order a row lists the three terms
         self.pair_costs: list[tuple[int, int, int, bool]] = []
         # every colour var in branching order; empty keeps ascending id
         self.colour_order: list[int] = []
@@ -119,12 +112,9 @@ class IlpModel(Record):
         self.variables.append(Var(name, kind, key))
         return len(self.variables) - 1
 
-    def add_constraint(self, label: str, terms: list[tuple[int, int]], rhs: int) -> None:
-        merged: dict[int, int] = {}
-        for vid, coeff in terms:
-            merged[vid] = merged.get(vid, 0) + coeff
-        flat = tuple((vid, coeff) for vid, coeff in merged.items() if coeff != 0)
-        self.constraints.append(Constraint(label=label, terms=flat, rhs=rhs))
+    def add_constraint(self, label: str, terms: Iterable[tuple[int, int]], rhs: int) -> None:
+        """Append the row sum(coeff * var) <= rhs, its terms as given."""
+        self.constraints.append(Constraint(label, tuple(terms), rhs))
 
     @property
     def num_vars(self) -> int:
@@ -311,17 +301,14 @@ def build_model_from_problem(
     # the pair_costs edges, kept apart: the colour order must not move when
     # a caller clears pair_costs to turn the bound off
     coupled: list[EdgeKey] = []
-    # the conflict and stitch rows hold distinct bits, which add_constraint
-    # would leave as they are: they are appended as written
-    rows = m.constraints
     for u, v in edge_list:
         xu, xv, c = x[u], x[v], conflict[(u, v)]
         cid = pg.conflict_edges[(u, v)]
         relax = () if cid is None else ((ec[cid], -1),)
         if (u, v) in gammas:
             relax += tuple((g, -1) for g, _, _ in gammas[(u, v)])
-        rows.append(Constraint(f"same_{u}_{v}", ((xu, 1), (xv, 1), (c, -1), *relax), 1))
-        rows.append(Constraint(f"diff_{u}_{v}", ((xu, -1), (xv, -1), (c, -1), *relax), -1))
+        m.add_constraint(f"same_{u}_{v}", ((xu, 1), (xv, 1), (c, -1), *relax), 1)
+        m.add_constraint(f"diff_{u}_{v}", ((xu, -1), (xv, -1), (c, -1), *relax), -1)
         if not relax:
             m.pair_costs.append((xu, xv, c, True))
             coupled.append((u, v))
@@ -342,8 +329,8 @@ def build_model_from_problem(
 
     m.objective.update(dict.fromkeys(conflict.values(), _ONE))
     for (u, v), s in stitch.items():
-        rows.append(Constraint(f"st_lo_{u}_{v}", ((x[u], 1), (x[v], -1), (s, -1)), 0))
-        rows.append(Constraint(f"st_hi_{u}_{v}", ((x[v], 1), (x[u], -1), (s, -1)), 0))
+        m.add_constraint(f"st_lo_{u}_{v}", ((x[u], 1), (x[v], -1), (s, -1)), 0)
+        m.add_constraint(f"st_hi_{u}_{v}", ((x[v], 1), (x[u], -1), (s, -1)), 0)
         m.objective[s] = alpha
         m.pair_costs.append((x[u], x[v], s, False))
         coupled.append((u, v))

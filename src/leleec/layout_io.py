@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -217,11 +217,6 @@ def dump_json(obj: Any) -> str:
 # the text of a str, int or bool value, by exact type: written inline, with
 # no call of _write_json for it
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
-_SCALAR_TYPES = frozenset(_SCALARS)
-# json's own C encoder, one entry a line: keys and scalars come out as the
-# loop of _write_json writes them, and the only raw newlines are the
-# separators (text is escaped to ASCII), which are then indented
-_flat_dict = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n", False, False, True)
 
 
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
@@ -234,18 +229,6 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = newline + "  "
-        # six or more entries whose values are all str, int or bool, such as
-        # a result's colors, are written in one call, unless a key is of a
-        # type the loop below refuses with its own message; with fewer, such
-        # as a per_sub entry, the call costs more than the loop
-        if len(value) >= 6 and _SCALAR_TYPES.issuperset(map(type, value.values())):
-            try:
-                text = "".join(_flat_dict(value, 0))
-            except TypeError:
-                pass
-            else:
-                out.append("{" + inner + text[1:-1].replace("\n", inner) + newline + "}")
-                return
         lead = "{" + inner
         for key, item in value.items():
             if not isinstance(key, str):

@@ -124,18 +124,13 @@ def _scaled_objective(model: IlpModel) -> tuple[list[int], int]:
     return costs, denom
 
 
-def _pair_rows(xu: int, xv: int, cvar: int, when_equal: bool) -> tuple:
-    """A pair's two rows as (terms, rhs), in the order and term order that
-    `ilp_model` writes them: the cost bit is then at least 1 exactly when the
-    colours are equal (a conflict) or differ (a stitch)."""
-    if when_equal:
-        return (((xu, 1), (xv, 1), (cvar, -1)), 1), (((xu, -1), (xv, -1), (cvar, -1)), -1)
-    return (((xu, 1), (xv, -1), (cvar, -1)), 0), (((xv, 1), (xu, -1), (cvar, -1)), 0)
-
-
-def _term_order_free(rows) -> list:
-    """(terms, rhs) rows with their terms sorted, in sorted order."""
-    return sorted((tuple(sorted(terms)), rhs) for terms, rhs in rows)
+# (coefficient of colour u, of colour v, of the cost bit, rhs) of a pair's
+# two rows, by charged_when_equal: the cost bit is then at least 1 exactly
+# when the colours are equal (a conflict) or differ (a stitch)
+_PAIR_ROW_FORMS = {
+    True: {(1, 1, -1, 1), (-1, -1, -1, -1)},
+    False: {(1, -1, -1, 0), (-1, 1, -1, 0)},
+}
 
 
 class RowTables(NamedTuple):
@@ -198,16 +193,13 @@ def row_tables(model: IlpModel) -> RowTables:
         slack.append(s)
         max_coeff.append(top)
     for (xu, xv, cvar, when_equal), ridxs in zip(model.pair_costs, found):
-        # rows as the model builder writes them match at once; any other
-        # order of the rows or of their terms is compared sorted
-        want = _pair_rows(xu, xv, cvar, when_equal)
-        got = tuple((model.constraints[ridx].terms, model.constraints[ridx].rhs) for ridx in ridxs)
-        if (
-            (got != want and (len(got) != 2 or _term_order_free(got) != _term_order_free(want)))
-            or xu == xv
-            or cvar in (xu, xv)
-            or model.objective.get(cvar, 0) < 0
-        ):
+        forms = set()
+        for ridx in ridxs:
+            con = model.constraints[ridx]
+            coeff = dict(con.terms)
+            if len(coeff) == 3:
+                forms.add((coeff.get(xu), coeff.get(xv), coeff[cvar], con.rhs))
+        if len(ridxs) != 2 or forms != _PAIR_ROW_FORMS[when_equal] or model.objective.get(cvar, 0) < 0:
             raise SolverError(f"pair cost {model.variables[cvar].name} breaks the pair contract")
     return RowTables(rows, slack, max_coeff, drops, {ridx for ridxs in found for ridx in ridxs})
 

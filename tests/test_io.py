@@ -479,27 +479,6 @@ def test_dump_json_matches_the_regex_writer_on_seeded_objects():
     assert inline > 100, inline
 
 
-def test_dump_json_matches_the_regex_writer_on_flat_dicts():
-    """An object of six or more entries with only text, integer and boolean
-    values is written in one call; it must agree with the entry loop on
-    escapes, non-ASCII text and keys that are numbers, booleans or null, at
-    every depth."""
-    for seed in range(50):
-        rng = random.Random(seed)
-        flat = {
-            _random_text(rng) + str(k): rng.choice([rng.randint(-(10**30), 10**30), True, False, _random_text(rng)])
-            for k in range(rng.randrange(6, 12))
-        }
-        if seed % 2:
-            flat.update({7: 1, -2.5: "x", None: True, False: 0})
-        obj = {"flat": flat, "nested": [[flat], {"again": flat}]}
-        assert dump_json(obj) == _dump_json_by_regex(obj), seed
-        assert dump_json(flat) == _dump_json_by_regex(flat), seed
-        flat[(1, 2)] = 0
-        with pytest.raises(TypeError, match="^keys must be text, numbers or null, not tuple$"):
-            dump_json(flat)
-
-
 def _suite_layouts():
     """The layouts the suite builds: the conftest fixtures, seeded random
     wires and shapes, the gen kinds and the recorded golden layouts."""

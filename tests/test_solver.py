@@ -499,7 +499,10 @@ def test_a_zero_time_limit_returns_the_first_leaf():
 
 def _program_models(monkeypatch) -> list:
     """Every model `decompose`, `lelele_baseline` and `solve_monolithic` hand
-    to `solve` on seeded random layouts and on each `gen` kind."""
+    to `solve` on seeded random layouts and on each `gen` kind. Each search
+    takes well under a second, so one given no limit gets 5 s: a solver
+    that stops pruning then fails the caller's test instead of running on,
+    and a working one records the same models."""
     layouts = [gen_synthetic(kind, 3, 1, Config.from_rules(10, 10)) for kind in KINDS]
     for seed in range(40):
         rng = random.Random(seed)
@@ -511,7 +514,7 @@ def _program_models(monkeypatch) -> list:
 
     def recording_solve(model, time_limit=None):
         models.append(model)
-        return real_solve(model, time_limit)
+        return real_solve(model, 5.0 if time_limit is None else time_limit)
 
     monkeypatch.setattr(decomposer_module, "solve", recording_solve)
     for feats, cfg in layouts:
@@ -542,17 +545,20 @@ NODE_COUNTS = Path(__file__).resolve().parent / "golden" / "solver_node_counts.j
 
 
 def test_every_search_keeps_its_recorded_node_count(monkeypatch):
-    """Each model of `_program_models` and then `_bound_models`, solved with
-    no time limit, keeps the nodes_explored, best_cost, proven_optimal and
-    assignment (a sha256 prefix of its bytes) recorded in
-    `solver_node_counts.json`, one line per model. A search shortcut must
-    not move any of them: a bound restored wrongly on backtrack prunes
-    differently, and the node counts show it even where the optimum holds."""
+    """Each model of `_program_models` and then `_bound_models` keeps the
+    nodes_explored, best_cost, proven_optimal and assignment (a sha256
+    prefix of its bytes) recorded in `solver_node_counts.json`, one line per
+    model. A search shortcut must not move any of them: a bound restored
+    wrongly on backtrack prunes differently, and the node counts show it
+    even where the optimum holds. Every recorded search is proven optimal
+    and all of them take about 2 s together, so each gets 5 s: a search
+    that stops pruning ends unproven and fails here instead of running on.
+    The deadline is read only after the first leaf, so it moves no count."""
     models = _program_models(monkeypatch) + _bound_models()
     recorded = json.loads(NODE_COUNTS.read_text())
     assert len(models) == len(recorded)
     for k, (model, want) in enumerate(zip(models, recorded)):
-        assignment, stats = solve(model)
+        assignment, stats = solve(model, time_limit=5.0)
         digest = hashlib.sha256(bytes(assignment)).hexdigest()[:16]
         assert [stats.nodes_explored, str(stats.best_cost), stats.proven_optimal, digest] == want, f"model {k}"
 
