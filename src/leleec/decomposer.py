@@ -453,8 +453,10 @@ def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
             for w in group_vertices[flip]:
                 colors[w] ^= 1
         uf.union(gu, gv)
-        merged = group_vertices.pop(gu) + group_vertices.pop(gv)
-        group_vertices[uf.find(gu)] = merged
+        # the larger list takes in the smaller, so a chain of bridges copies each id O(log k) times
+        small, large = sorted((group_vertices.pop(gu), group_vertices.pop(gv)), key=len)
+        large.extend(small)
+        group_vertices[uf.find(gu)] = large
 
     for p in pieces:
         for v in p.piece.vertex_reps:

@@ -30,6 +30,31 @@ assignment, are those of the committed-cost bound alone; only node counts
 drop. A model with no pair costs, such as the three-mask baseline, has
 bound 0 throughout.
 
+A model whose every row is a pair row, as every cut-free piece's is, gets
+two more terms, computed once before the search (`triangle_suffix` and
+`descent_incumbent`). With no other row nothing propagates, so below the
+node that fixes order[pos] the open bits are exactly order[pos + 1:].
+
+- From below, suffix[pos + 1]: a greedy packing of edge-disjoint rigid
+  conflict triangles among those open bits. A triangle charges at least
+  its cheapest edge however it is coloured, and its pairs have both bits
+  open, so neither forced nor the closed sum counts them. These
+  triangles are the shortest odd-cycle inequalities of the cut polytope
+  (Barahona, Grötschel, Jünger & Reinelt, Operations Research 1988).
+- From above, an incumbent cost U: a greedy colouring in the search order,
+  improved by one-flip descent. The search starts with its threshold at
+  U + 1, so it prunes every branch that cannot reach a leaf of cost at
+  most U; the optimum is at most U, so the first optimal leaf in search
+  order is still found, and no leaf is taken that the plain search would
+  not take. The descent leaf itself is never returned.
+
+Both only prune subtrees that hold no new incumbent, so the returned
+assignment is the one the plain search returns; only node counts drop. The
+incumbent is used only when `solve` reads no deadline: under a time limit
+the first leaf must come from the unpruned first dive, so a zero limit
+still returns the one-mask leaf, and a search the deadline stops holds a
+leaf of the same sequence of incumbents.
+
 Five exact shortcuts keep the work down without changing any returned
 assignment, incumbent or node count:
 
@@ -204,6 +229,94 @@ def row_tables(model: IlpModel) -> RowTables:
     return RowTables(rows, slack, max_coeff, drops, {ridx for ridxs in found for ridx in ridxs})
 
 
+def pair_links(
+    pair_costs: list[tuple[int, int, int, bool]], costs: list[int]
+) -> list[list[tuple[int, int, int]]]:
+    """links[v]: (partner, cost, flip) for each pair at bit v with a positive
+    scaled cost, which charges cost when v takes the partner's value xor flip."""
+    links: list[list[tuple[int, int, int]]] = [[] for _ in costs]
+    for xu, xv, cvar, when_equal in pair_costs:
+        if costs[cvar]:
+            flip = 0 if when_equal else 1
+            links[xu].append((xv, costs[cvar], flip))
+            links[xv].append((xu, costs[cvar], flip))
+    return links
+
+
+def triangle_suffix(order: list[int], links: list[list[tuple[int, int, int]]]) -> list[int]:
+    """suffix[p]: a lower bound on what the pairs with both bits in order[p:] charge.
+
+    A greedy packing of edge-disjoint rigid-conflict triangles: however its
+    three bits are coloured, one of a triangle's edges joins equal colours,
+    so the triangle charges at least its cheapest edge. It is built from the
+    end: order[p] joins, then each triangle through it on unused edges is
+    packed, so suffix[p] - suffix[p + 1] counts the triangles whose first
+    bit is order[p].
+    """
+    suffix = [0] * (len(order) + 1)
+    # free[v][w]: cost of the unused rigid edges between joined bits v and w
+    free: dict[int, dict[int, int]] = {}
+    for p in range(len(order) - 1, -1, -1):
+        v = order[p]
+        mine: dict[int, int] = {}
+        for w, cost, flip in links[v]:
+            if not flip and w in free:
+                mine[w] = mine.get(w, 0) + cost
+        packed = 0
+        nbrs = list(mine)
+        for i, a in enumerate(nbrs):
+            if a not in mine:
+                continue
+            for b in nbrs[i + 1 :]:
+                if b in mine and b in free[a]:
+                    packed += min(mine.pop(a), mine.pop(b), free[a].pop(b))
+                    del free[b][a]
+                    break
+        free[v] = mine
+        for w, cost in mine.items():
+            free[w][v] = cost
+        suffix[p] = suffix[p + 1] + packed
+    return suffix
+
+
+def descent_incumbent(
+    order: list[int], links: list[list[tuple[int, int, int]]], costs: list[int]
+) -> tuple[list[int], int]:
+    """A leaf of a search with no rows, and its scaled cost: a greedy colouring
+    improved by one-flip descent.
+
+    Each bit in order takes the value that charges less against the bits
+    already set, 0 on a tie; then a bit whose flip lowers the cost is flipped,
+    pass after pass, until none does. Values off order (the pair cost bits)
+    stay -1.
+    """
+    value = [-1] * len(links)
+
+    def charges(v: int) -> list[int]:
+        """What v := 0 and v := 1 cost, its own cost and its pairs with a set partner."""
+        c = [0, costs[v]]
+        for w, cost, flip in links[v]:
+            if value[w] != -1:
+                c[value[w] ^ flip] += cost
+        return c
+
+    total = 0
+    for v in order:
+        c = charges(v)
+        value[v] = 1 if c[1] < c[0] else 0
+        total += c[value[v]]
+    improved = True
+    while improved:
+        improved = False
+        for v in order:
+            c = charges(v)
+            if c[value[v] ^ 1] < c[value[v]]:
+                total -= c[value[v]] - c[value[v] ^ 1]
+                value[v] ^= 1
+                improved = True
+    return value, total
+
+
 def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], SolveStats]:
     """Minimal-objective feasible assignment, deterministically.
 
@@ -234,6 +347,9 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     So the dive's leaf has every colour, cut and merge bit at 0, every
     conflict bit at 1 (the baseline's equal bits too) and every stitch bit
     settled to 0: the one-mask assignment, with every conflict charged.
+    The triangle suffix leaves that dive whole, as nothing is pruned before
+    the first leaf exists. Only a search with no deadline starts from the
+    descent incumbent's threshold, and its first dive may then prune.
     """
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     n = model.num_vars
@@ -247,17 +363,10 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     value = [-1] * n
     trail: list[int] = []
 
-    # the colour-space bound (see the module docstring): links[v] holds
-    # (partner, cost, flip) for each pair at bit v, which charges cost when v
-    # takes the partner's value xor flip; forced[v] changes only while v is
-    # open, and then counts exactly the pairs whose partner is fixed; closed
-    # counts the charged pairs whose two bits are fixed
-    links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for xu, xv, cvar, when_equal in model.pair_costs:
-        if costs[cvar]:
-            flip = 0 if when_equal else 1
-            links[xu].append((xv, costs[cvar], flip))
-            links[xv].append((xu, costs[cvar], flip))
+    # the colour-space bound (see the module docstring): forced[v] changes
+    # only while v is open, and then counts exactly the pairs whose partner
+    # is fixed; closed counts the charged pairs whose two bits are fixed
+    links = pair_links(model.pair_costs, costs)
     forced = [[0, 0] for _ in range(n)]
     bound = 0
     closed = 0
@@ -379,6 +488,16 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     if model.flip_symmetric and root < depth and model.variables[order[root]].kind == "color":
         root_branches = (0,)
 
+    # with no row but the pair rows, nothing propagates, so the bits open
+    # below position pos are exactly order[pos:]: bound them with suffix,
+    # and with no deadline to keep, start the search just above a descent
+    # leaf's cost (see the module docstring)
+    suffix = [0] * (depth + 1)
+    if not rows:
+        suffix = triangle_suffix(order, links)
+        if deadline is None:
+            best_cost = descent_incumbent(order, links, costs)[1] + 1
+
     def dfs(pos: int, committed: int) -> None:
         nonlocal best_cost, best_assignment, nodes, timed_out, bound, closed
         if timed_out:
@@ -394,7 +513,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
         vid = order[pos]
         for branch in root_branches if pos == root else (0, 1):
             # the first leaf comes before the clock (see the docstring)
-            if deadline is not None and best_cost is not None and time.monotonic() > deadline:
+            if deadline is not None and best_assignment is not None and time.monotonic() > deadline:
                 timed_out = True
                 return
             nodes += 1
@@ -406,7 +525,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
             if ok and drops[branch][vid]:
                 ok, forced_cost = propagate([vid])
                 add += forced_cost
-            if ok and (best_cost is None or committed + add + closed + bound < best_cost):
+            if ok and (best_cost is None or committed + add + closed + bound + suffix[pos + 1] < best_cost):
                 dfs(pos + 1, committed + add)
             undo(mark)
             bound, closed = saved_bound, saved_closed

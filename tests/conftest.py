@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -217,3 +218,20 @@ def model_shape(model: IlpModel) -> tuple:
 @pytest.fixture
 def motif():
     return clique4_motif()
+
+
+@pytest.fixture
+def watchdog():
+    """watchdog(seconds) caps the rest of the test: past that, SIGALRM raises
+    TimeoutError in it, so a search that stops pruning fails the test instead
+    of hanging it. The alarm and the old handler are put back at teardown."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its watchdog cap")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    try:
+        yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

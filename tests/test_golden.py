@@ -14,6 +14,12 @@ settles them from the colours): only the `nodes_explored` lines of
 `stitch_ring.result.json` (139 -> 69) and `random_wires_150.result.json`
 (189 -> 119 in all, per piece 9 -> 5, 83 -> 35, 41 -> 35, 25 -> 13)
 changed; every other file stayed byte-identical.
+
+Re-recorded again when a cut-free piece's search gained the triangle
+suffix bound and the descent incumbent: again only `nodes_explored`
+changed, in `stitch_ring.result.json` (69 -> 19) and
+`random_wires_150.result.json` (119 -> 93 in all, per piece 35 -> 13 and
+13 -> 9).
 """
 
 from __future__ import annotations

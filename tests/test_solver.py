@@ -28,8 +28,11 @@ from leleec.solver import (
     SolverError,
     TooLarge,
     brute_force,
+    descent_incumbent,
+    pair_links,
     row_tables,
     solve,
+    triangle_suffix,
 )
 from leleec.synth import KINDS, gen_synthetic
 
@@ -212,7 +215,10 @@ def _kind_then_id(model: IlpModel, solve_fn):
         model.colour_order = saved
 
 
-def test_via_block_work_count():
+def test_via_block_work_count(watchdog):
+    # every search here takes well under a second; one that stops pruning
+    # fails at the cap instead of running on
+    watchdog(10)
     feats, cfg = via_block(4, 4)
     lg, eg = build_graphs(feats, cfg)
     model = build_model_from_problem(ProblemGraph.from_layout(lg, eg), eg, alpha=cfg.alpha)
@@ -225,18 +231,20 @@ def test_via_block_work_count():
     assert s_off.nodes_explored == 41236
     assert s_on.nodes_explored <= 0.6 * s_off.nodes_explored
     # the same searches with the colour-space bound, and with the conflict
-    # bits settled from their colours instead of branched on
+    # bits settled from their colours instead of branched on; every row left
+    # is a pair row, so the triangle suffix and the descent incumbent bound
+    # them too
     (b_on, t_on), (b_off, t_off) = _kind_then_id(model, _solve_both_halves)
     assert b_on == b_off == a_on and t_on.best_cost == t_off.best_cost == 34
-    assert t_off.nodes_explored == 5088
-    assert t_on.nodes_explored == 2749
+    assert t_off.nodes_explored == 1842
+    assert t_on.nodes_explored == 959
     # graph-order branching, without and with the bound
     (c_on, u_on), (c_off, u_off) = _without_bound(model, _solve_both_halves)
     assert c_on == c_off and u_on.best_cost == u_off.best_cost == 34
     assert (u_off.nodes_explored, u_on.nodes_explored) == (33160, 17353)
     (d_on, v_on), (d_off, v_off) = _solve_both_halves(model)
     assert d_on == d_off == c_on and v_on.best_cost == v_off.best_cost == 34
-    assert (v_off.nodes_explored, v_on.nodes_explored) == (1930, 1041)
+    assert (v_off.nodes_explored, v_on.nodes_explored) == (1086, 549)
 
 
 def _bound_models() -> list[IlpModel]:
@@ -254,11 +262,13 @@ def _bound_models() -> list[IlpModel]:
     return models
 
 
-def test_colour_space_bound_keeps_assignment_and_cost():
+def test_colour_space_bound_keeps_assignment_and_cost(watchdog):
     """With pair costs the solver bounds with them and settles their cost
     bits from the colours; cleared, it searches those bits like any other.
     Both give one assignment and cost, and the via blocks, where every
-    conflict is a pair, take strictly fewer nodes with them."""
+    conflict is a pair, take strictly fewer nodes with them. The searches
+    take well under a second together, so the test is capped at 10 s."""
+    watchdog(10)
     pruned = with_pairs = stitched = 0
     for k, model in enumerate(_bound_models()):
         a_on, s_on = solve(model)
@@ -271,6 +281,80 @@ def test_colour_space_bound_keeps_assignment_and_cost():
         stitched += any(not when_equal for *_, when_equal in model.pair_costs)
         pruned += s_on.nodes_explored < s_off.nodes_explored
     assert with_pairs >= 80 and stitched >= 30 and pruned >= 20, (with_pairs, stitched, pruned)
+
+
+def _pair_only_parts(model: IlpModel):
+    """(order, links, costs, denom) as `solve` reads them, for a model whose
+    every row is a pair row; None for any other."""
+    if row_tables(model).rows:
+        return None
+    costs, denom = solver_module._scaled_objective(model)
+    cost_bits = {cvar for _, _, cvar, _ in model.pair_costs}
+    order = [vid for vid in model.search_order() if vid not in cost_bits]
+    return order, pair_links(model.pair_costs, costs), costs, denom
+
+
+def _suffix_optima(order: list[int], links) -> list[int]:
+    """opt[p]: the least that the pairs with both bits in order[p:] charge,
+    over every colouring of those bits, by enumeration."""
+    import numpy as np
+
+    opt = [0] * (len(order) + 1)
+    for p in range(len(order)):
+        tail = order[p:]
+        pos = {vid: k for k, vid in enumerate(tail)}
+        codes = np.arange(1 << len(tail), dtype=np.int64)
+        bits = (codes[:, None] >> np.arange(len(tail))[None, :]) & 1
+        charged = np.zeros(len(codes), dtype=np.int64)
+        for v in tail:
+            for w, cost, flip in links[v]:
+                if w in pos and pos[v] < pos[w]:
+                    charged += cost * (bits[:, pos[v]] == bits[:, pos[w]] ^ flip)
+        opt[p] = int(charged.min())
+    return opt
+
+
+def _pair_only_models(monkeypatch) -> list:
+    models = [m for m in _program_models(monkeypatch) + _bound_models() if _pair_only_parts(m)]
+    assert len(models) >= 90, len(models)
+    return models
+
+
+def test_triangle_suffix_is_below_each_suffix_optimum(monkeypatch, watchdog):
+    """The triangle bound of position p never exceeds what the pairs among
+    order[p:] must charge, over every pair-only model of `_program_models`
+    and `_bound_models`; and it is not always 0."""
+    watchdog(60)
+    packed = 0
+    for k, model in enumerate(_pair_only_models(monkeypatch)):
+        order, links, _, _ = _pair_only_parts(model)
+        suffix = triangle_suffix(order, links)
+        assert len(suffix) == len(order) + 1 and suffix[-1] == 0, f"model {k}"
+        assert all(a >= b for a, b in zip(suffix, suffix[1:])), f"model {k}"
+        opt = _suffix_optima(order, links)
+        assert all(s <= o for s, o in zip(suffix, opt)), (k, suffix, opt)
+        packed += suffix[0] > 0
+    assert packed >= 30, packed
+
+
+def test_descent_incumbent_is_a_feasible_leaf_at_or_above_the_optimum(monkeypatch, watchdog):
+    """The descent leaf, with each pair cost bit settled from its colours,
+    keeps every row, costs exactly the U it reports, and U is at least the
+    optimum that `solve` proves; on some models it is that optimum."""
+    watchdog(60)
+    tight = 0
+    for k, model in enumerate(_pair_only_models(monkeypatch)):
+        order, links, costs, denom = _pair_only_parts(model)
+        value, upper = descent_incumbent(order, links, costs)
+        assert all(value[vid] in (0, 1) for vid in order), f"model {k}"
+        for xu, xv, cvar, when_equal in model.pair_costs:
+            value[cvar] = int((value[xu] == value[xv]) == when_equal)
+        model.check_assignment(value)
+        assert model.objective_value(value) == Fraction(upper, denom), f"model {k}"
+        _, stats = solve(model)
+        assert stats.proven_optimal and Fraction(upper, denom) >= stats.best_cost, f"model {k}"
+        tight += Fraction(upper, denom) == stats.best_cost
+    assert tight >= 80, tight
 
 
 def _rigid_pair_model(when_equal: bool = True) -> IlpModel:
@@ -378,7 +462,7 @@ def test_row_tables_match_a_two_pass_reference():
 def test_a_time_limited_solve_writes_pair_bits_from_the_colours(monkeypatch):
     """The clock is a call counter, so the search stops at the same node on
     every run: after its first incumbent and before the 4x4 block's proof
-    (1,041 nodes). The deadline is tick 0 + 200. The first dive, one node
+    (693 nodes under a deadline, which leaves out the descent incumbent). The deadline is tick 0 + 200. The first dive, one node
     on each of the 16 colour bits (every other bit is a pair cost bit),
     reads no clock; then each node reads one tick, and the read of tick 201
     stops the search: 16 + 200 nodes. Each pair cost bit of that incumbent
@@ -544,21 +628,23 @@ def test_every_program_model_reaches_the_one_mask_leaf_in_one_dive(monkeypatch):
 NODE_COUNTS = Path(__file__).resolve().parent / "golden" / "solver_node_counts.json"
 
 
-def test_every_search_keeps_its_recorded_node_count(monkeypatch):
+def test_every_search_keeps_its_recorded_node_count(monkeypatch, watchdog):
     """Each model of `_program_models` and then `_bound_models` keeps the
     nodes_explored, best_cost, proven_optimal and assignment (a sha256
     prefix of its bytes) recorded in `solver_node_counts.json`, one line per
     model. A search shortcut must not move any of them: a bound restored
     wrongly on backtrack prunes differently, and the node counts show it
-    even where the optimum holds. Every recorded search is proven optimal
-    and all of them take about 2 s together, so each gets 5 s: a search
-    that stops pruning ends unproven and fails here instead of running on.
-    The deadline is read only after the first leaf, so it moves no count."""
+    even where the optimum holds. Each search runs with no deadline, as the
+    CLI runs it, so a cut-free piece starts from its descent incumbent.
+    Every recorded search is proven optimal and the test takes about a
+    second, so it is capped at 20 s: a solver that stops pruning fails
+    here instead of running on."""
+    watchdog(20)
     models = _program_models(monkeypatch) + _bound_models()
     recorded = json.loads(NODE_COUNTS.read_text())
     assert len(models) == len(recorded)
     for k, (model, want) in enumerate(zip(models, recorded)):
-        assignment, stats = solve(model, time_limit=5.0)
+        assignment, stats = solve(model)
         digest = hashlib.sha256(bytes(assignment)).hexdigest()[:16]
         assert [stats.nodes_explored, str(stats.best_cost), stats.proven_optimal, digest] == want, f"model {k}"
 
