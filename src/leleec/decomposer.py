@@ -13,8 +13,13 @@ stats, whose `per_sub` entry says 0 nodes, cost 0 and proven, and whose
 cost the merge does not add. A vertex that no edge of the union graph
 touches is settled in the same place without even a graph: colour 0 and
 the same `per_sub` entry. Every other component is split at clean
-bridges into pieces, and each piece is settled the same way or gets one
-model. A clean bridge is a conflict edge that is a bridge of the union
+bridges into pieces, and each piece is settled the same way or searched.
+Only a piece with a cut candidate gets a model, which `solve` searches. A
+cut-free piece has only colour and pair cost bits, so `solver.colour_search`
+searches it in colour space with no model (`_search_colours`): its colour
+order and pairs come from `ilp_model.colour_pairs` in rank space, and its
+conflicts and stitches are read off the colours. Its assignment, nodes and
+cost are those `solve` and `decode_assignment` give for its model. A clean bridge is a conflict edge that is a bridge of the union
 multigraph and carries no candidate; after solving both sides, the smaller
 side's colors are flipped when the bridge endpoints collide (color-flip
 symmetry keeps each side's cost).
@@ -52,8 +57,8 @@ every result: decompose, the baseline, and the oracle `solve_monolithic`,
 which wraps its one whole-layout solve as a single outcome.
 
 `lelele_baseline` runs the three-mask baseline through the same component
-split (with an empty end-cut graph), per-piece solve with its memo, and
-merge, without the bridge split, whose recombination is a two-mask color
+split (with an empty end-cut graph), per-piece solve with its memo, one
+model per piece, and merge, without the bridge split, whose recombination is a two-mask color
 flip.
 
 Under a time limit each searched piece keeps its search's best leaf; the
@@ -69,9 +74,8 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Collection, Sequence
 from fractions import Fraction
-from functools import partial
 
 from .endcut import EndCutGraph, generate_candidates, build_endcut_graph
 from .geometry import Rect, rect_union_bbox
@@ -82,6 +86,7 @@ from .ilp_model import (
     ProblemGraph,
     build_lelele_baseline,
     build_model_from_problem,
+    colour_pairs,
     decode_assignment,
     frac_str,
 )
@@ -96,7 +101,7 @@ from .layout_graph import (
     generate_stitch_candidates,
 )
 from .record import Record
-from .solver import SolveStats, solve
+from .solver import SolveStats, colour_links, colour_search, solve
 
 
 class DecompositionError(ValueError):
@@ -396,37 +401,74 @@ def _relabel(d: Decoded, vmap, cmap) -> Decoded:
     )
 
 
+def _search_colours(
+    piece: ProblemGraph, vrank: dict[int, int], alpha: Fraction, deadline: float | None
+) -> tuple[Decoded, SolveStats]:
+    """A cut-free piece's outcome in rank space (vrank maps each vertex id
+    to its rank), searched in colour space.
+
+    A piece with no cut candidate has only colour bits and pair cost bits,
+    so its model's rows are all pair rows. The search of such a model runs
+    on the piece's colour order and pairs from `colour_pairs`, which are
+    its model's, with the flip symmetry at the root and no cost of its own
+    on any bit. Its conflicts are the monochromatic conflict edges and its
+    stitches the bichromatic stitch edges, both sorted: the bits that
+    `solve` writes from the colours, decoded.
+    """
+    n = len(vrank)
+    conflicts = sorted((vrank[u], vrank[v]) for u, v in piece.conflict_edges)
+    stitches = sorted((vrank[u], vrank[v]) for u, v in piece.stitch_edges)
+    order, pairs, denom = colour_pairs(range(n), conflicts, stitches, alpha)
+    value, cost, nodes, proven = colour_search(order, colour_links(n, pairs), [0] * n, True, deadline)
+    decoded = Decoded(
+        colors=dict(enumerate(value)),
+        selected=set(),
+        conflicts=[(u, v) for u, v in conflicts if value[u] == value[v]],
+        stitches=[(u, v) for u, v in stitches if value[u] != value[v]],
+    )
+    return decoded, SolveStats(nodes, Fraction(cost, denom), proven)
+
+
 def _solve_piece(
     piece: ProblemGraph,
     eg: EndCutGraph,
-    build: Callable[[ProblemGraph], IlpModel],
+    alpha: Fraction | None,
     memo: PieceMemo,
-    start: float,
-    time_limit: float | None,
+    deadline: float | None,
 ) -> PieceOutcome:
-    """Solve a piece in what is left of the time budget since `start`, or reuse a repeat's.
+    """Solve a piece of a leleec decomposition at stitch weight alpha, or of
+    the three-mask baseline when alpha is None, by the deadline; or reuse a
+    repeat's outcome.
 
     A piece whose key is in memo takes the stored outcome, mapped back to its
-    own ids, with no model and no search (0 nodes, proven optimal). A piece
-    solved to a proven optimum is stored; a time-limited outcome is not. Each
-    searched piece keeps its search's best leaf; the first is found before
-    the deadline is read, so a piece left 0 s still gets one.
+    own ids, with no model and no search (0 nodes, proven optimal). A leleec
+    piece with no cut candidate is searched in colour space, with no model;
+    every other piece gets one model and `solve`. A piece solved to a proven
+    optimum is stored; a time-limited outcome is not. Each searched piece
+    keeps its search's best leaf; the first is found before the deadline is
+    read, so a piece left no time still gets one.
     """
     key, vrank, crank = _rank_space(piece, eg)
     if key in memo:
         decoded, cost = memo[key]
-        # a rank map's keys, in order, are the ids by rank
-        back = _relabel(decoded, list(vrank), list(crank))
-        return PieceOutcome(piece, back, SolveStats(0, cost, True))
-    model = build(piece)
-    remaining = None
-    if time_limit is not None:
-        remaining = max(0.0, time_limit - (time.monotonic() - start))
-    assignment, stats = solve(model, remaining)
-    decoded = decode_assignment(model, assignment)
-    if stats.proven_optimal:
-        memo[key] = _relabel(decoded, vrank, crank), stats.best_cost
-    return PieceOutcome(piece, decoded, stats)
+        stats = SolveStats(0, cost, True)
+    elif alpha is not None and not crank:
+        decoded, stats = _search_colours(piece, vrank, alpha, deadline)
+        if stats.proven_optimal:
+            memo[key] = decoded, stats.best_cost
+    else:
+        if alpha is None:
+            model = build_lelele_baseline(piece)
+        else:
+            model = build_model_from_problem(piece, eg, alpha=alpha)
+        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+        assignment, stats = solve(model, remaining)
+        decoded = decode_assignment(model, assignment)
+        if stats.proven_optimal:
+            memo[key] = _relabel(decoded, vrank, crank), stats.best_cost
+        return PieceOutcome(piece, decoded, stats)
+    # a rank map's keys, in order, are the ids by rank
+    return PieceOutcome(piece, _relabel(decoded, list(vrank), list(crank)), stats)
 
 
 def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
@@ -487,7 +529,7 @@ def decompose_graphs(
     g: LayoutGraph, eg: EndCutGraph, cfg: Config, time_limit: float | None = None
 ) -> DecompResult:
     """Decomposition core over already-built graphs; validated before return."""
-    start = time.monotonic()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     memo: PieceMemo = {}
     outcomes: list[PieceOutcome | int] = []
     free = _free_cuts(g, eg)
@@ -503,7 +545,6 @@ def decompose_graphs(
             outcomes.append(PieceOutcome(comp, whole))
             continue
         pieces, bridges = split_bridges(comp, comp_eg)
-        build = partial(build_model_from_problem, eg=comp_eg, alpha=cfg.alpha)
         solved = []
         for piece in pieces:
             # with no bridge cut, the one piece is the component the closed form refused
@@ -511,7 +552,7 @@ def decompose_graphs(
             if settled is not None:
                 solved.append(PieceOutcome(piece, settled))
             else:
-                solved.append(_solve_piece(piece, comp_eg, build, memo, start, time_limit))
+                solved.append(_solve_piece(piece, comp_eg, cfg.alpha, memo, deadline))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
     outcomes.extend(lone[done:])
@@ -523,14 +564,14 @@ def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompR
 
     No bridge split: its recombination flips one side between two masks.
     """
-    start = time.monotonic()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
     memo: PieceMemo = {}
     lone, comps = split_components(lg, eg)
     # a lone vertex is solved too, as its own one-vertex component
     pieces = [comp for comp, _ in comps] + [ProblemGraph(vertex_reps={v}) for v in lone]
     pieces.sort(key=lambda comp: min(comp.vertex_reps))
-    outcomes = [_solve_piece(comp, eg, build_lelele_baseline, memo, start, time_limit) for comp in pieces]
+    outcomes = [_solve_piece(comp, eg, None, memo, deadline) for comp in pieces]
     return _merge_outcomes(outcomes, lg, eg, Fraction(0), {})
 
 

@@ -16,7 +16,11 @@ A deliberately uncorrected variant is kept for demonstrating the difference.
 conflict edges (no cut and no merge term in their rows) and the stitch
 edges, and `IlpModel.colour_order`, the colour bits in `graph_order` over
 those same edges, which `search_order` branches on first. Neither is in
-`lp_dump`. The pairs keep a contract: each pair's cost bit appears in
+`lp_dump`. Both come from `colour_pairs`, the one helper that orders a
+piece's colours and lists its pairs (conflicts first, then stitches, each
+sorted, with their costs scaled as the solver scales the objective); the
+decomposer reads it too, to search a cut-free piece in colour space with
+no model, so that search sees exactly its model's order and pairs. The pairs keep a contract: each pair's cost bit appears in
 exactly two rows, its pair's, and those rows hold only the pair's two
 colour bits and its cost bit, and force the cost bit to 1 exactly when
 the colours are equal (a conflict) or differ (a stitch). The solver
@@ -257,6 +261,26 @@ def graph_order(vertices: Iterable[int], edges: Iterable[EdgeKey]) -> list[int]:
     return order
 
 
+def colour_pairs(
+    vertices: Iterable[int], conflicts: list[EdgeKey], stitches: list[EdgeKey], alpha: Fraction
+) -> tuple[list[int], list[tuple[int, int, int, int]], int]:
+    """A piece's colour order and its pairs, scaled as the solver scales a
+    model's objective: (order, pairs, denom).
+
+    conflicts are the piece's rigid conflict edges (no cut and no merge term
+    in their rows) and stitches its stitch edges, each sorted. order is
+    `graph_order` over both. pairs lists (u, v, cost, flip): each conflict
+    at cost denom and flip 0, charged when u and v are equal, then each
+    stitch at cost alpha * denom and flip 1, charged when they differ.
+    denom is alpha's denominator when the piece has a stitch edge and 1
+    otherwise: the common denominator of the model's objective.
+    """
+    denom = alpha.denominator if stitches else 1
+    pairs = [(u, v, denom, 0) for u, v in conflicts]
+    pairs += [(u, v, alpha.numerator, 1) for u, v in stitches]
+    return graph_order(vertices, [*conflicts, *stitches]), pairs, denom
+
+
 def build_model_from_problem(
     pg: ProblemGraph,
     eg: EndCutGraph,
@@ -298,9 +322,7 @@ def build_model_from_problem(
     conflict = {e: m.add_var(f"c_{e[0]}_{e[1]}", "conflict", e) for e in edge_list}
     stitch = {e: m.add_var(f"s_{e[0]}_{e[1]}", "stitch", e) for e in sorted(pg.stitch_edges)}
 
-    # the pair_costs edges, kept apart: the colour order must not move when
-    # a caller clears pair_costs to turn the bound off
-    coupled: list[EdgeKey] = []
+    rigid: list[EdgeKey] = []
     for u, v in edge_list:
         xu, xv, c = x[u], x[v], conflict[(u, v)]
         cid = pg.conflict_edges[(u, v)]
@@ -310,8 +332,7 @@ def build_model_from_problem(
         m.add_constraint(f"same_{u}_{v}", ((xu, 1), (xv, 1), (c, -1), *relax), 1)
         m.add_constraint(f"diff_{u}_{v}", ((xu, -1), (xv, -1), (c, -1), *relax), -1)
         if not relax:
-            m.pair_costs.append((xu, xv, c, True))
-            coupled.append((u, v))
+            rigid.append((u, v))
         if cid is not None:
             m.add_constraint(f"cut_lo_{cid}", [(ec[cid], 1), (xu, 1), (xv, -1)], 1)
             m.add_constraint(f"cut_hi_{cid}", [(ec[cid], 1), (xv, 1), (xu, -1)], 1)
@@ -332,9 +353,12 @@ def build_model_from_problem(
         m.add_constraint(f"st_lo_{u}_{v}", ((x[u], 1), (x[v], -1), (s, -1)), 0)
         m.add_constraint(f"st_hi_{u}_{v}", ((x[v], 1), (x[u], -1), (s, -1)), 0)
         m.objective[s] = alpha
-        m.pair_costs.append((x[u], x[v], s, False))
-        coupled.append((u, v))
-    m.colour_order = [x[v] for v in graph_order(pg.vertex_reps, coupled)]
+    # colour_order is a field of its own: a caller that clears pair_costs
+    # to turn the bound off keeps the order
+    order, pairs, _ = colour_pairs(pg.vertex_reps, rigid, list(stitch), alpha)
+    for u, v, _, flip in pairs:
+        m.pair_costs.append((x[u], x[v], stitch[(u, v)] if flip else conflict[(u, v)], not flip))
+    m.colour_order = [x[v] for v in order]
     return m
 
 

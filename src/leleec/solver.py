@@ -30,10 +30,15 @@ assignment, are those of the committed-cost bound alone; only node counts
 drop. A model with no pair costs, such as the three-mask baseline, has
 bound 0 throughout.
 
-A model whose every row is a pair row, as every cut-free piece's is, gets
-two more terms, computed once before the search (`triangle_suffix` and
-`descent_incumbent`). With no other row nothing propagates, so below the
-node that fixes order[pos] the open bits are exactly order[pos + 1:].
+A model whose every row is a pair row, as every cut-free piece's is, is
+searched by `colour_search`, the one pair-only search; `solve` hands it
+such a model once `row_tables` has checked the pair contract, and writes
+the cost bits from the colours afterwards. With no row left to propagate,
+the node at depth pos fixes exactly order[pos], and below it the open bits
+are exactly order[pos + 1:]. So a branch is its bit's assignment and one
+pass over its pairs, with no trail, slack or propagation, and the search
+gets two more terms, computed once before it (`triangle_suffix` and
+`descent_incumbent`):
 
 - From below, suffix[pos + 1]: a greedy packing of edge-disjoint rigid
   conflict triangles among those open bits. A triangle charges at least
@@ -50,10 +55,25 @@ node that fixes order[pos] the open bits are exactly order[pos + 1:].
 
 Both only prune subtrees that hold no new incumbent, so the returned
 assignment is the one the plain search returns; only node counts drop. The
-incumbent is used only when `solve` reads no deadline: under a time limit
-the first leaf must come from the unpruned first dive, so a zero limit
-still returns the one-mask leaf, and a search the deadline stops holds a
-leaf of the same sequence of incumbents.
+incumbent is used only when the search reads no deadline: under a time
+limit the first leaf must come from the unpruned first dive, so a zero
+limit still returns the one-mask leaf, and a search the deadline stops
+holds a leaf of the same sequence of incumbents.
+
+`colour_search` makes the nodes of the row search on such a model: the
+same bits in the same order, 0 first, the flip symmetry's 0-half at the
+root, the same committed cost (the own costs of bits at 1), closed sum and
+bound, the same prune test with the suffix term, the same descent
+threshold, and the same rule that the deadline is read only after the
+first leaf. So its nodes, incumbents and leaf are those of the row
+search, which searched these models before `colour_search` did, and no
+`nodes_explored` moved; on a model with a row the suffix term is 0, so the
+row search has none.
+`decomposer` calls `colour_search` for a cut-free piece without building
+its model: `ilp_model.colour_pairs` gives the piece's colour order and
+pairs in rank space, and the builder adds a piece's colour bits first, in
+ascending vertex id, so the model's colour bit ids are those ranks and its
+order and links are the same lists.
 
 Five exact shortcuts keep the work down without changing any returned
 assignment, incumbent or node count:
@@ -92,8 +112,7 @@ assignment, incumbent or node count:
 - Rows only where they can force. A branch propagates only when its bit
   has a row whose slack its value lowers. With none, no slack moved, and
   a row that could force nothing before the assignment still cannot, so
-  propagation would return at once with nothing forced. Every row of a
-  cut-free piece is a pair row, so its colour bits never propagate.
+  propagation would return at once with nothing forced.
 
 A time limit has one rule: each search keeps its best leaf, and the first
 is found before the deadline is read (see `solve` for why every model the
@@ -229,18 +248,23 @@ def row_tables(model: IlpModel) -> RowTables:
     return RowTables(rows, slack, max_coeff, drops, {ridx for ridxs in found for ridx in ridxs})
 
 
+def colour_links(n: int, pairs: list[tuple[int, int, int, int]]) -> list[list[tuple[int, int, int]]]:
+    """links[v]: (partner, cost, flip) for each (u, v, cost, flip) of pairs
+    at bit v with a positive cost, which charges cost when v takes the
+    partner's value xor flip; n bits, each pair listed at both its bits."""
+    links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for u, v, cost, flip in pairs:
+        if cost:
+            links[u].append((v, cost, flip))
+            links[v].append((u, cost, flip))
+    return links
+
+
 def pair_links(
     pair_costs: list[tuple[int, int, int, bool]], costs: list[int]
 ) -> list[list[tuple[int, int, int]]]:
-    """links[v]: (partner, cost, flip) for each pair at bit v with a positive
-    scaled cost, which charges cost when v takes the partner's value xor flip."""
-    links: list[list[tuple[int, int, int]]] = [[] for _ in costs]
-    for xu, xv, cvar, when_equal in pair_costs:
-        if costs[cvar]:
-            flip = 0 if when_equal else 1
-            links[xu].append((xv, costs[cvar], flip))
-            links[xv].append((xu, costs[cvar], flip))
-    return links
+    """`colour_links` of a model's pairs, each at its cost bit's scaled cost."""
+    return colour_links(len(costs), [(xu, xv, costs[c], 0 if eq else 1) for xu, xv, c, eq in pair_costs])
 
 
 def triangle_suffix(order: list[int], links: list[list[tuple[int, int, int]]]) -> list[int]:
@@ -317,6 +341,88 @@ def descent_incumbent(
     return value, total
 
 
+def colour_search(
+    order: list[int],
+    links: list[list[tuple[int, int, int]]],
+    costs: list[int],
+    symmetric: bool,
+    deadline: float | None = None,
+) -> tuple[list[int], int, int, bool]:
+    """The search of a model whose only rows are pair rows, over the bits in
+    order: (values, scaled cost, nodes, proven optimal).
+
+    Each bit of order is branched on, 0 first, and charges its own cost
+    costs[v] at 1 and its links as `colour_links` gives them; no other bit
+    is set, so its value stays -1. symmetric searches only the 0-half of
+    order[0] (the flip symmetry). The prune test is the committed cost plus
+    the colour-space bound and `triangle_suffix` of the bits below; with no
+    deadline the search starts just above `descent_incumbent`'s cost, and
+    with one the deadline is read only once a leaf exists (see the module
+    docstring). Nothing propagates, so a branch is one pass over its bit's
+    links to assign and one to undo.
+    """
+    depth = len(order)
+    value = [-1] * len(links)
+    forced = [[0, 0] for _ in links]
+    suffix = triangle_suffix(order, links)
+    best_cost = None if deadline is not None else descent_incumbent(order, links, costs)[1] + 1
+    best: list[int] | None = None
+    nodes = 0
+    timed_out = False
+    bound = 0  # sum of min(forced[v]) over the open bits
+    closed = 0  # own costs and charged pairs of the fixed bits
+
+    def dfs(pos: int) -> None:
+        nonlocal best_cost, best, nodes, timed_out, bound, closed
+        if pos == depth:
+            # pruning guarantees strict improvement here
+            best_cost, best = closed, list(value)
+            return
+        vid = order[pos]
+        f = forced[vid]
+        fmin = f[0] if f[0] < f[1] else f[1]
+        own = costs[vid]
+        pairs = links[vid]
+        below = suffix[pos + 1]
+        for branch in (0,) if symmetric and pos == 0 else (0, 1):
+            # the first leaf comes before the clock (see `solve`)
+            if deadline is not None and best is not None and time.monotonic() > deadline:
+                timed_out = True
+                return
+            nodes += 1
+            saved_bound, saved_closed = bound, closed
+            value[vid] = branch
+            # f[branch] is what the pairs with a fixed partner charge now
+            bound -= fmin
+            closed += f[branch] + (own if branch else 0)
+            for wid, cost, flip in pairs:
+                if value[wid] == -1:
+                    g = forced[wid]
+                    old = g[0] if g[0] < g[1] else g[1]
+                    g[branch ^ flip] += cost
+                    bound += (g[0] if g[0] < g[1] else g[1]) - old
+            if best_cost is None or closed + bound + below < best_cost:
+                dfs(pos + 1)
+            # every bit below is open again, so the open partners are the
+            # ones that were open at the assignment
+            for wid, cost, flip in pairs:
+                if value[wid] == -1:
+                    forced[wid][branch ^ flip] -= cost
+            value[vid] = -1
+            bound, closed = saved_bound, saved_closed
+            if timed_out:
+                return
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 2 * depth + 200))
+    try:
+        dfs(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+        del dfs  # dfs refers to itself; free the search state now, not at the next GC
+    return best, best_cost, nodes, not timed_out
+
+
 def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], SolveStats]:
     """Minimal-objective feasible assignment, deterministically.
 
@@ -359,6 +465,15 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     cost_bits = {cvar for _, _, cvar, _ in model.pair_costs}
     order = [vid for vid in model.search_order() if vid not in cost_bits]
     depth = len(order)
+    links = pair_links(model.pair_costs, costs)
+
+    if not rows:
+        symmetric = model.flip_symmetric and depth > 0 and model.variables[order[0]].kind == "color"
+        best_assignment, best_cost, nodes, proven = colour_search(order, links, costs, symmetric, deadline)
+        for xu, xv, cvar, when_equal in model.pair_costs:
+            best_assignment[cvar] = int((best_assignment[xu] == best_assignment[xv]) == when_equal)
+        model.check_assignment(best_assignment)
+        return best_assignment, SolveStats(nodes, Fraction(best_cost, denom), proven)
 
     value = [-1] * n
     trail: list[int] = []
@@ -366,7 +481,6 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     # the colour-space bound (see the module docstring): forced[v] changes
     # only while v is open, and then counts exactly the pairs whose partner
     # is fixed; closed counts the charged pairs whose two bits are fixed
-    links = pair_links(model.pair_costs, costs)
     forced = [[0, 0] for _ in range(n)]
     bound = 0
     closed = 0
@@ -488,16 +602,6 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
     if model.flip_symmetric and root < depth and model.variables[order[root]].kind == "color":
         root_branches = (0,)
 
-    # with no row but the pair rows, nothing propagates, so the bits open
-    # below position pos are exactly order[pos:]: bound them with suffix,
-    # and with no deadline to keep, start the search just above a descent
-    # leaf's cost (see the module docstring)
-    suffix = [0] * (depth + 1)
-    if not rows:
-        suffix = triangle_suffix(order, links)
-        if deadline is None:
-            best_cost = descent_incumbent(order, links, costs)[1] + 1
-
     def dfs(pos: int, committed: int) -> None:
         nonlocal best_cost, best_assignment, nodes, timed_out, bound, closed
         if timed_out:
@@ -525,7 +629,7 @@ def solve(model: IlpModel, time_limit: float | None = None) -> tuple[list[int], 
             if ok and drops[branch][vid]:
                 ok, forced_cost = propagate([vid])
                 add += forced_cost
-            if ok and (best_cost is None or committed + add + closed + bound + suffix[pos + 1] < best_cost):
+            if ok and (best_cost is None or committed + add + closed + bound < best_cost):
                 dfs(pos + 1, committed + add)
             undo(mark)
             bound, closed = saved_bound, saved_closed

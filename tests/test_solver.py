@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,12 +16,14 @@ import pytest
 import leleec.decomposer as decomposer_module
 import leleec.solver as solver_module
 from leleec.decomposer import build_graphs, decompose, lelele_baseline, solve_monolithic
+from leleec.endcut import EndCutGraph
 from leleec.ilp_model import (
     Constraint,
     IlpModel,
     ProblemGraph,
     build_lelele_baseline,
     build_model_from_problem,
+    decode_assignment,
 )
 from leleec.layout_graph import Config
 from leleec.solver import (
@@ -581,32 +585,102 @@ def test_a_zero_time_limit_returns_the_first_leaf():
     assert solve(model)[1].best_cost == 0
 
 
-def _program_models(monkeypatch) -> list:
-    """Every model `decompose`, `lelele_baseline` and `solve_monolithic` hand
-    to `solve` on seeded random layouts and on each `gen` kind. Each search
-    takes well under a second, so one given no limit gets 5 s: a solver
-    that stops pruning then fails the caller's test instead of running on,
-    and a working one records the same models."""
+# a cut-free piece's model reads no end-cut graph
+_NO_CUTS = EndCutGraph(nodes=[], solid_edges=frozenset(), dash_edges=frozenset())
+
+
+def _program_layouts() -> list:
+    """Seeded random layouts and one of each `gen` kind, with their configs."""
     layouts = [gen_synthetic(kind, 3, 1, Config.from_rules(10, 10)) for kind in KINDS]
     for seed in range(40):
         rng = random.Random(seed)
         feats = random_layout(rng, rng.randrange(2, 12), box=220)
         if feats:
             layouts.append((feats, random_config(rng)))
+    return layouts
+
+
+def _program_models(monkeypatch) -> list:
+    """Every model `decompose`, `lelele_baseline` and `solve_monolithic` hand
+    to `solve` on `_program_layouts`, and for each cut-free piece that
+    `decompose` searches in colour space the model `build_model_from_problem`
+    builds for it, in the order of the searches. Each search takes well
+    under a second, so one given no limit gets 5 s: a solver that stops
+    pruning then fails the caller's test instead of running on, and a
+    working one records the same models."""
+    layouts = _program_layouts()
     models = []
     real_solve = decomposer_module.solve
+    real_search_colours = decomposer_module._search_colours
 
     def recording_solve(model, time_limit=None):
         models.append(model)
         return real_solve(model, 5.0 if time_limit is None else time_limit)
 
+    def recording_search_colours(piece, vrank, alpha, deadline):
+        models.append(build_model_from_problem(piece, _NO_CUTS, alpha=alpha))
+        if deadline is None:
+            deadline = time.monotonic() + 5.0
+        return real_search_colours(piece, vrank, alpha, deadline)
+
     monkeypatch.setattr(decomposer_module, "solve", recording_solve)
+    monkeypatch.setattr(decomposer_module, "_search_colours", recording_search_colours)
     for feats, cfg in layouts:
         decompose(feats, cfg)
         lelele_baseline(build_graphs(feats, cfg.replace(enable_stitch=False))[0])
         solve_monolithic(feats, cfg, time_limit=0.0)
     monkeypatch.undo()
     return models
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _smoke_workload_layouts() -> list:
+    """Smoke-size via_clusters and random_wires layouts, from the benchmark's generators."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.via_clusters(1, i) for i in range(10)] + [
+        workloads.random_wires(60, 1350, i) for i in range(20)
+    ]
+
+
+def test_colour_space_search_matches_the_model_it_replaces(monkeypatch, watchdog):
+    """Each cut-free piece that `decompose` searches in colour space, on
+    `_program_layouts` and smoke-size via_clusters and random_wires layouts,
+    under each config, with stitching off and at alpha 0, gets the decoded
+    assignment, nodes, cost and proof that `solve` and `decode_assignment`
+    give for the model `build_model_from_problem` builds for it; and with a
+    deadline already past it gets theirs too: the first leaf, every colour
+    0 and every conflict charged, not proven. The searches take about a
+    second together, so the test is capped at 60 s."""
+    watchdog(60)
+    pieces = []
+    real_search_colours = decomposer_module._search_colours
+
+    def recording_search_colours(piece, vrank, alpha, deadline):
+        pieces.append((piece, vrank, alpha))
+        return real_search_colours(piece, vrank, alpha, deadline)
+
+    monkeypatch.setattr(decomposer_module, "_search_colours", recording_search_colours)
+    for feats, cfg in _program_layouts() + _smoke_workload_layouts():
+        for variant in (cfg, cfg.replace(enable_stitch=False), cfg.replace(alpha=Fraction(0))):
+            decompose(feats, variant)
+    monkeypatch.undo()
+    stitched = {alpha for piece, _, alpha in pieces if piece.stitch_edges}
+    assert len(pieces) >= 100 and Fraction(0) in stitched and len(stitched) > 1, (len(pieces), stitched)
+    for k, (piece, vrank, alpha) in enumerate(pieces):
+        model = build_model_from_problem(piece, _NO_CUTS, alpha=alpha)
+        for time_limit in (None, 0.0):
+            deadline = None if time_limit is None else time.monotonic() - 1.0
+            ranked, stats = real_search_colours(piece, vrank, alpha, deadline)
+            decoded = decomposer_module._relabel(ranked, list(vrank), [])
+            assignment, want = solve(model, time_limit)
+            assert decoded == decode_assignment(model, assignment), (k, time_limit)
+            assert stats == want, (k, time_limit)
+        assert set(decoded.colors.values()) == {0} and not stats.proven_optimal, k
+        assert decoded.conflicts == sorted(piece.conflict_edges) and decoded.stitches == [], k
 
 
 def test_every_program_model_reaches_the_one_mask_leaf_in_one_dive(monkeypatch):
