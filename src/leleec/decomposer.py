@@ -3,77 +3,63 @@
 There is one exact path. First, free cuts leave the graph: a free cut is an
 annotated candidate with no solid and no dash edge, and its conflict edge
 never costs anything, since in every optimum its cut is selected exactly
-when both ends share a mask. Then come independent components of the union
-graph (conflict and stitch edges, and solid-edge coupling between
-candidates). A component with no cut candidate that two masks colour at
-cost 0 needs no model: `closed_form` gives the assignment the solver would
-return, by one parity walk per part, even under a time limit. Such a
-component is settled as it leaves the split: one outcome with no search
-stats, whose `per_sub` entry says 0 nodes, cost 0 and proven, and whose
-cost the merge does not add. A vertex that no edge of the union graph
-touches is settled in the same place without even a graph: colour 0 and
-the same `per_sub` entry. Every other component is split at clean
-bridges into pieces, and each piece is settled the same way or searched.
-Only a piece with a cut candidate gets a model, which `solve` searches. A
-cut-free piece has only colour and pair cost bits, so `solver.colour_search`
-searches it in colour space with no model (`_search_colours`): its colour
-order and pairs come from `ilp_model.colour_pairs` in rank space, and its
-conflicts and stitches are read off the colours. Its assignment, nodes and
-cost are those `solve` and `decode_assignment` give for its model. A clean bridge is a conflict edge that is a bridge of the union
+when both ends share a mask. Then `split_components` walks the union graph
+(conflict and stitch edges, and solid-edge coupling between candidates)
+once, over flat per-vertex adjacency, into independent components in root
+order. A component with no cut candidate that two masks colour at cost 0
+needs no model and no graph: the walk writes the colours `solve` would give
+it (`closed_form`'s rule) into one list indexed by vertex id, even under a
+time limit, and the merge gets only its vertex count, whose `per_sub` entry
+says 0 nodes, cost 0 and proven; a vertex that no edge touches settles at
+colour 0. Every other component is a `ProblemGraph` with its own slice of
+the end-cut graph, which the bridge search and piece models read, and is
+split at clean bridges into pieces, each settled by `closed_form` or
+searched. Only a piece with a cut candidate gets a model, which `solve`
+searches. A cut-free piece has only colour and pair cost bits, so
+`solver.colour_search` searches it in colour space with no model
+(`_search_colours`): its colour order and pairs come from
+`ilp_model.colour_pairs` in rank space, and its conflicts and stitches are
+read off the colours, as `solve` and `decode_assignment` give them for its
+model. A clean bridge is a conflict edge that is a bridge of the union
 multigraph and carries no candidate; after solving both sides, the smaller
 side's colors are flipped when the bridge endpoints collide (color-flip
-symmetry keeps each side's cost).
-Last, the merge selects each free cut whose ends share a mask, and the
-result is checked against the full graphs.
+symmetry keeps each side's cost). Last, the merge selects each free cut
+whose ends share a mask, and the result is checked against the full graphs.
 
-Components and pieces are `ilp_model.ProblemGraph`s, the type the model
-builder reads. The work per layout stays linear in its edges: conflict and
-stitch edges are bucketed by component, and by piece after a bridge split,
-in one pass each. `split_components` hands each component that owns a
-solid or dash edge its own slice of the end-cut graph in the same pass, and
-every other component one shared empty slice: the same nodes, but only its
-own solid and dash edges, which is exact because coupling edges joined the
-components (a dash edge joins two candidates on one feature, whose conflict
-edges that feature's segments already join). The bridge search and the
-piece models read the slice; the trim-rect merge (`merged_trim_rects`,
-on the same union-find as the component split) and the result checker read
-the full graph.
-
-A searched piece that repeats an earlier piece of the same call is not
-solved again. Relabelling each vertex id to its rank among the piece's
-vertices, and each candidate id to its rank among the piece's candidates,
-keeps every order the model builders and `graph_order` read, so two pieces
-that are equal in rank space get one model but for variable names, and one
-assignment and node count from `solve`. A per-call memo keyed by the
-relabelled piece keeps each proven-optimal outcome in rank space; a repeat
-maps it back to its own ids with 0 nodes and `proven_optimal` true, so
-`nodes_explored` and `per_sub` count only the search that ran. The memo
-never outlives the call: each CLI call does the same work.
+A refused component or a searched piece that repeats an earlier one of the
+same call is not solved again. Relabelling each vertex id to its rank among
+its vertices, and each candidate id to its rank among its candidates, keeps
+every order that the split, `closed_form`, the model builders and
+`_merge_bridges` read: each reads ids only in sorted order, or gives an
+answer that no order changes. So equal components in rank space split into
+equal pieces, settle and search them alike and flip the same pieces at
+their bridges, and equal pieces get one model but for variable names, and
+one assignment and node count. Two per-call memos keep outcomes in rank
+space: one per proven-optimal piece, and one per component, holding its
+pieces' outcomes after the bridge flips once all are proven (so each piece
+of a repeat would be a repeat too). A repeat maps the stored outcome back
+to its own ids, with 0 nodes and proven, so `nodes_explored` and `per_sub`
+count only the search that ran. A component is keyed only once an earlier
+one has its vertex, conflict-edge and stitch-edge counts, so one whose
+counts are new costs no key. Each CLI call does the same work.
 
 `result_problems` is the one result checker: `validate_result` raises on
-its findings, and `layout_io.verify_result` reports them for a file.
-`_merge_outcomes` recounts the cost and runs `validate_result` once on
-every result: decompose, the baseline, and the oracle `solve_monolithic`,
-which wraps its one whole-layout solve as a single outcome.
+its findings, and `layout_io.verify_result` reports them for a file. The
+merge recounts the cost and validates every result: decompose, the
+baseline (each component of the same walk, which settles nothing at alpha
+None, solved with one model and the piece memo, and no bridge split, whose
+recombination is a two-mask color flip), and the oracle `solve_monolithic`.
 
-`lelele_baseline` runs the three-mask baseline through the same component
-split (with an empty end-cut graph), per-piece solve with its memo, one
-model per piece, and merge, without the bridge split, whose recombination is a two-mask color
-flip.
-
-Under a time limit each searched piece keeps its search's best leaf; the
-first is found before the deadline is read. That first leaf is the
-one-mask assignment (no cut of its own, no merge or stitch, every conflict
-charged; see `solver`), so a piece that got no time of its own still has
-a valid outcome, with proven_optimal false. A repeat of a proven piece
-still takes the proven outcome. Free cuts lie outside every piece, so each
-one is still selected when its ends share a mask.
+Under a time limit each searched piece keeps its search's best leaf, the
+first found before the deadline is read: the one-mask assignment (every
+conflict charged; see `solver`), with proven_optimal false. A repeat of a
+proven piece still takes the proven outcome, and each free cut is still
+selected when its ends share a mask.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections.abc import Collection, Sequence
 from fractions import Fraction
 
@@ -165,7 +151,7 @@ def _group(
     g: LayoutGraph | ProblemGraph,
     coupling: list[EdgeKey],
     cut: frozenset[EdgeKey],
-) -> tuple[_UnionFind, dict[int, ProblemGraph]]:
+) -> dict[int, ProblemGraph]:
     """The parts of g's conflict, stitch and coupling edges less the cut conflict edges.
 
     Each part is keyed by its root, its smallest vertex, and holds its
@@ -188,47 +174,76 @@ def _group(
             parts[uf.find(e[0])].conflict_edges[e] = cand
     for e in g.stitch_edges:
         parts[uf.find(e[0])].stitch_edges.add(e)
-    return uf, parts
+    return parts
 
 
 def split_components(
-    lg: LayoutGraph, eg: EndCutGraph, cut: frozenset[EdgeKey] = frozenset()
-) -> tuple[list[int], list[tuple[ProblemGraph, EndCutGraph]]]:
-    """Connected components of CE ∪ SE plus end-cut coupling links, less the
-    `cut` conflict edges, which no component holds: (lone vertices,
-    components in root order).
+    lg: LayoutGraph, eg: EndCutGraph, cut: Collection[EdgeKey], alpha: Fraction | None
+) -> tuple[list[int], list[int | tuple[ProblemGraph, EndCutGraph]]]:
+    """The components of CE ∪ SE plus end-cut coupling links, less the `cut`
+    conflict edges, by one `_walk` from each unreached vertex id (0 to n - 1)
+    in ascending order: (a colour per vertex id, entries in root order).
 
-    A vertex that none of those edges touches is a one-vertex component
-    that needs no graph: it is returned apart, in the ascending list of lone
-    vertices, and never enters the union-find. Each other component is a
-    `ProblemGraph` and comes with its slice of the end-cut graph: the slice
-    shares `nodes` with eg and holds the solid and dash edges whose
-    candidates are annotated in that component. Solid coupling edges, and
-    for a dash edge the feature both candidates share, joined the
-    components, so an edge between two annotated candidates never spans two
-    of them; an edge with one unannotated candidate goes with the other one.
-    Every model and bridge search over a piece of a component reads the
-    same edges from its slice as from eg. A component that owns no solid or
-    dash edge gets one shared, empty and frozen slice.
+    A component settles when the walk colours it with conflict ends apart
+    and stitch ends together and it holds no cut candidate, no solid
+    coupling edge and, at alpha 0, no stitch edge: its entry is its vertex
+    count, and its colours are `closed_form`'s. At alpha None, the baseline,
+    nothing settles. A refused component's colours mean nothing; its entry
+    is a `ProblemGraph` with its end-cut slice: the same `nodes` and the
+    solid and dash edges with a candidate annotated in it, or one shared,
+    empty, frozen slice if it has none. Coupling edges, and for a dash edge
+    the feature both candidates share, joined the components, so no such
+    edge spans two of them.
     """
+    n = len(lg.vertices)
     anchors = _candidate_anchor(lg)
-    coupling = _coupling_edges(anchors, eg)
-    touched = {v for e in lg.conflict_edges if e not in cut for v in e}
-    touched.update(v for e in (*lg.stitch_edges, *coupling) for v in e)
-    lone = sorted(s.id for s in lg.vertices if s.id not in touched)
-    uf, comps = _group(sorted(touched), lg, coupling, cut)
+    # (neighbour, colour difference): 1 across a conflict edge, 0 across a stitch
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    refusing = set()  # one end of each edge that refuses its component
+    for e, cand in lg.conflict_edges.items():
+        if e not in cut:
+            u, v = e
+            adj[u].append((v, 1))
+            adj[v].append((u, 1))
+            if cand is not None:
+                refusing.add(u)
+    if alpha == 0:
+        refusing.update(u for u, _ in lg.stitch_edges)
+    # a coupling edge joins two annotated conflict edges, which refuse already
+    for u, v in (*lg.stitch_edges, *_coupling_edges(anchors, eg)):
+        adj[u].append((v, 0))
+        adj[v].append((u, 0))
+    colours = [-1] * n
+    owner = [-1] * n  # the entry index of each vertex of a refused component
+    entries: list = []
+    for start in range(n):
+        if colours[start] < 0:
+            part, odd = _walk(start, adj, colours)
+            if alpha is not None and not odd and refusing.isdisjoint(part):
+                entries.append(len(part))
+                continue
+            for u in part:
+                owner[u] = len(entries)
+            entries.append(ProblemGraph(set(part)))
+    for e, cand in lg.conflict_edges.items():
+        i = owner[e[0]]
+        if i >= 0 and e not in cut:
+            entries[i].conflict_edges[e] = cand
+    for e in lg.stitch_edges:
+        i = owner[e[0]]
+        if i >= 0:
+            entries[i].stitch_edges.add(e)
+    at = {cand: owner[e[0]] for cand, e in anchors.items()}  # candidate -> its entry
     empty = EndCutGraph(nodes=eg.nodes, solid_edges=frozenset(), dash_edges=frozenset())
-    slices: dict[int, EndCutGraph] = {}
+    slices = [empty] * len(entries)
     for edges, dash in ((eg.solid_edges, False), (eg.dash_edges, True)):
-        for p, q in edges:
-            anchor = anchors.get(p) or anchors.get(q)
-            if anchor is not None:
-                root = uf.find(anchor[0])
-                own = slices.get(root)
-                if own is None:
-                    own = slices[root] = EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set())
-                (own.dash_edges if dash else own.solid_edges).add((p, q))
-    return lone, [(comps[root], slices.get(root, empty)) for root in sorted(comps)]
+        for e in edges:
+            i = at.get(e[0], at.get(e[1]))
+            if i is not None:
+                if slices[i] is empty:
+                    slices[i] = EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set())
+                (slices[i].dash_edges if dash else slices[i].solid_edges).add(e)
+    return colours, [e if type(e) is int else (e, own) for e, own in zip(entries, slices)]
 
 
 def find_bridges(vertices: list[int], edges: list[tuple[int, int]]) -> list[int]:
@@ -289,20 +304,41 @@ def split_bridges(
     ]
     if not clean:
         return [pg], []
-    _, pieces = _group(vertices, pg, coupling, frozenset(clean))
+    pieces = _group(vertices, pg, coupling, frozenset(clean))
     return [pieces[root] for root in sorted(pieces)], clean
 
 
 class PieceOutcome(Record):
-    """A piece's assignment and its search; stats None is a piece settled by
-    `closed_form` (0 nodes, cost 0, proven optimal)."""
+    """A piece's assignment, whose colours name its vertices, and its search;
+    stats None is a piece that `closed_form` settled (0 nodes, cost 0)."""
 
-    __slots__ = ("piece", "decoded", "stats")
+    __slots__ = ("decoded", "stats")
 
-    def __init__(self, piece: ProblemGraph, decoded: Decoded, stats: SolveStats | None = None) -> None:
-        self.piece = piece
+    def __init__(self, decoded: Decoded, stats: SolveStats | None = None) -> None:
         self.decoded = decoded
         self.stats = stats
+
+
+def _walk(start: int, adj, colours) -> tuple[list[int], bool]:
+    """Colour the part of `start` into colours (-1 marks an unreached vertex)
+    by each (neighbour, colour difference) of adj: (its vertices, whether an
+    odd cycle broke a difference). Unless one did, the part is flipped to
+    give its highest-degree vertex, the smallest id on a tie, colour 0."""
+    colours[start] = 0
+    part = [start]
+    odd = False
+    for u in part:  # the list grows as the walk reaches new vertices
+        colour = colours[u]
+        for w, parity in adj[u]:
+            if colours[w] < 0:
+                colours[w] = colour ^ parity
+                part.append(w)
+            elif colours[w] != colour ^ parity:
+                odd = True
+    if not odd and len(part) > 1 and colours[min(part, key=lambda u: (-len(adj[u]), u))]:
+        for u in part:
+            colours[u] ^= 1
+    return part, odd
 
 
 def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
@@ -314,13 +350,9 @@ def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
     part has two of them, one the other flipped, or none on an odd cycle.
     `solve` returns the one that gives colour 0 to the part's first vertex in
     the model's colour order (`graph_order` over the same edges): its
-    highest-degree vertex, the smallest id on a tie. One parity walk per
-    part colours it from any vertex and finds that root, and the part is
-    flipped when the root came out 1. A one-vertex piece has no edge and
-    gets colour 0 at once.
+    highest-degree vertex, the smallest id on a tie. One `_walk` per part
+    colours it and flips it to that rule.
     """
-    if len(piece.vertex_reps) == 1:  # no edge, so no cut and no stitch
-        return Decoded(dict.fromkeys(piece.vertex_reps, 0), selected=set(), conflicts=[], stitches=[])
     if any(cand is not None for cand in piece.conflict_edges.values()):
         return None
     if piece.stitch_edges and not alpha > 0:
@@ -331,23 +363,10 @@ def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
         for u, v in edges:
             adj[u].append((v, parity))
             adj[v].append((u, parity))
-    colors: dict[int, int] = {}
+    colors = dict.fromkeys(adj, -1)
     for start in adj:
-        if start in colors:
-            continue
-        colors[start] = 0
-        part = [start]
-        for u in part:  # the list grows as the walk reaches new vertices
-            color = colors[u]
-            for w, parity in adj[u]:
-                if w not in colors:
-                    colors[w] = color ^ parity
-                    part.append(w)
-                elif colors[w] != color ^ parity:
-                    return None
-        if colors[min(part, key=lambda u: (-len(adj[u]), u))]:
-            for u in part:
-                colors[u] ^= 1
+        if colors[start] < 0 and _walk(start, adj, colors)[1]:
+            return None
     return Decoded(colors=colors, selected=set(), conflicts=[], stitches=[])
 
 
@@ -357,6 +376,8 @@ def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
 PieceKey = tuple[int, tuple, tuple, tuple, tuple]
 # proven-optimal outcomes of one call's searched pieces, in rank space, and their costs
 PieceMemo = dict[PieceKey, tuple[Decoded, Fraction]]
+# a refused component's pieces in rank space: outcome, and stats as a repeat or None
+ComponentMemo = dict[PieceKey, list[tuple[Decoded, SolveStats | None]]]
 
 
 def _rank_space(
@@ -466,21 +487,28 @@ def _solve_piece(
         decoded = decode_assignment(model, assignment)
         if stats.proven_optimal:
             memo[key] = _relabel(decoded, vrank, crank), stats.best_cost
-        return PieceOutcome(piece, decoded, stats)
+        return PieceOutcome(decoded, stats)
     # a rank map's keys, in order, are the ids by rank
-    return PieceOutcome(piece, _relabel(decoded, list(vrank), list(crank)), stats)
+    return PieceOutcome(_relabel(decoded, list(vrank), list(crank)), stats)
+
+
+def _remember(memo: ComponentMemo, key: PieceKey, vrank, crank, solved: list[PieceOutcome]) -> None:
+    """Store a component's outcome under its `_rank_space` when every piece is proven."""
+    if all(o.stats is None or o.stats.proven_optimal for o in solved):
+        memo[key] = [
+            (_relabel(o.decoded, vrank, crank), o.stats and SolveStats(0, o.stats.best_cost, True))
+            for o in solved
+        ]
 
 
 def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
     """Flip piece groups so every cut bridge ends up bichromatic."""
     piece_of: dict[int, int] = {}
     for idx, p in enumerate(pieces):
-        for v in p.piece.vertex_reps:
+        for v in p.decoded.colors:
             piece_of[v] = idx
     uf = _UnionFind(range(len(pieces)))
-    group_vertices: dict[int, list[int]] = {
-        i: list(p.piece.vertex_reps) for i, p in enumerate(pieces)
-    }
+    group_vertices: dict[int, list[int]] = {i: list(p.decoded.colors) for i, p in enumerate(pieces)}
     colors: dict[int, int] = {}
     for p in pieces:
         colors.update(p.decoded.colors)
@@ -501,7 +529,7 @@ def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
         group_vertices[uf.find(gu)] = large
 
     for p in pieces:
-        for v in p.piece.vertex_reps:
+        for v in p.decoded.colors:
             p.decoded.colors[v] = colors[v]
 
 
@@ -531,32 +559,45 @@ def decompose_graphs(
     """Decomposition core over already-built graphs; validated before return."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
     memo: PieceMemo = {}
+    reuse: ComponentMemo = {}
+    # (vertices, conflict edges, stitch edges) -> its first component and outcome, or None once keyed
+    first: dict[tuple[int, int, int], tuple | None] = {}
     outcomes: list[PieceOutcome | int] = []
     free = _free_cuts(g, eg)
-    lone, comps = split_components(g, eg, frozenset(free))
-    done = 0  # lone vertices placed so far
-    for comp, comp_eg in comps:
-        # the lone vertices before this component's root keep their root order
-        upto = bisect_left(lone, min(comp.vertex_reps), done)
-        outcomes.extend(lone[done:upto])
-        done = upto
-        whole = closed_form(comp, cfg.alpha)
-        if whole is not None:
-            outcomes.append(PieceOutcome(comp, whole))
+    colours, comps = split_components(g, eg, free, cfg.alpha)
+    for entry in comps:
+        if type(entry) is int:
+            outcomes.append(entry)
             continue
+        comp, comp_eg = entry
+        shape = (len(comp.vertex_reps), len(comp.conflict_edges), len(comp.stitch_edges))
+        rank = None
+        if shape in first:
+            if first[shape] is not None:  # key the first component of this shape now
+                _remember(reuse, *_rank_space(*first[shape][0]), first[shape][1])
+                first[shape] = None
+            rank = _rank_space(comp, comp_eg)
+            if rank[0] in reuse:
+                # a rank map's keys, in order, are the ids by rank
+                ids, cids = list(rank[1]), list(rank[2])
+                outcomes.extend(PieceOutcome(_relabel(d, ids, cids), stats) for d, stats in reuse[rank[0]])
+                continue
         pieces, bridges = split_bridges(comp, comp_eg)
         solved = []
         for piece in pieces:
-            # with no bridge cut, the one piece is the component the closed form refused
+            # with no bridge cut, the one piece is the component the walk refused
             settled = closed_form(piece, cfg.alpha) if bridges else None
             if settled is not None:
-                solved.append(PieceOutcome(piece, settled))
+                solved.append(PieceOutcome(settled))
             else:
                 solved.append(_solve_piece(piece, comp_eg, cfg.alpha, memo, deadline))
         _merge_bridges(solved, bridges)
         outcomes.extend(solved)
-    outcomes.extend(lone[done:])
-    return _merge_outcomes(outcomes, g, eg, cfg.alpha, free)
+        if rank is None:
+            first[shape] = entry, solved
+        else:
+            _remember(reuse, *rank, solved)
+    return _merge_outcomes(outcomes, colours, g, eg, cfg.alpha, free)
 
 
 def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompResult:
@@ -567,12 +608,10 @@ def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompR
     deadline = None if time_limit is None else time.monotonic() + time_limit
     eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
     memo: PieceMemo = {}
-    lone, comps = split_components(lg, eg)
-    # a lone vertex is solved too, as its own one-vertex component
-    pieces = [comp for comp, _ in comps] + [ProblemGraph(vertex_reps={v}) for v in lone]
-    pieces.sort(key=lambda comp: min(comp.vertex_reps))
-    outcomes = [_solve_piece(comp, eg, None, memo, deadline) for comp in pieces]
-    return _merge_outcomes(outcomes, lg, eg, Fraction(0), {})
+    # at alpha None every component, a lone vertex too, is refused and solved
+    colours, comps = split_components(lg, eg, (), None)
+    outcomes = [_solve_piece(comp, comp_eg, None, memo, deadline) for comp, comp_eg in comps]
+    return _merge_outcomes(outcomes, colours, lg, eg, Fraction(0), {})
 
 
 def merged_trim_rects(selected: set[int], eg: EndCutGraph) -> list[Rect]:
@@ -594,6 +633,7 @@ _SETTLED_ENTRY = {"nodes_explored": 0, "cost": "0", "proven_optimal": True}
 
 def _merge_outcomes(
     outcomes: Sequence[PieceOutcome | int],
+    colours: list[int],
     g: LayoutGraph,
     eg: EndCutGraph,
     alpha: Fraction,
@@ -601,12 +641,13 @@ def _merge_outcomes(
 ) -> DecompResult:
     """One result from the pieces' outcomes and the free cuts, which lie
     outside every piece: each is selected when its ends share a mask, at no
-    cost. An int outcome is a lone vertex, settled at colour 0. It and a
-    settled outcome add only their colours and their `per_sub` entry, and
-    only non-zero costs are added. The result's cost and rules are checked
-    against the full graphs.
+    cost. Each outcome's colours replace their entries in `colours`, one per
+    vertex id. An int outcome is a settled component's vertex count, its
+    colours there already; it and a settled outcome add only a `per_sub`
+    entry, and only non-zero costs are added. The result's cost and rules
+    are checked against the full graphs.
     """
-    colors: dict[int, int] = {}
+    colors = dict(enumerate(colours))
     selected: set[int] = set()
     conflicts: list[EdgeKey] = []
     stitches: list[EdgeKey] = []
@@ -615,14 +656,13 @@ def _merge_outcomes(
     proven = True
     per_sub = []
     for o in outcomes:
-        if isinstance(o, int):
-            colors[o] = 0
-            per_sub.append({"vertices": 1, **_SETTLED_ENTRY})
+        if type(o) is int:
+            per_sub.append({"vertices": o, **_SETTLED_ENTRY})
             continue
         colors.update(o.decoded.colors)
         stats = o.stats
         if stats is None:  # nothing to select, charge or count
-            per_sub.append({"vertices": len(o.piece.vertex_reps), **_SETTLED_ENTRY})
+            per_sub.append({"vertices": len(o.decoded.colors), **_SETTLED_ENTRY})
             continue
         selected |= o.decoded.selected
         conflicts.extend(o.decoded.conflicts)
@@ -633,7 +673,7 @@ def _merge_outcomes(
         proven = proven and stats.proven_optimal
         per_sub.append(
             {
-                "vertices": len(o.piece.vertex_reps),
+                "vertices": len(o.decoded.colors),
                 "nodes_explored": stats.nodes_explored,
                 "cost": frac_str(stats.best_cost),
                 "proven_optimal": stats.proven_optimal,
@@ -642,7 +682,7 @@ def _merge_outcomes(
     selected |= {c for (u, v), c in free.items() if colors[u] == colors[v]}
 
     result = DecompResult(
-        colors={v: colors[v] for v in sorted(colors)},
+        colors=colors,
         selected_cuts=selected,
         trim_rects=merged_trim_rects(selected, eg),
         conflicts=sorted(conflicts),
@@ -748,5 +788,5 @@ def solve_monolithic(
     whole = ProblemGraph.from_layout(g, eg)
     model = build_model_from_problem(whole, eg, alpha=cfg.alpha)
     assignment, stats = solve(model, time_limit)
-    outcome = PieceOutcome(whole, decode_assignment(model, assignment), stats)
-    return _merge_outcomes([outcome], g, eg, cfg.alpha, {}), model
+    outcome = PieceOutcome(decode_assignment(model, assignment), stats)
+    return _merge_outcomes([outcome], [0] * len(g.vertices), g, eg, cfg.alpha, {}), model

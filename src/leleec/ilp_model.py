@@ -20,16 +20,16 @@ those same edges, which `search_order` branches on first. Neither is in
 piece's colours and lists its pairs (conflicts first, then stitches, each
 sorted, with their costs scaled as the solver scales the objective); the
 decomposer reads it too, to search a cut-free piece in colour space with
-no model, so that search sees exactly its model's order and pairs. The pairs keep a contract: each pair's cost bit appears in
-exactly two rows, its pair's, and those rows hold only the pair's two
-colour bits and its cost bit, and force the cost bit to 1 exactly when
-the colours are equal (a conflict) or differ (a stitch). The solver
-relies on it: it settles every pair cost bit from its colours instead of
-branching on it, bounds with the pairs, and raises `SolverError` on a
-model that breaks the contract (`solver.row_tables` checks it, in the one
-row scan that builds the search tables). The check reads each row's
-coefficients by bit, so the contract does not depend on the order in
-which a row lists its terms.
+no model, so that search sees exactly its model's order and pairs. The
+pairs keep a contract: each pair's cost bit appears in exactly two rows,
+its pair's, and those rows hold only the pair's two colour bits and its
+cost bit, and force the cost bit to 1 exactly when the colours are equal
+(a conflict) or differ (a stitch). The solver relies on it: it settles
+every pair cost bit from its colours instead of branching on it, bounds
+with the pairs, and raises `SolverError` on a model that breaks the
+contract (`solver.row_tables` checks it, in the one row scan that builds
+the search tables). The check reads each row's coefficients by bit, so
+the contract does not depend on the order in which a row lists its terms.
 
 `build_lelele_baseline` is the three-mask coloring model of the paper's
 comparison over the same `ProblemGraph`: two color bits per vertex and a

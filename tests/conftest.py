@@ -14,15 +14,30 @@ from leleec.ilp_model import IlpModel
 from leleec.layout_graph import Config, Feature
 
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    """The benchmark's trace module, loaded from its file as it is."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load_perfbench(name: str):
+    """A benchmark module, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    """The benchmark's trace module."""
+    return _load_perfbench("spans")
+
+
+def smoke_workload_layouts(seeds=range(3)) -> list[tuple[list[Feature], Config]]:
+    """Each benchmark workload's layouts at its smoke size (`perfbench/run.py`)."""
+    wl = _load_perfbench("workloads")
+    return [
+        layout
+        for i in seeds
+        for layout in (wl.motif_array(4, i), wl.via_clusters(1, i), wl.random_wires(60, 1350, i))
+    ]
 
 
 def make_features(*rect_lists) -> list[Feature]:

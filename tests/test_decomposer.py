@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 from leleec import decomposer
@@ -44,6 +45,7 @@ from conftest import (
     preselect_ring,
     random_config,
     random_layout,
+    smoke_workload_layouts,
     stitch_ring,
     via_block,
 )
@@ -51,11 +53,18 @@ from conftest import (
 CFG_NS = Config.from_rules(10, 10, enable_stitch=False)
 
 
+def _components(lg, eg, cut=()):
+    """Every component of the walk, lone vertices too, in root order: at
+    alpha None it settles none."""
+    return split_components(lg, eg, cut, None)[1]
+
+
 def test_two_distant_features_two_subproblems():
     feats = make_features([(0, 0, 10, 40)], [(200, 0, 210, 40)])
     lg, eg = build_graphs(feats, CFG_NS)
-    # two vertices that no edge touches: no component, two lone vertices
-    assert split_components(lg, eg) == ([0, 1], [])
+    # two vertices that no edge touches: two one-vertex components, settled at colour 0
+    assert split_components(lg, eg, (), CFG_NS.alpha) == ([0, 0], [1, 1])
+    assert [comp.vertex_reps for comp, _ in _components(lg, eg)] == [{0}, {1}]
     assert decompose(feats, CFG_NS).stats["per_sub"] == [
         {"vertices": 1, "nodes_explored": 0, "cost": "0", "proven_optimal": True}
     ] * 2
@@ -74,8 +83,7 @@ def test_endcut_coupling_prevents_component_split():
     lg, eg = build_graphs(feats, cfg)
     assert sorted(lg.conflict_edges) == [(0, 1), (2, 3)]
     assert eg.solid_edges == {(0, 1)}  # cuts 110 apart, within dis_c = 200
-    lone, subs = split_components(lg, eg)
-    assert lone == [] and len(subs) == 1
+    assert len(_components(lg, eg)) == 1
 
 
 def test_unrelated_cut_components_do_split():
@@ -88,17 +96,17 @@ def test_unrelated_cut_components_do_split():
     )
     lg, eg = build_graphs(feats, cfg)
     assert eg.solid_edges == set() and eg.dash_edges == set()
-    lone, subs = split_components(lg, eg)
-    assert lone == [] and len(subs) == 2
+    assert len(_components(lg, eg)) == 2
 
 
 def test_path_splits_into_clean_bridges():
     feats = make_features([(0, 0, 10, 40)], [(30, 0, 40, 40)], [(60, 0, 70, 40)])
     lg, eg = build_graphs(feats, CFG_NS)
-    ([], [(comp, comp_eg)]) = split_components(lg, eg)
+    [(comp, comp_eg)] = _components(lg, eg)
     pieces, bridges = split_bridges(comp, comp_eg)
     assert len(pieces) == 3 and len(bridges) == 2
-    # decompose settles the cost-0 path whole, before any bridge split
+    # the walk settles the cost-0 path whole, before any bridge split
+    assert split_components(lg, eg, (), CFG_NS.alpha)[1] == [3]
     res = decompose(feats, CFG_NS)
     assert res.cost == 0
     assert res.colors[0] != res.colors[1] and res.colors[1] != res.colors[2]
@@ -108,8 +116,8 @@ def test_cycle_has_no_bridges():
     # triangle of stubs: no bridges, one piece
     feats = make_features([(0, 0, 10, 40)], [(30, 0, 40, 40)], [(14, 60, 26, 70)])
     lg, eg = build_graphs(feats, CFG_NS)
-    lone, subs = split_components(lg, eg)
-    assert lone == [] and len(subs) == 1
+    subs = _components(lg, eg)
+    assert len(subs) == 1
     pieces, bridges = split_bridges(subs[0][0], eg)
     assert bridges == [] and len(pieces) == 1
 
@@ -118,7 +126,7 @@ def test_bridge_with_candidate_is_not_cut():
     cfg = Config.from_rules(10, 10, w_th=10, enable_stitch=False)
     feats = make_features([(0, 0, 10, 60)], [(30, 0, 40, 60)])
     lg, eg = build_graphs(feats, cfg)
-    _, subs = split_components(lg, eg)
+    subs = _components(lg, eg)
     pieces, bridges = split_bridges(subs[0][0], eg)
     assert bridges == [] and len(pieces) == 1
 
@@ -148,14 +156,14 @@ def test_sliced_endcut_graph_builds_the_full_graph_models():
     sliced_away = cut_bridges = 0
     for feats, cfg in layouts:
         lg, eg = build_graphs(feats, cfg)
-        lone, pairs = split_components(lg, eg)
+        pairs = _components(lg, eg)
         comps = [comp for comp, _ in pairs]
         slices = [comp_eg for _, comp_eg in pairs]
         assert len(slices) == len(comps)
         assert set().union(*(s.solid_edges for s in slices)) == eg.solid_edges
         assert set().union(*(s.dash_edges for s in slices)) == eg.dash_edges
         in_comps = [v for comp in comps for v in comp.vertex_reps]
-        assert sorted([*lone, *in_comps]) == [s.id for s in lg.vertices]
+        assert sorted(in_comps) == [s.id for s in lg.vertices]
         assert sorted(e for comp in comps for e in comp.conflict_edges) == sorted(lg.conflict_edges)
         for comp, comp_eg in zip(comps, slices):
             assert comp_eg.nodes is eg.nodes
@@ -232,11 +240,10 @@ def test_split_matches_a_brute_force_reference():
             coupling = [(anchor[p][1], anchor[q][1]) for p, q in coupled]
             vertices = [s.id for s in lg.vertices]
             free = _free_edges(lg, eg) if with_free else {}
-            lone, got = split_components(lg, eg, frozenset(free))
-            # a lone vertex is a part with no edge
-            assert lone == sorted(lone) and all(len(c.vertex_reps) > 1 for c, _ in got)
-            lone_parts = {frozenset({v}): ({}, set()) for v in lone}
-            assert {**_by_vertices(c for c, _ in got), **lone_parts} == _reference_parts(
+            got = _components(lg, eg, free)
+            roots = [min(c.vertex_reps) for c, _ in got]
+            assert roots == sorted(roots)
+            assert _by_vertices(c for c, _ in got) == _reference_parts(
                 vertices,
                 {e: c for e, c in lg.conflict_edges.items() if e not in free},
                 lg.stitch_edges,
@@ -367,10 +374,10 @@ def test_zero_time_limit_gives_valid_one_mask_pieces():
         res = decompose(feats, cfg, time_limit=0.0)
         lg, eg = build_graphs(feats, cfg)
         free = _free_edges(lg, eg)
+        refused = [e for e in split_components(lg, eg, free, cfg.alpha)[1] if type(e) is not int]
         searched = [
             (piece, comp_eg)
-            for comp, comp_eg in split_components(lg, eg, frozenset(free))[1]
-            if closed_form(comp, cfg.alpha) is None
+            for comp, comp_eg in refused
             for piece in split_bridges(comp, comp_eg)[0]
             if closed_form(piece, cfg.alpha) is None
         ]
@@ -482,20 +489,12 @@ def _closed_form_layouts():
     return layouts
 
 
-def _every_component(lg, eg, cut=frozenset()):
-    """`split_components` with each lone vertex as a one-vertex component,
-    in root order: the settled colour 0 of a lone vertex is checked too."""
-    lone, comps = split_components(lg, eg, cut)
-    empty = EndCutGraph(nodes=eg.nodes, solid_edges=frozenset(), dash_edges=frozenset())
-    comps += [(ProblemGraph(vertex_reps={v}), empty) for v in lone]
-    return sorted(comps, key=lambda pair: min(pair[0].vertex_reps))
-
-
 def test_closed_form_pieces_match_the_solver():
     outcomes = []
     for feats, cfg in _closed_form_layouts():
         lg, eg = build_graphs(feats, cfg)
-        for comp, comp_eg in _every_component(lg, eg):
+        # each lone vertex is a one-vertex component: its colour 0 is checked too
+        for comp, comp_eg in _components(lg, eg):
             for piece in split_bridges(comp, comp_eg)[0]:
                 outcomes.append(
                     _closed_form_against_solver(piece, comp_eg, cfg.alpha)
@@ -505,16 +504,110 @@ def test_closed_form_pieces_match_the_solver():
 
 
 def test_closed_form_components_match_the_solver():
-    # decompose settles these components whole, with no bridge split
+    # the walk settles these components whole, with no graph and no bridge
+    # split; each one's colours must be the solver's answer at cost 0
     settled = bridged = 0
     for feats, cfg in _closed_form_layouts():
         lg, eg = build_graphs(feats, cfg)
-        for comp, comp_eg in _every_component(lg, eg, frozenset(_free_edges(lg, eg))):
-            if closed_form(comp, cfg.alpha) is not None:
-                assert _closed_form_against_solver(comp, comp_eg, cfg.alpha) == "accepted"
-                settled += 1
-                bridged += bool(split_bridges(comp, comp_eg)[1])
+        free = _free_edges(lg, eg)
+        colours, entries = split_components(lg, eg, free, cfg.alpha)
+        for entry, (comp, comp_eg) in zip(entries, _components(lg, eg, free), strict=True):
+            if type(entry) is not int:
+                assert entry == (comp, comp_eg)
+                continue
+            assert entry == len(comp.vertex_reps)
+            model = build_model_from_problem(comp, comp_eg, alpha=cfg.alpha)
+            assignment, stats = solve(model)
+            walked = Decoded({v: colours[v] for v in comp.vertex_reps}, set(), [], [])
+            assert decode_assignment(model, assignment) == walked, comp
+            assert stats.best_cost == 0 and stats.proven_optimal, comp
+            settled += 1
+            bridged += bool(split_bridges(comp, comp_eg)[1])
     assert settled > 300 and bridged > 50, (settled, bridged)
+
+
+def _reference_split(lg, eg, cut=frozenset()):
+    """`split_components` as it was before the walk: (lone vertices,
+    components in root order), by union-find over the union graph, each
+    component a `ProblemGraph` with its slice of the end-cut graph."""
+    anchors = decomposer._candidate_anchor(lg)
+    coupling = decomposer._coupling_edges(anchors, eg)
+    touched = {v for e in lg.conflict_edges if e not in cut for v in e}
+    touched.update(v for e in (*lg.stitch_edges, *coupling) for v in e)
+    lone = sorted(s.id for s in lg.vertices if s.id not in touched)
+    comps = decomposer._group(sorted(touched), lg, coupling, cut)
+    root_of = {v: root for root, comp in comps.items() for v in comp.vertex_reps}
+    empty = EndCutGraph(nodes=eg.nodes, solid_edges=frozenset(), dash_edges=frozenset())
+    slices = {}
+    for edges, dash in ((eg.solid_edges, False), (eg.dash_edges, True)):
+        for p, q in edges:
+            anchor = anchors.get(p) or anchors.get(q)
+            if anchor is not None:
+                root = root_of[anchor[0]]
+                own = slices.get(root)
+                if own is None:
+                    own = slices[root] = EndCutGraph(nodes=eg.nodes, solid_edges=set(), dash_edges=set())
+                (own.dash_edges if dash else own.solid_edges).add((p, q))
+    return lone, [(comps[root], slices.get(root, empty)) for root in sorted(comps)]
+
+
+def _reference_walk(lg, eg, cut, alpha):
+    """The walk's (settled colours, entries) from the reference split and
+    `closed_form` on each component: a lone vertex settles at colour 0, and
+    at alpha None every component is refused."""
+    lone, comps = _reference_split(lg, eg, cut)
+    empty = EndCutGraph(nodes=eg.nodes, solid_edges=frozenset(), dash_edges=frozenset())
+    comps += [(ProblemGraph(vertex_reps={v}), empty) for v in lone]
+    comps.sort(key=lambda pair: min(pair[0].vertex_reps))
+    colours, entries = {}, []
+    for comp, comp_eg in comps:
+        whole = None if alpha is None else closed_form(comp, alpha)
+        if whole is None:
+            entries.append((comp, comp_eg))
+        else:
+            colours.update(whole.colors)
+            entries.append(len(comp.vertex_reps))
+    return colours, entries
+
+
+def _split_layouts():
+    """`_memo_layouts` and each workload's smoke-size layouts, under their
+    own settings, without stitches and at alpha 0."""
+    return _memo_layouts() + [
+        (feats, c)
+        for feats, cfg in smoke_workload_layouts()
+        for c in (cfg, cfg.replace(enable_stitch=False), cfg.replace(alpha=Fraction(0)))
+    ]
+
+
+def test_walk_matches_the_reference_split():
+    """The walk finds the reference's lone vertices, settles what `closed_form`
+    settles with its colours, and refuses the rest with the same graphs and
+    end-cut slices; at alpha None it refuses every component."""
+    seen = dict.fromkeys(("lone", "settled", "refused", "odd", "stitch_at_0", "slices"), 0)
+    for feats, cfg in _split_layouts():
+        lg, eg = build_graphs(feats, cfg)
+        for cut in ((), _free_edges(lg, eg)):
+            for alpha in (cfg.alpha, None):
+                ref_colours, ref_entries = _reference_walk(lg, eg, frozenset(cut), alpha)
+                colours, entries = split_components(lg, eg, cut, alpha)
+                assert entries == ref_entries
+                assert {v: colours[v] for v in ref_colours} == ref_colours
+                if alpha is None:
+                    assert all(type(entry) is not int for entry in entries)
+                    continue
+                seen["lone"] += entries.count(1)
+                seen["settled"] += sum(type(entry) is int and entry > 1 for entry in entries)
+                for entry in entries:
+                    if type(entry) is int:
+                        continue
+                    comp, comp_eg = entry
+                    seen["refused"] += 1
+                    seen["slices"] += bool(comp_eg.solid_edges or comp_eg.dash_edges)
+                    cut_free = all(c is None for c in comp.conflict_edges.values())
+                    seen["odd"] += cut_free and not comp.stitch_edges
+                    seen["stitch_at_0"] += cut_free and alpha == 0 and bool(comp.stitch_edges)
+    assert all(count > 20 for count in seen.values()), seen
 
 
 def _closed_form_by_graph_order(piece, alpha):
@@ -625,7 +718,7 @@ def test_equal_piece_keys_give_equal_models():
     shapes, pieces = {}, 0
     for feats, cfg in _memo_layouts():
         lg, eg = build_graphs(feats, cfg)
-        for comp, comp_eg in split_components(lg, eg)[1]:
+        for comp, comp_eg in _components(lg, eg):
             for piece in split_bridges(comp, comp_eg)[0]:
                 if closed_form(piece, cfg.alpha) is not None:
                     continue
@@ -641,7 +734,7 @@ def test_piece_keys_tell_cut_edges_apart():
     # edge or one candidate fewer: each changes the model, so the key
     feats, cfg = clique4_motif()
     lg, eg = build_graphs(feats, cfg)
-    ([], [(piece, comp_eg)]) = split_components(lg, eg)
+    [(piece, comp_eg)] = _components(lg, eg)
     nodes, solid, dash = comp_eg.nodes, comp_eg.solid_edges, comp_eg.dash_edges
     no_dash = EndCutGraph(nodes, solid, dash - {min(dash)})
     no_solid = EndCutGraph(nodes, solid - {min(solid)}, dash)
@@ -669,11 +762,7 @@ def _masked(res):
 def test_reused_pieces_match_their_own_solves(monkeypatch):
     layouts = _memo_layouts()
     with_memo = [decompose(feats, cfg) for feats, cfg in layouts]
-    rank_space = decomposer._rank_space
-    # a fresh key per piece: no piece is ever a repeat
-    monkeypatch.setattr(
-        decomposer, "_rank_space", lambda piece, eg: (object(), *rank_space(piece, eg)[1:])
-    )
+    _no_reuse(monkeypatch)
     without = [decompose(feats, cfg) for feats, cfg in layouts]
     assert [_masked(r) for r in with_memo] == [_masked(r) for r in without]
     reused = sum(
@@ -682,6 +771,66 @@ def test_reused_pieces_match_their_own_solves(monkeypatch):
         for a, b in zip(ra.stats["per_sub"], rb.stats["per_sub"])
     )
     assert reused > 50, reused
+
+
+def _no_reuse(monkeypatch):
+    """A fresh key per piece and per component: nothing is ever a repeat."""
+    rank_space = decomposer._rank_space
+    monkeypatch.setattr(
+        decomposer, "_rank_space", lambda piece, eg: (object(), *rank_space(piece, eg)[1:])
+    )
+
+
+def _per_piece_decompose(feats, cfg, time_limit=None):
+    """`decompose` before the walk and the component memo: the reference
+    split, `closed_form` on each component, and each refused component split
+    at its bridges and solved piece by piece, with the piece memo only."""
+    lg, eg = build_graphs(feats, cfg)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    free = decomposer._free_cuts(lg, eg)
+    colours, entries = _reference_walk(lg, eg, frozenset(free), cfg.alpha)
+    memo, outcomes = {}, []
+    for entry in entries:
+        if type(entry) is int:
+            outcomes.append(entry)
+            continue
+        comp, comp_eg = entry
+        pieces, bridges = split_bridges(comp, comp_eg)
+        solved = [
+            decomposer.PieceOutcome(settled)
+            if bridges and (settled := closed_form(piece, cfg.alpha)) is not None
+            else decomposer._solve_piece(piece, comp_eg, cfg.alpha, memo, deadline)
+            for piece in pieces
+        ]
+        decomposer._merge_bridges(solved, bridges)
+        outcomes += solved
+    flat = [colours.get(v, 0) for v in range(len(lg.vertices))]
+    return decomposer._merge_outcomes(outcomes, flat, lg, eg, cfg.alpha, free)
+
+
+def test_reused_components_match_the_per_piece_path(monkeypatch):
+    """A repeated component takes its first copy's whole outcome: the result
+    is the per-piece path's, nodes and `per_sub` included, also under a time
+    limit, where a component with an unproven piece is never stored."""
+    motifs = [gen_synthetic("clique4_array", 8, seed, Config.from_rules(10, 10)) for seed in range(3)]
+    layouts = _split_layouts() + motifs
+    splits = []
+    split_bridges_ = decomposer.split_bridges
+    monkeypatch.setattr(decomposer, "split_bridges", lambda comp, eg: splits.append(comp) or split_bridges_(comp, eg))
+    unproven = 0
+    for limit in (None, 0.0):
+        for feats, cfg in layouts:
+            assert decompose(feats, cfg, limit) == _per_piece_decompose(feats, cfg, limit)
+        # each motif is one component; the first is solved, the other 7 reuse it
+        for feats, cfg in motifs:
+            splits.clear()
+            res = decompose(feats, cfg, limit)
+            assert len(splits) == (1 if limit is None else 8)
+            unproven += sum(not entry["proven_optimal"] for entry in res.stats["per_sub"])
+    assert unproven == 24
+    _no_reuse(monkeypatch)
+    for feats, cfg in layouts:
+        assert _masked(decompose(feats, cfg)) == _masked(_per_piece_decompose(feats, cfg))
 
 
 def _stage_by_stage(features, cfg):

@@ -57,14 +57,14 @@ def test_traced_decompose_counts_the_pieces_and_models(tmp_path):
     finally:
         tracer.uninstall()
 
-    # a piece whose model equals an earlier one's but for names is a repeat:
-    # it reuses that outcome and makes neither patched call
+    # a piece whose model equals an earlier one's but for names is a repeat,
+    # and so is a component whose pieces are: it reuses that outcome and makes
+    # neither patched call
     lg, eg = build_graphs(feats, cfg)
-    pieces = [
-        (piece, comp_eg)
-        for comp, comp_eg in split_components(lg, eg)[1]
-        for piece in split_bridges(comp, comp_eg)[0]
-    ]
+    # the walk's entries: a settled component's vertex count, or a refused
+    # component with its end-cut slice
+    refused = [entry for entry in split_components(lg, eg, (), cfg.alpha)[1] if type(entry) is not int]
+    pieces = [(piece, comp_eg) for comp, comp_eg in refused for piece in split_bridges(comp, comp_eg)[0]]
     distinct = {}
     for piece, comp_eg in pieces:
         model = build_model_from_problem(piece, comp_eg, alpha=cfg.alpha)

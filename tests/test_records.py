@@ -142,7 +142,6 @@ class DataSolveStats:
 
 @dataclass
 class DataPieceOutcome:
-    piece: object
     decoded: object
     stats: object = None
 
@@ -238,8 +237,11 @@ DOMAINS = {
     PieceOutcome: (
         DataPieceOutcome,
         {
-            "piece": [ProblemGraph({0}), ProblemGraph({0, 1}, {(0, 1): None})],
-            "decoded": [Decoded({0: 0}, set(), [], []), Decoded({0: 1}, set(), [], [])],
+            "decoded": [
+                Decoded({0: 0}, set(), [], []),
+                Decoded({0: 1}, set(), [], []),
+                Decoded({0: 0, 1: 1}, set(), [], []),
+            ],
             "stats": [None, SolveStats(0, Fraction(0), True)],
         },
     ),
