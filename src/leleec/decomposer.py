@@ -27,27 +27,23 @@ symmetry keeps each side's cost). Last, the merge selects each free cut
 whose ends share a mask, and the result is checked against the full graphs.
 
 A refused component or a searched piece that repeats an earlier one of the
-same call is not solved again. Relabelling each vertex id to its rank among
+same call is not searched again. Relabelling each vertex id to its rank among
 its vertices, and each candidate id to its rank among its candidates, keeps
 every order that the split, `closed_form`, the model builders and
 `_merge_bridges` read: each reads ids only in sorted order, or gives an
-answer that no order changes. So equal components in rank space split into
-equal pieces, settle and search them alike and flip the same pieces at
-their bridges, and equal pieces get one model but for variable names, and
-one assignment and node count. Two per-call memos keep outcomes in rank
-space: one per proven-optimal piece, and one per component, holding its
-pieces' outcomes after the bridge flips once all are proven (so each piece
-of a repeat would be a repeat too). A repeat maps the stored outcome back
-to its own ids, with 0 nodes and proven, so `nodes_explored` and `per_sub`
-count only the search that ran. A component is keyed only once an earlier
-one has its vertex, conflict-edge and stitch-edge counts, so one whose
-counts are new costs no key. Each CLI call does the same work.
+answer that no order changes. One per-call memo keeps the rank-space outcome
+and cost of each graph searched to a proven optimum; each refused component
+is keyed once, before its bridge split. A bridged component is never stored:
+a repeat splits again and its searched pieces hit the memo. A hit maps the
+stored outcome back to its own ids, with 0 nodes and proven, so
+`nodes_explored` and `per_sub` count only the search that ran. Each CLI call
+does the same work.
 
 `result_problems` is the one result checker: `validate_result` raises on
 its findings, and `layout_io.verify_result` reports them for a file. The
 merge recounts the cost and validates every result: decompose, the
 baseline (each component of the same walk, which settles nothing at alpha
-None, solved with one model and the piece memo, and no bridge split, whose
+None, solved with one model and the memo, and no bridge split, whose
 recombination is a two-mask color flip), and the oracle `solve_monolithic`.
 
 Under a time limit each searched piece keeps its search's best leaf, the
@@ -370,25 +366,22 @@ def closed_form(piece: ProblemGraph, alpha: Fraction) -> Decoded | None:
     return Decoded(colors=colors, selected=set(), conflicts=[], stitches=[])
 
 
-# a searched piece relabelled by rank: its vertex count, its conflict edges
-# with their candidate ranks, its stitch edges, and the solid and dash edges
-# between its own candidates
+# a refused component or piece relabelled by rank: its vertex count, its
+# conflict edges with their candidate ranks, its stitch edges, and the solid
+# and dash edges between its own candidates
 PieceKey = tuple[int, tuple, tuple, tuple, tuple]
-# proven-optimal outcomes of one call's searched pieces, in rank space, and their costs
-PieceMemo = dict[PieceKey, tuple[Decoded, Fraction]]
-# a refused component's pieces in rank space: outcome, and stats as a repeat or None
-ComponentMemo = dict[PieceKey, list[tuple[Decoded, SolveStats | None]]]
 
 
 def _rank_space(
     piece: ProblemGraph, eg: EndCutGraph
 ) -> tuple[PieceKey, dict[int, int], dict[int, int]]:
-    """(memo key, vertex id -> rank, candidate id -> rank) of a piece, ids ascending.
+    """(memo key, vertex id -> rank, candidate id -> rank) of a refused
+    component or piece, ids ascending.
 
-    Each vertex id becomes its rank in the piece's sorted ids, and each
-    candidate id its rank among the piece's own candidates. Both maps keep
+    Each vertex id becomes its rank in the graph's sorted ids, and each
+    candidate id its rank among the graph's own candidates. Both maps keep
     order, and the model builders read ids only in sorted order, so two
-    pieces with equal keys get the same model but for variable names.
+    graphs with equal keys get the same model but for variable names.
     """
     vrank = {v: i for i, v in enumerate(sorted(piece.vertex_reps))}
     cids = {c for c in piece.conflict_edges.values() if c is not None}
@@ -450,55 +443,62 @@ def _search_colours(
     return decoded, SolveStats(nodes, Fraction(cost, denom), proven)
 
 
-def _solve_piece(
-    piece: ProblemGraph,
+def _solve(
+    graph: ProblemGraph,
     eg: EndCutGraph,
     alpha: Fraction | None,
-    memo: PieceMemo,
+    memo: dict[PieceKey, tuple[Decoded, Fraction]],
     deadline: float | None,
-) -> PieceOutcome:
-    """Solve a piece of a leleec decomposition at stitch weight alpha, or of
-    the three-mask baseline when alpha is None, by the deadline; or reuse a
-    repeat's outcome.
+    split: bool,
+) -> list[PieceOutcome]:
+    """The outcomes of a refused component, or of a piece when split is
+    false, by the deadline: one per piece, after the bridge flips. alpha
+    None is the three-mask baseline.
 
-    A piece whose key is in memo takes the stored outcome, mapped back to its
-    own ids, with no model and no search (0 nodes, proven optimal). A leleec
-    piece with no cut candidate is searched in colour space, with no model;
-    every other piece gets one model and `solve`. A piece solved to a proven
-    optimum is stored; a time-limited outcome is not. Each searched piece
-    keeps its search's best leaf; the first is found before the deadline is
-    read, so a piece left no time still gets one.
+    The graph is keyed once, by `_rank_space`. A hit maps the stored outcome
+    to the graph's own ids, with 0 nodes and proven. Otherwise, with split,
+    clean bridges cut it into pieces, each settled by `closed_form` or
+    solved here without split, and `_merge_bridges` flips them. A graph with
+    no bridge cut is searched, and stored in rank space when proven optimal.
+
+    A hit is exact. A stored graph of a splitting call has no clean bridge,
+    and equal keys mean equal graphs in rank space, so a hit is a graph that
+    the split leaves whole and whose search gives the stored outcome. A
+    repeated bridged component, never stored, splits again: its searched
+    pieces hit the memo at 0 nodes, and its flips follow from rank order.
     """
-    key, vrank, crank = _rank_space(piece, eg)
+    key, vrank, crank = _rank_space(graph, eg)
     if key in memo:
-        decoded, cost = memo[key]
-        stats = SolveStats(0, cost, True)
-    elif alpha is not None and not crank:
-        decoded, stats = _search_colours(piece, vrank, alpha, deadline)
-        if stats.proven_optimal:
-            memo[key] = decoded, stats.best_cost
+        ranked, cost = memo[key]
+        # a rank map's keys, in order, are the ids by rank
+        return [PieceOutcome(_relabel(ranked, list(vrank), list(crank)), SolveStats(0, cost, True))]
+    if split:
+        pieces, bridges = split_bridges(graph, eg)
+        if bridges:
+            solved = []
+            for piece in pieces:
+                settled = closed_form(piece, alpha)
+                if settled is None:
+                    solved += _solve(piece, eg, alpha, memo, deadline, False)
+                else:
+                    solved.append(PieceOutcome(settled))
+            _merge_bridges(solved, bridges)
+            return solved
+    if alpha is not None and not crank:
+        ranked, stats = _search_colours(graph, vrank, alpha, deadline)
+        decoded = _relabel(ranked, list(vrank), list(crank))
     else:
         if alpha is None:
-            model = build_lelele_baseline(piece)
+            model = build_lelele_baseline(graph)
         else:
-            model = build_model_from_problem(piece, eg, alpha=alpha)
+            model = build_model_from_problem(graph, eg, alpha=alpha)
         remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         assignment, stats = solve(model, remaining)
         decoded = decode_assignment(model, assignment)
-        if stats.proven_optimal:
-            memo[key] = _relabel(decoded, vrank, crank), stats.best_cost
-        return PieceOutcome(decoded, stats)
-    # a rank map's keys, in order, are the ids by rank
-    return PieceOutcome(_relabel(decoded, list(vrank), list(crank)), stats)
-
-
-def _remember(memo: ComponentMemo, key: PieceKey, vrank, crank, solved: list[PieceOutcome]) -> None:
-    """Store a component's outcome under its `_rank_space` when every piece is proven."""
-    if all(o.stats is None or o.stats.proven_optimal for o in solved):
-        memo[key] = [
-            (_relabel(o.decoded, vrank, crank), o.stats and SolveStats(0, o.stats.best_cost, True))
-            for o in solved
-        ]
+        ranked = _relabel(decoded, vrank, crank) if stats.proven_optimal else None
+    if stats.proven_optimal:
+        memo[key] = ranked, stats.best_cost
+    return [PieceOutcome(decoded, stats)]
 
 
 def _merge_bridges(pieces: list[PieceOutcome], bridges: list[EdgeKey]) -> None:
@@ -558,45 +558,15 @@ def decompose_graphs(
 ) -> DecompResult:
     """Decomposition core over already-built graphs; validated before return."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    memo: PieceMemo = {}
-    reuse: ComponentMemo = {}
-    # (vertices, conflict edges, stitch edges) -> its first component and outcome, or None once keyed
-    first: dict[tuple[int, int, int], tuple | None] = {}
+    memo: dict[PieceKey, tuple[Decoded, Fraction]] = {}
     outcomes: list[PieceOutcome | int] = []
     free = _free_cuts(g, eg)
     colours, comps = split_components(g, eg, free, cfg.alpha)
     for entry in comps:
         if type(entry) is int:
             outcomes.append(entry)
-            continue
-        comp, comp_eg = entry
-        shape = (len(comp.vertex_reps), len(comp.conflict_edges), len(comp.stitch_edges))
-        rank = None
-        if shape in first:
-            if first[shape] is not None:  # key the first component of this shape now
-                _remember(reuse, *_rank_space(*first[shape][0]), first[shape][1])
-                first[shape] = None
-            rank = _rank_space(comp, comp_eg)
-            if rank[0] in reuse:
-                # a rank map's keys, in order, are the ids by rank
-                ids, cids = list(rank[1]), list(rank[2])
-                outcomes.extend(PieceOutcome(_relabel(d, ids, cids), stats) for d, stats in reuse[rank[0]])
-                continue
-        pieces, bridges = split_bridges(comp, comp_eg)
-        solved = []
-        for piece in pieces:
-            # with no bridge cut, the one piece is the component the walk refused
-            settled = closed_form(piece, cfg.alpha) if bridges else None
-            if settled is not None:
-                solved.append(PieceOutcome(settled))
-            else:
-                solved.append(_solve_piece(piece, comp_eg, cfg.alpha, memo, deadline))
-        _merge_bridges(solved, bridges)
-        outcomes.extend(solved)
-        if rank is None:
-            first[shape] = entry, solved
         else:
-            _remember(reuse, *rank, solved)
+            outcomes += _solve(*entry, cfg.alpha, memo, deadline, True)
     return _merge_outcomes(outcomes, colours, g, eg, cfg.alpha, free)
 
 
@@ -607,10 +577,10 @@ def lelele_baseline(lg: LayoutGraph, time_limit: float | None = None) -> DecompR
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     eg = EndCutGraph(nodes=[], solid_edges=set(), dash_edges=set())
-    memo: PieceMemo = {}
+    memo: dict[PieceKey, tuple[Decoded, Fraction]] = {}
     # at alpha None every component, a lone vertex too, is refused and solved
     colours, comps = split_components(lg, eg, (), None)
-    outcomes = [_solve_piece(comp, comp_eg, None, memo, deadline) for comp, comp_eg in comps]
+    outcomes = [o for entry in comps for o in _solve(*entry, None, memo, deadline, False)]
     return _merge_outcomes(outcomes, colours, lg, eg, Fraction(0), {})
 
 

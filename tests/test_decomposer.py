@@ -34,7 +34,7 @@ from leleec.layout_graph import (
     feature_index,
     generate_stitch_candidates,
 )
-from leleec.solver import solve
+from leleec.solver import SolveStats, solve
 from leleec.synth import KINDS, gen_synthetic
 
 from conftest import (
@@ -781,10 +781,38 @@ def _no_reuse(monkeypatch):
     )
 
 
+def _solve_piece(piece, eg, alpha, memo, deadline):
+    """One piece's outcome, or a repeat's from memo: a piece whose rank-space
+    key is stored takes that outcome with 0 nodes, a cut-free leleec piece
+    is searched in colour space, and every other piece gets one model and
+    `solve`; a proven outcome is stored in rank space."""
+    key, vrank, crank = decomposer._rank_space(piece, eg)
+    if key in memo:
+        decoded, cost = memo[key]
+        stats = SolveStats(0, cost, True)
+    elif alpha is not None and not crank:
+        decoded, stats = decomposer._search_colours(piece, vrank, alpha, deadline)
+        if stats.proven_optimal:
+            memo[key] = decoded, stats.best_cost
+    else:
+        if alpha is None:
+            model = build_lelele_baseline(piece)
+        else:
+            model = build_model_from_problem(piece, eg, alpha=alpha)
+        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+        assignment, stats = solve(model, remaining)
+        decoded = decode_assignment(model, assignment)
+        if stats.proven_optimal:
+            memo[key] = decomposer._relabel(decoded, vrank, crank), stats.best_cost
+        return decomposer.PieceOutcome(decoded, stats)
+    return decomposer.PieceOutcome(decomposer._relabel(decoded, list(vrank), list(crank)), stats)
+
+
 def _per_piece_decompose(feats, cfg, time_limit=None):
-    """`decompose` before the walk and the component memo: the reference
-    split, `closed_form` on each component, and each refused component split
-    at its bridges and solved piece by piece, with the piece memo only."""
+    """`decompose` before the walk and the whole-component keys: the
+    reference split, `closed_form` on each component, and each refused
+    component split at its bridges and solved piece by piece, with a memo
+    of pieces only."""
     lg, eg = build_graphs(feats, cfg)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     free = decomposer._free_cuts(lg, eg)
@@ -799,7 +827,7 @@ def _per_piece_decompose(feats, cfg, time_limit=None):
         solved = [
             decomposer.PieceOutcome(settled)
             if bridges and (settled := closed_form(piece, cfg.alpha)) is not None
-            else decomposer._solve_piece(piece, comp_eg, cfg.alpha, memo, deadline)
+            else _solve_piece(piece, comp_eg, cfg.alpha, memo, deadline)
             for piece in pieces
         ]
         decomposer._merge_bridges(solved, bridges)
@@ -809,9 +837,10 @@ def _per_piece_decompose(feats, cfg, time_limit=None):
 
 
 def test_reused_components_match_the_per_piece_path(monkeypatch):
-    """A repeated component takes its first copy's whole outcome: the result
-    is the per-piece path's, nodes and `per_sub` included, also under a time
-    limit, where a component with an unproven piece is never stored."""
+    """A repeated bridge-free component takes its first copy's stored outcome
+    before any split: the result is the per-piece path's, nodes and `per_sub`
+    included, also under a time limit, where an unproven search is never
+    stored."""
     motifs = [gen_synthetic("clique4_array", 8, seed, Config.from_rules(10, 10)) for seed in range(3)]
     layouts = _split_layouts() + motifs
     splits = []
@@ -831,6 +860,57 @@ def test_reused_components_match_the_per_piece_path(monkeypatch):
     _no_reuse(monkeypatch)
     for feats, cfg in layouts:
         assert _masked(decompose(feats, cfg)) == _masked(_per_piece_decompose(feats, cfg))
+
+
+def _bridged_pair():
+    """Two copies, 500 nm apart, of a via triangle (0-2), which only a search
+    settles, joined by a clean bridge (1, 3) to a via square (3-6), which
+    `closed_form` settles. Its search gives vertex 1 the colour of vertex 3,
+    so the bridge flips the triangle, the smaller side."""
+    vias = [(0, 0), (20, 0), (0, 20), (75, 0), (130, 0), (75, 55), (130, 55)]
+    copies = [[(x + dx, y, x + dx + 10, y + 10)] for dx in (0, 500) for x, y in vias]
+    return make_features(*copies), Config.from_rules(10, 10)
+
+
+def test_repeated_bridged_component_resplits_and_reuses_its_searched_piece():
+    feats, cfg = _bridged_pair()
+    res = decompose(feats, cfg)
+    assert res == _per_piece_decompose(feats, cfg)
+    # triangle, square, triangle, square: only the first triangle is searched
+    nodes = [entry["nodes_explored"] for entry in res.stats["per_sub"]]
+    assert nodes[0] > 0 and nodes[1:] == [0, 0, 0]
+    assert res.cost == 2 and res.stats["proven_optimal"]
+    # the second copy's colours are the first's, after its own bridge flip
+    assert [res.colors[v + 7] for v in range(7)] == [res.colors[v] for v in range(7)]
+    assert res.colors[1] != res.colors[3]
+    # the flip changed the searched triangle, but not its stored outcome
+    lg, eg = build_graphs(feats, cfg)
+    (comp, comp_eg), _ = [e for e in split_components(lg, eg, (), cfg.alpha)[1] if type(e) is not int]
+    memo = {}
+    [triangle, square] = decomposer._solve(comp, comp_eg, cfg.alpha, memo, None, True)
+    piece = split_bridges(comp, comp_eg)[0][0]
+    searched, _ = decomposer._search_colours(piece, {0: 0, 1: 1, 2: 2}, cfg.alpha, None)
+    assert triangle.decoded.colors == {v: 1 - c for v, c in searched.colors.items()}
+    assert [ranked.colors for ranked, _ in memo.values()] == [searched.colors]
+
+
+def test_each_refused_component_and_searched_piece_is_keyed_once(monkeypatch):
+    """`_rank_space` runs once per refused component and once per piece of a
+    bridged component that `closed_form` refuses, repeats included."""
+    keyed = []
+    rank_space = decomposer._rank_space
+    monkeypatch.setattr(decomposer, "_rank_space", lambda graph, eg: keyed.append(graph) or rank_space(graph, eg))
+    motif = gen_synthetic("clique4_array", 8, 0, Config.from_rules(10, 10))
+    for (feats, cfg), keys in ((motif, 8), (_bridged_pair(), 4)):
+        keyed.clear()
+        decompose(feats, cfg)
+        lg, eg = build_graphs(feats, cfg)
+        refused = [e for e in split_components(lg, eg, _free_edges(lg, eg), cfg.alpha)[1] if type(e) is not int]
+        searched = 0
+        for comp, comp_eg in refused:
+            pieces, bridges = split_bridges(comp, comp_eg)
+            searched += bool(bridges) and sum(closed_form(p, cfg.alpha) is None for p in pieces)
+        assert len(keyed) == len(refused) + searched == keys
 
 
 def _stage_by_stage(features, cfg):
